@@ -43,7 +43,7 @@ from .cycleset import (
     retraction_tower_sizes,
 )
 from .errors import BudgetExceeded, HypothesesError, OracleDisagreement
-from .perm import PermGroup, Permutation, is_abelian, is_cyclic
+from .perm import PermGroup, is_abelian, is_cyclic
 
 MODES = ("full-bruteforce", "regular-abelian-restricted", "spec-parameterized")
 
@@ -61,12 +61,9 @@ class SearchConfig:
 
     ``max_candidates`` bounds node expansions; exceeding it raises
     :class:`BudgetExceeded` rather than returning partial results.
-    ``parallel`` is accepted for interface compatibility; the sequential
-    search already satisfies the determinism contract.
     """
 
     max_candidates: int = 10 ** 8
-    parallel: bool = False
     mode: str = "regular-abelian-restricted"
 
     def __post_init__(self):
@@ -121,7 +118,7 @@ def _invariant_key(X: CycleSet):
         tuple(retraction_tower_sizes(X)),
         group.order,
         group_type_of(group),
-        tuple(sorted(Permutation(row).cycle_type() for row in X.table)),
+        tuple(sorted(p.cycle_type() for p in X.rows())),
     )
 
 
@@ -181,48 +178,54 @@ def enumerate_specs(
 
     The candidate space (exponent chains, then digit-function tables) is
     enumerated exhaustively and filtered through the injectivity and symmetry
-    invariants; the budget counts candidate tuples.
+    invariants; the budget counts candidate tuples, and the whole space is
+    summed against it before any candidate is tested.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be at least 1")
-    cfg = config or SearchConfig()
-    budget = _Budget(cfg.max_candidates)
+    limit = (config or SearchConfig()).max_candidates
     levels = [level] if level is not None else list(range(2, k + 1))
-    out: list[CyclicBuildSpec] = []
+    chains: list[tuple[tuple[int, ...], list[tuple[int, int]]]] = []
+    total = 0
     for lvl in levels:
-        if lvl < 2 or lvl - 1 > k - 1:
+        if not 2 <= lvl <= k:
             continue
         for mids in itertools.combinations(range(k - 1, 0, -1), lvl - 1):
             exps = (k,) + mids + (0,)
-            total = 1
-            for m in range(1, lvl):
-                dom = p ** exps[m]
-                rng = p ** (exps[m - 1] - exps[m])
-                total *= rng ** (dom - 1)
-            if budget.used + total > budget.limit:
+            # (domain size, range size) of each digit function f_1 ... f_{lvl-1}
+            shape = [
+                (p ** exps[m], p ** (exps[m - 1] - exps[m])) for m in range(1, lvl)
+            ]
+            # every range has at least 2 values, so a domain this large
+            # already overflows the budget; skip the huge power
+            if any(dom > limit.bit_length() for dom, _ in shape):
+                total = limit + 1
+            else:
+                total += prod(rng ** (dom - 1) for dom, rng in shape)
+            if total > limit:
                 raise BudgetExceeded(
-                    f"digit-function space for chain {exps} has {total} "
-                    f"candidates, beyond the budget of {budget.limit}"
+                    f"spec enumeration at (p, k) = ({p}, {k}): the digit-function "
+                    f"space through exponent chain {exps} exceeds the budget of "
+                    f"{limit} candidates"
                 )
-            spaces = []
-            for m in range(1, lvl):
-                dom = p ** exps[m]
-                rng = p ** (exps[m - 1] - exps[m])
-                spaces.append(
-                    [(0,) + rest for rest in itertools.product(range(rng), repeat=dom - 1)]
-                )
-            for combo in itertools.product(*spaces):
-                budget.tick()
-                spec = CyclicBuildSpec(
-                    p=p, k=k, level=lvl, exponents=exps, digit_functions=combo
-                )
-                if phi_injectivity_check(spec) is not None:
-                    continue
-                if exponent_symmetry_check(spec) is not None:
-                    continue
-                out.append(spec)
+            chains.append((exps, shape))
+    out: list[CyclicBuildSpec] = []
+    for exps, shape in chains:
+        spaces = [
+            [(0,) + rest for rest in itertools.product(range(rng), repeat=dom - 1)]
+            for dom, rng in shape
+        ]
+        for combo in itertools.product(*spaces):
+            spec = CyclicBuildSpec(
+                p=p, k=k, level=len(exps) - 1, exponents=exps, digit_functions=combo
+            )
+            if phi_injectivity_check(spec) is not None:
+                continue
+            if exponent_symmetry_check(spec) is not None:
+                continue
+            out.append(spec)
     return out
 
 
@@ -255,7 +258,7 @@ def abelian_templates(n: int) -> list[tuple[str, tuple[int, ...]]]:
     per_prime = [list(partitions(fact[p])) for p in primes]
     templates = []
     for choice in itertools.product(*per_prime):
-        depth = max(len(part) for part in choice)
+        depth = max((len(part) for part in choice), default=1)
         invariants = []
         for i in range(depth):
             d = 1
@@ -302,8 +305,55 @@ def _translation_rows(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     ]
 
 
+def _automorphism_transporters(
+    parts: tuple[int, ...], act: list[tuple[int, ...]]
+) -> dict[int, dict[int, tuple[int, ...]]]:
+    """Orbits of Aut(G) on the template group G, with one transporter each.
+
+    Returns {r: {s: alpha}} over the orbit representatives r (the least point
+    of each orbit), where alpha is an automorphism with alpha(r) = s, for
+    every s in the orbit of r.  Automorphisms are streamed, never listed:
+    the images of the basis generators range over the elements of order
+    exactly d_i, and a choice is kept when the induced map is a bijection,
+    which is checked generator by generator to prune early.
+    """
+    n = len(act)
+    multiples = []  # multiples[g] = [0, g, 2g, ...], as long as the order of g
+    for g in range(n):
+        mult = [0]
+        while act[mult[-1]][g] != 0:
+            mult.append(act[mult[-1]][g])
+        multiples.append(mult)
+    reach: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
+
+    def extend(i: int, imgs: list[int]) -> None:
+        # imgs maps the flattened prefix (x_1, ..., x_i) to x_1 g_1 + ... + x_i g_i
+        if i == len(parts):
+            alpha = tuple(imgs)
+            for x, s in enumerate(alpha):
+                reach[x].setdefault(s, alpha)
+            return
+        for mult in multiples:
+            if len(mult) == parts[i]:
+                nxt = [act[u][m] for u in imgs for m in mult]
+                if len(set(nxt)) == len(nxt):
+                    extend(i + 1, nxt)
+
+    extend(0, [0])
+    return {r: reach[r] for r in range(n) if min(reach[r]) == r}
+
+
 def _template_search(parts: tuple[int, ...], budget: _Budget) -> list[tuple]:
     """All row assignments from one regular template satisfying the axiom.
+
+    Solutions are a map x -> a[x] with row x the translation by a[x].  An
+    automorphism alpha of G relabels a solution a into alpha o a o alpha^-1,
+    again a solution, whose value at 0 is alpha(a[0]).  So the search only
+    lets a[0] range over the least point r of each Aut(G)-orbit, and every
+    solution found is carried to each s in the orbit of r by one fixed
+    transporter; that is a bijection onto the solutions with a[0] = s, so
+    the output is complete and free of repeats, and the budget counts the
+    expansions of the reduced search.
 
     Inside the abelian template the pair condition for (x, y) reads
     a[x.y] + a[x] == a[y.x] + a[y] in the group, i.e. it pins the
@@ -316,6 +366,7 @@ def _template_search(parts: tuple[int, ...], budget: _Budget) -> list[tuple]:
     """
     act = _translation_rows(parts)  # act[u][v] is also the group sum u + v
     n = len(act)
+    transporters = _automorphism_transporters(parts, act)
     inv = [act[e].index(0) for e in range(n)]
     ground = n
     parent = list(range(n + 1))
@@ -378,7 +429,12 @@ def _template_search(parts: tuple[int, ...], budget: _Budget) -> list[tuple]:
 
     def dfs() -> None:
         pt, pinned = next_point()
-        candidates = range(n) if pinned < 0 else (pinned,)
+        if pinned >= 0:
+            candidates = (pinned,)
+        elif assigned:
+            candidates = range(n)
+        else:  # the root point 0 takes one value per Aut(G)-orbit
+            candidates = transporters
         for e in candidates:
             budget.tick()
             mark = len(trail)
@@ -396,7 +452,11 @@ def _template_search(parts: tuple[int, ...], budget: _Budget) -> list[tuple]:
             if ok:
                 assigned.append(pt)
                 if len(assigned) == n:
-                    out.append(tuple(act[assign[x]] for x in range(n)))
+                    for alpha in transporters[assign[0]].values():
+                        moved = [0] * n
+                        for x in range(n):
+                            moved[alpha[x]] = alpha[assign[x]]
+                        out.append(tuple(act[v] for v in moved))
                 else:
                     dfs()
                 assigned.pop()
@@ -497,20 +557,6 @@ def _full_search(n: int, budget: _Budget) -> list[tuple]:
     return out
 
 
-_RESTRICTED_CACHE: dict[tuple[int, int], tuple[tuple, ...]] = {}
-
-
-def _restricted_tables(n: int, limit: int) -> tuple[tuple, ...]:
-    key = (n, limit)
-    if key not in _RESTRICTED_CACHE:
-        budget = _Budget(limit)
-        tables: list[tuple] = []
-        for _, parts in abelian_templates(n):
-            tables.extend(_template_search(parts, budget))
-        _RESTRICTED_CACHE[key] = tuple(sorted(set(tables)))
-    return _RESTRICTED_CACHE[key]
-
-
 def brute_force_enumerate(
     n: int, config: Optional[SearchConfig] = None
 ) -> list[CycleSet]:
@@ -535,12 +581,15 @@ def brute_force_enumerate(
     if cfg.mode == "full-bruteforce":
         if n > FULL_MODE_MAX:
             raise ValueError(f"full mode supports n <= {FULL_MODE_MAX}")
-        budget = _Budget(cfg.max_candidates)
-        tables = sorted(set(_full_search(n, budget)))
+        tables = set(_full_search(n, _Budget(cfg.max_candidates)))
     elif cfg.mode == "regular-abelian-restricted":
         if n > RESTRICTED_MODE_MAX:
             raise ValueError(f"restricted mode supports n <= {RESTRICTED_MODE_MAX}")
-        tables = list(_restricted_tables(n, cfg.max_candidates))
+        budget = _Budget(cfg.max_candidates)
+        # the identity table lies in every template, so tables can repeat
+        tables = set()
+        for _, parts in abelian_templates(n):
+            tables.update(_template_search(parts, budget))
     else:  # spec-parameterized
         pk = prime_power(n) if n > 1 else None
         if n == 1:
@@ -555,7 +604,7 @@ def brute_force_enumerate(
             build_prime_power(s, check=False) for s in enumerate_specs(p, k, config=cfg)
         ]
         return sorted(structures, key=lambda X: X.encoding())
-    return [CycleSet(t) for t in tables]
+    return [CycleSet._trusted(t) for t in sorted(tables)]
 
 
 def _require_matching(expected: ClassificationReport, oracle: ClassificationReport):
@@ -616,9 +665,7 @@ def classify_pq(
         )
     cfg = config or SearchConfig()
     oracle_cfg = SearchConfig(
-        max_candidates=cfg.max_candidates,
-        parallel=cfg.parallel,
-        mode="regular-abelian-restricted",
+        max_candidates=cfg.max_candidates, mode="regular-abelian-restricted"
     )
     raw = brute_force_enumerate(n, oracle_cfg)
     indecomposable = [X for X in raw if is_indecomposable(X)]

@@ -69,6 +69,14 @@ class CycleSet:
                 raise TableError(f"row {x} is not a bijection")
         self._table = rows
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "CycleSet":
+        """Wrap a tuple of bijective row tuples the library built itself,
+        without checks."""
+        X = object.__new__(cls)
+        X._table = rows
+        return X
+
     @property
     def table(self) -> tuple[tuple[int, ...], ...]:
         return self._table
@@ -78,10 +86,10 @@ class CycleSet:
         return len(self._table)
 
     def row(self, x: int) -> Permutation:
-        return Permutation(self._table[x])
+        return Permutation._trusted(self._table[x])
 
     def rows(self) -> tuple[Permutation, ...]:
-        return tuple(Permutation(r) for r in self._table)
+        return tuple(Permutation._trusted(r) for r in self._table)
 
     def encoding(self) -> tuple[int, ...]:
         """Row-major flattening, the canonical sort key for tables."""
@@ -158,18 +166,27 @@ def is_square_free(X: CycleSet) -> bool:
 
 def permutation_group(X: CycleSet) -> PermGroup:
     """The subgroup of Sym(X) generated by the distinct rows."""
-    seen = set()
-    gens = []
-    for row in X.table:
-        if row not in seen:
-            seen.add(row)
-            gens.append(Permutation(row))
+    gens = [Permutation._trusted(row) for row in dict.fromkeys(X.table)]
     return generate_group(gens, degree=X.n)
 
 
 def is_indecomposable(X: CycleSet) -> bool:
-    """True iff the row group acts transitively on the points."""
-    return is_transitive(permutation_group(X))
+    """True iff the row group acts transitively on the points.
+
+    The orbit of 0 under the distinct rows is the orbit under the group they
+    generate, so no closure is built.
+    """
+    rows = tuple(dict.fromkeys(X.table))
+    orbit = {0}
+    frontier = [0]
+    while frontier:
+        pt = frontier.pop()
+        for row in rows:
+            img = row[pt]
+            if img not in orbit:
+                orbit.add(img)
+                frontier.append(img)
+    return len(orbit) == X.n
 
 
 @dataclass(frozen=True)
@@ -348,7 +365,7 @@ def from_solution(sol: Solution) -> CycleSet:
 
 
 def _row_types(X: CycleSet) -> list[tuple[int, ...]]:
-    return [Permutation(row).cycle_type() for row in X.table]
+    return [p.cycle_type() for p in X.rows()]
 
 
 def are_isomorphic(X: CycleSet, Y: CycleSet) -> Optional[tuple[int, ...]]:

@@ -44,6 +44,10 @@ def _int_matrix(obj, name: str) -> list[list[int]]:
     return obj
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def table_from_dict(d) -> list[list[int]]:
     """Extract the raw table from a cycle-set payload without validating it."""
     _require(isinstance(d, dict), "cycle set payload must be an object")
@@ -98,11 +102,15 @@ def spec_from_dict(d) -> CyclicBuildSpec:
     for key in ("p", "k", "level", "exponents", "digit_functions"):
         _require(key in d, f'spec payload needs a "{key}" key')
     for key in ("p", "k", "level"):
-        _require(isinstance(d[key], int) and not isinstance(d[key], bool),
-                 f'"{key}" must be an integer')
-    _require(isinstance(d["exponents"], list), '"exponents" must be a list')
-    _require(isinstance(d["digit_functions"], list),
-             '"digit_functions" must be a list of lists')
+        _require(_is_int(d[key]), f'"{key}" must be an integer')
+    _require(isinstance(d["exponents"], list) and all(map(_is_int, d["exponents"])),
+             '"exponents" must be a list of integers')
+    _require(
+        isinstance(d["digit_functions"], list)
+        and all(isinstance(f, list) and all(map(_is_int, f))
+                for f in d["digit_functions"]),
+        '"digit_functions" must be a list of lists of integers',
+    )
     return CyclicBuildSpec(
         p=d["p"],
         k=d["k"],
@@ -126,8 +134,7 @@ def cocycle_from_dict(d) -> DynamicalCocycle:
     _require(isinstance(d, dict), "cocycle payload must be an object")
     for key in ("base", "fiber", "alpha"):
         _require(key in d, f'cocycle payload needs a "{key}" key')
-    _require(isinstance(d["fiber"], int) and not isinstance(d["fiber"], bool),
-             '"fiber" must be an integer')
+    _require(_is_int(d["fiber"]), '"fiber" must be an integer')
     _require(isinstance(d["alpha"], list), '"alpha" must be nested lists')
     base = cycleset_from_dict(d["base"])
     alpha = tuple(

@@ -31,19 +31,28 @@ class Permutation:
             raise ValueError("permutations of the empty set are not supported")
         seen = [False] * n
         for v in imgs:
-            if not isinstance(v, int) or not 0 <= v < n or seen[v]:
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n or seen[v]:
                 raise ValueError(f"not a permutation of 0..{n - 1}: {imgs!r}")
             seen[v] = True
         self._images = imgs
 
     @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple the library built itself, without checks."""
+        p = object.__new__(cls)
+        p._images = images
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
+        if n < 1:
+            raise ValueError("permutations of the empty set are not supported")
+        return cls._trusted(tuple(range(n)))
 
     @classmethod
     def cycle(cls, n: int) -> "Permutation":
         """The standard n-cycle mapping i to i+1 (mod n)."""
-        return cls((i + 1) % n for i in range(n))
+        return cls._trusted(cls.identity(n)._images[1:] + (0,))
 
     @property
     def images(self) -> tuple[int, ...]:
@@ -82,8 +91,7 @@ class Permutation:
             raise ValueError(
                 f"degree mismatch: {self.degree} vs {other.degree}"
             )
-        s, o = self._images, other._images
-        return Permutation(s[o[i]] for i in range(len(s)))
+        return Permutation._trusted(tuple(map(self._images.__getitem__, other._images)))
 
     __mul__ = compose
 
@@ -91,7 +99,7 @@ class Permutation:
         inv = [0] * len(self._images)
         for i, v in enumerate(self._images):
             inv[v] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def power(self, e: int) -> "Permutation":
         """The e-fold composition; negative e uses the inverse."""
@@ -101,7 +109,7 @@ class Permutation:
             m = len(cyc)
             for pos, pt in enumerate(cyc):
                 out[pt] = cyc[(pos + e) % m]
-        return Permutation(out)
+        return Permutation._trusted(tuple(out))
 
     def order(self) -> int:
         return lcm(*(len(c) for c in self._orbits()))

@@ -4,6 +4,7 @@ import pytest
 
 from cyclesets import (
     BudgetExceeded,
+    CycleSet,
     HypothesesError,
     OracleDisagreement,
     SearchConfig,
@@ -19,9 +20,16 @@ from cyclesets import (
     group_type_of,
     is_indecomposable,
     mpl,
+    relabel,
     trivial_cycle_set,
 )
-from cyclesets.classify import _require_matching, _translation_rows
+from cyclesets.classify import (
+    _Budget,
+    _automorphism_transporters,
+    _require_matching,
+    _template_search,
+    _translation_rows,
+)
 from cyclesets.jsonio import report_to_dict
 from cyclesets.perm import generate_group, Permutation
 
@@ -33,6 +41,19 @@ class TestEnumerateSpecs:
         assert len(enumerate_specs(2, 1)) == 0
         assert len(enumerate_specs(2, 3)) == 1
         assert len(enumerate_specs(5, 2)) == 4
+
+    def test_budget_trips_before_any_candidate_is_tested(self, monkeypatch):
+        import cyclesets.classify as classify
+
+        calls = []
+        real = classify.phi_injectivity_check
+        monkeypatch.setattr(
+            classify, "phi_injectivity_check",
+            lambda spec: calls.append(spec) or real(spec),
+        )
+        with pytest.raises(BudgetExceeded, match="budget"):
+            enumerate_specs(2, 5)
+        assert calls == []
 
     def test_level_filter(self):
         assert enumerate_specs(2, 3, level=3) == []
@@ -141,11 +162,69 @@ class TestRestrictedBruteForce:
         assert indec and all(mpl(X) == 1 for X in indec)
 
     def test_budget(self):
-        from cyclesets.classify import _RESTRICTED_CACHE
-
-        _RESTRICTED_CACHE.clear()
         with pytest.raises(BudgetExceeded):
             brute_force_enumerate(4, SearchConfig(max_candidates=3))
+
+    def test_one_point(self):
+        assert abelian_templates(1) == [("Z/1", (1,))]
+        assert brute_force_enumerate(1) == [CycleSet([[0]])]
+
+    # (raw tables, indecomposable tables) for n = 1..15, unchanged by the
+    # Aut(G)-orbit reduction of the template search
+    CENSUS = (
+        (1, 1), (2, 1), (3, 2), (20, 10), (5, 4), (18, 2), (7, 6), (496, 48),
+        (171, 66), (60, 4), (11, 10), (684, 20), (13, 12), (182, 6), (375, 8),
+    )
+
+    def test_pinned_census(self):
+        for n, (raw_count, indecomposable) in enumerate(self.CENSUS, start=1):
+            raw = brute_force_enumerate(n)
+            assert (len(raw), sum(map(is_indecomposable, raw))) == (
+                raw_count, indecomposable,
+            ), n
+
+    def test_aut_orbits(self):
+        orbits = {
+            parts: sorted(_automorphism_transporters(parts, _translation_rows(parts)))
+            for parts in ((16,), (4, 4), (2, 2, 2, 2))
+        }
+        assert orbits == {(16,): [0, 1, 2, 4, 8], (4, 4): [0, 1, 2], (2, 2, 2, 2): [0, 1]}
+
+    def test_transporters_are_automorphisms(self):
+        for n in (8, 9, 12, 16):
+            for _, parts in abelian_templates(n):
+                act = _translation_rows(parts)
+                for r, by_target in _automorphism_transporters(parts, act).items():
+                    for s, alpha in by_target.items():
+                        assert alpha[r] == s and sorted(alpha) == list(range(n))
+                        assert all(
+                            alpha[act[u][v]] == act[alpha[u]][alpha[v]]
+                            for u in range(n) for v in range(n)
+                        )
+
+    def test_template_output_closed_under_relabeling(self):
+        # the output of each template is closed under the automorphisms of
+        # the template group and under the translations, which together
+        # preserve "every row is a translation"
+        for n in range(2, 13):
+            for _, parts in abelian_templates(n):
+                act = _translation_rows(parts)
+                found = _template_search(parts, _Budget(10 ** 8))
+                assert len(set(found)) == len(found)
+                found = set(found)
+                maps = [
+                    alpha
+                    for by_target in _automorphism_transporters(parts, act).values()
+                    for alpha in by_target.values()
+                ] + act
+                for f in maps:
+                    inv = sorted(range(n), key=f.__getitem__)
+                    for table in found:
+                        moved = tuple(
+                            tuple(f[table[x][y]] for y in inv) for x in inv
+                        )
+                        assert moved in found
+                assert relabel(CycleSet(table), f).table == moved
 
     def test_spec_parameterized_mode(self):
         found = brute_force_enumerate(4, SearchConfig(mode="spec-parameterized"))
@@ -240,10 +319,7 @@ class TestClassifyPq:
             classify_pq(4, 3)
 
     def test_determinism(self):
-        from cyclesets.classify import _RESTRICTED_CACHE
-
         a = json.dumps(report_to_dict(classify_pq(2, 2)))
-        _RESTRICTED_CACHE.clear()
         b = json.dumps(report_to_dict(classify_pq(2, 2)))
         assert a == b
 

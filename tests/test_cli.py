@@ -63,6 +63,15 @@ class TestBuild:
         assert code == 0
         assert payload == cycleset_to_dict(golden8)
 
+    def test_mistyped_spec_is_a_usage_error(self, capsys, tmp_path):
+        spec_path = write_json(
+            tmp_path / "spec.json",
+            {"p": 2, "k": 2, "level": 2, "exponents": [2, 1, 0],
+             "digit_functions": [[0, "a"]]},
+        )
+        code, _, err = run(capsys, "build", "--input", spec_path)
+        assert code == 2 and "digit_functions" in err
+
     def test_inadmissible_spec_is_mathematical_rejection(self, capsys, tmp_path):
         spec_path = write_json(
             tmp_path / "bad.json",
@@ -195,20 +204,20 @@ class TestClassifyAndEnumerate:
         assert code == 2
 
     def test_budget_exhaustion_is_reported(self, capsys):
-        from cyclesets.classify import _RESTRICTED_CACHE
-
-        _RESTRICTED_CACHE.clear()
         code, payload, _ = run_json(
             capsys, "enumerate", "4", "--budget", "3", "--count"
         )
         assert code == 1 and "budget" in payload["error"]
-        _RESTRICTED_CACHE.clear()
 
     def test_enumerate_full(self, capsys):
         code, payload, _ = run_json(capsys, "enumerate", "2", "--mode", "full")
         assert code == 0
         assert payload["count"] == 2
         assert len(payload["structures"]) == 2
+
+    def test_enumerate_one_point(self, capsys):
+        code, payload, _ = run_json(capsys, "enumerate", "1", "--count")
+        assert code == 0 and payload["count"] == 1
 
     def test_enumerate_count_only(self, capsys):
         code, payload, _ = run_json(capsys, "enumerate", "4", "--count")

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from cyclesets import (
     CycleSet,
@@ -24,6 +25,7 @@ from cyclesets import (
     retraction_tower_sizes,
     squaring_map,
     to_solution,
+    is_transitive,
     trivial_cycle_set,
     validate,
     validate_solution,
@@ -118,6 +120,19 @@ class TestPermutationGroup:
         assert is_indecomposable(golden4)
         assert is_indecomposable(trivial_cycle_set(6))
         assert not is_indecomposable(CycleSet([[0, 1], [0, 1]]))
+
+    @given(st.data())
+    def test_indecomposable_iff_group_transitive(self, corpus, data):
+        _, X = data.draw(st.sampled_from(corpus))
+        f = tuple(data.draw(st.permutations(range(X.n))))
+        Y = relabel(X, f)
+        expected = is_transitive(permutation_group(Y))
+        assert is_indecomposable(Y) == expected == is_indecomposable(X)
+
+    def test_rows_equal_checked_permutations(self, corpus):
+        for _, X in corpus:
+            assert X.rows() == tuple(Permutation(r) for r in X.table)
+            assert X.row(X.n - 1) == Permutation(X.table[-1])
 
 
 class TestRetraction:

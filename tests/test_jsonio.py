@@ -79,6 +79,21 @@ def test_spec_format_errors():
         spec_from_dict({"p": "2", "k": 2, "level": 2, "exponents": [], "digit_functions": []})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("p", True),
+    ("level", 2.0),
+    ("exponents", [2, "1", 0]),
+    ("exponents", [2, True, 0]),
+    ("digit_functions", [[0, "a"]]),
+    ("digit_functions", [[0, False]]),
+    ("digit_functions", [0, 1]),
+])
+def test_spec_fields_must_be_integers(key, value):
+    payload = {**spec_to_dict(GOLDEN4_SPEC), key: value}
+    with pytest.raises(FormatError):
+        spec_from_dict(payload)
+
+
 def test_cocycle_roundtrip():
     c = shift_cocycle(3)
     assert cocycle_from_dict(cocycle_to_dict(c)) == c

@@ -28,6 +28,23 @@ class TestPermutationBasics:
             Permutation([0, 3])
         with pytest.raises(ValueError):
             Permutation([])
+        with pytest.raises(ValueError):
+            Permutation([1, 2, 0, 1])
+        with pytest.raises(ValueError):
+            Permutation((0, -1))
+
+    def test_rejects_bools(self):
+        with pytest.raises(ValueError):
+            Permutation([True, False])
+        with pytest.raises(ValueError):
+            Permutation([0, True])
+
+    def test_identity_and_cycle_need_a_point(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                Permutation.identity(n)
+            with pytest.raises(ValueError):
+                Permutation.cycle(n)
 
     def test_identity_and_cycle(self):
         assert Permutation.identity(4).images == (0, 1, 2, 3)
@@ -214,6 +231,17 @@ def test_power_is_additive(p, data):
     a = data.draw(st.integers(min_value=-2 * n, max_value=2 * n))
     b = data.draw(st.integers(min_value=-2 * n, max_value=2 * n))
     assert p.power(a + b) == p.power(a).compose(p.power(b))
+
+
+@given(permutations(), st.data())
+def test_derived_permutations_equal_checked_ones(p, data):
+    # compose, inverse and power skip the constructor's checks; their
+    # results must equal what the checked constructor builds
+    q = Permutation(data.draw(st.permutations(range(p.degree))))
+    e = data.draw(st.integers(min_value=-3, max_value=3))
+    for r in (p.compose(q), p.inverse(), p.power(e)):
+        assert r == Permutation(list(r.images))
+        assert type(r.images) is tuple
 
 
 @given(permutations())
