@@ -43,7 +43,7 @@ from .cycleset import (
     retraction_tower_sizes,
 )
 from .errors import BudgetExceeded, HypothesesError, OracleDisagreement
-from .perm import PermGroup, is_abelian, is_cyclic
+from .perm import Permutation, PermGroup, is_abelian, is_cyclic
 
 MODES = ("full-bruteforce", "regular-abelian-restricted", "spec-parameterized")
 
@@ -467,6 +467,37 @@ def _template_search(parts: tuple[int, ...], budget: _Budget) -> list[tuple]:
     return out
 
 
+def _stabilizer_transporters(
+    perms: list[tuple[int, ...]],
+) -> dict[tuple, dict[tuple, tuple[int, ...]]]:
+    """Orbits of Stab(0) on Sym(n) by conjugation, with one transporter each.
+
+    Returns {r: {s: f}} over the orbit representatives r (the least
+    permutation of each orbit, as ``perms`` is in lexicographic order), where
+    f fixes 0 and f o r o f^-1 == s, for every s in the orbit of r.  Two
+    permutations share an orbit exactly when they have the same cycle type
+    and the same length of the cycle through 0; f is read off by aligning
+    their cycle notations, 0's cycle first and starting at 0, the other
+    cycles longest first.
+    """
+    reps: dict[tuple, tuple[tuple[int, ...], list[int]]] = {}
+    out: dict[tuple, dict[tuple, tuple[int, ...]]] = {}
+    for s in perms:
+        first, *rest = Permutation._trusted(s)._orbits()
+        rest.sort(key=len, reverse=True)
+        key = (len(first), tuple(map(len, rest)))
+        seq = [x for cycle in (first, *rest) for x in cycle]
+        if key not in reps:
+            reps[key] = (s, seq)
+            out[s] = {}
+        r, seq_r = reps[key]
+        f = [0] * len(s)
+        for a, b in zip(seq_r, seq):
+            f[a] = b
+        out[r][s] = tuple(f)
+    return out
+
+
 def _full_search(n: int, budget: _Budget) -> list[tuple]:
     """Depth-first search over all rows with incremental axiom pruning.
 
@@ -474,8 +505,19 @@ def _full_search(n: int, budget: _Budget) -> list[tuple]:
     rows range over all of Sym(n): the pair condition composes permutations
     pointwise, and a single missing row is forced to the explicit composite
     sigma_{y.x} o sigma_y o sigma_x^{-1}.
+
+    A relabeling f with f(0) = 0 carries a solution T to the solution
+    T'[f(x)][f(y)] = f(T[x][y]), whose row 0 is f o sigma_0 o f^-1.  So
+    row 0 ranges only over the least permutation r of each orbit of Stab(0)
+    acting by conjugation (12 of 120 at n = 5), and every solution found is
+    carried to each s in the orbit of r by one fixed transporter; that is a
+    bijection onto the solutions with sigma_0 = s, so the output is complete
+    and free of repeats, and the budget counts the expansions of the reduced
+    search.  Output rows are the shared tuples of ``perms``.
     """
-    perms = sorted(itertools.permutations(range(n)))
+    perms = list(itertools.permutations(range(n)))
+    shared = {p: p for p in perms}
+    transporters = _stabilizer_transporters(perms)
     rows: list = [None] * n
     forced: list = [None] * n
     pending: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
@@ -502,7 +544,12 @@ def _full_search(n: int, budget: _Budget) -> list[tuple]:
         return forced[slot] == value
 
     def dfs(d: int) -> None:
-        candidates = perms if forced[d] is None else (forced[d],)
+        if forced[d] is not None:
+            candidates = (forced[d],)
+        elif d:
+            candidates = perms
+        else:  # row 0 takes one value per Stab(0)-orbit
+            candidates = transporters
         for cand in candidates:
             budget.tick()
             rows[d] = cand
@@ -544,7 +591,12 @@ def _full_search(n: int, budget: _Budget) -> list[tuple]:
                             break
             if ok:
                 if d == n - 1:
-                    out.append(tuple(rows))
+                    for f in transporters[rows[0]].values():
+                        inv = sorted(range(n), key=f.__getitem__)
+                        moved = [None] * n
+                        for x, row in enumerate(rows):
+                            moved[f[x]] = shared[tuple(f[row[w]] for w in inv)]
+                        out.append(tuple(moved))
                 else:
                     dfs(d + 1)
             for slot in reversed(added_p):

@@ -50,6 +50,16 @@ _MODES = {
 }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -284,13 +294,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--p", type=int, required=True)
     p_cls.add_argument("--q", type=int)
     p_cls.add_argument("--k", type=int)
-    p_cls.add_argument("--budget", type=int, default=10 ** 8)
+    p_cls.add_argument("--budget", type=_positive_int, default=10 ** 8)
 
     p_enum = sub.add_parser("enumerate", parents=[common],
                             help="enumerate cycle sets of a given size")
-    p_enum.add_argument("n", type=int)
+    p_enum.add_argument("n", type=_positive_int)
     p_enum.add_argument("--mode", choices=sorted(_MODES), default="regular-abelian")
-    p_enum.add_argument("--budget", type=int, default=10 ** 8)
+    p_enum.add_argument("--budget", type=_positive_int, default=10 ** 8)
     p_enum.add_argument("--count", action="store_true",
                         help="emit only the count, not the structures")
 

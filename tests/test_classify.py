@@ -1,4 +1,6 @@
+import itertools
 import json
+from math import factorial
 
 import pytest
 
@@ -26,7 +28,9 @@ from cyclesets import (
 from cyclesets.classify import (
     _Budget,
     _automorphism_transporters,
+    _full_search,
     _require_matching,
+    _stabilizer_transporters,
     _template_search,
     _translation_rows,
 )
@@ -103,21 +107,78 @@ class TestTemplates:
         assert rows[0] == (0, 1, 2, 3)
 
 
+@pytest.fixture(scope="module")
+def full_census():
+    """Full-mode output for n = 1..5, searched once per module."""
+    return {
+        n: brute_force_enumerate(n, SearchConfig(mode="full-bruteforce"))
+        for n in range(1, 6)
+    }
+
+
 class TestFullBruteForce:
-    def test_counts(self):
-        for n, want in ((1, 1), (2, 2), (3, 12), (4, 168)):
-            found = brute_force_enumerate(n, SearchConfig(mode="full-bruteforce"))
-            assert len(found) == want, n
+    def test_counts(self, full_census):
+        counts = {n: len(found) for n, found in full_census.items()}
+        assert counts == {1: 1, 2: 2, 3: 12, 4: 168, 5: 2640}
+
+    # (labeled tables, isomorphism classes, indecomposable classes) for
+    # n = 1..5: Etingof-Schedler-Soloviev (1999); Akgun-Mereb-Vendramin
+    # (arXiv:2008.04483)
+    PUBLISHED = ((1, 1, 1), (2, 2, 1), (12, 5, 1), (168, 23, 5), (2640, 88, 1))
+
+    def test_published_census(self, full_census):
+        for n, (labeled, classes, indecomposable) in enumerate(self.PUBLISHED, 1):
+            report = dedupe_by_isomorphism(full_census[n])
+            assert len(full_census[n]) == labeled, n
+            assert len(report.classes) == classes, n
+            assert sum(is_indecomposable(e.witness) for e in report.classes) == (
+                indecomposable
+            ), n
+            assert sum(e.raw_count for e in report.classes) == labeled, n
+            # orbit-stabiliser: a class has n! / |Aut(X)| labeled members
+            assert all(factorial(n) % e.raw_count == 0 for e in report.classes), n
+
+    def test_output_closed_under_relabeling(self, full_census):
+        for n in range(1, 5):
+            found = set(full_census[n])
+            assert all(not find_violations(X.table, limit=1) for X in found)
+            for f in itertools.permutations(range(n)):
+                assert all(relabel(X, f) in found for X in found), (n, f)
+
+    def test_stabilizer_orbits(self):
+        for n, orbits in ((1, 1), (2, 2), (3, 4), (4, 7), (5, 12)):
+            perms = list(itertools.permutations(range(n)))
+            transporters = _stabilizer_transporters(perms)
+            assert len(transporters) == orbits
+            assert sorted(s for by in transporters.values() for s in by) == perms
+            for r, by_target in transporters.items():
+                assert r == min(by_target)
+                for s, f in by_target.items():
+                    assert f[0] == 0 and sorted(f) == list(range(n))
+                    # f o r o f^-1 == s
+                    assert all(f[r[x]] == s[f[x]] for x in range(n))
+
+    def test_reduced_node_counts(self):
+        # row 0 ranges over one value per Stab(0)-orbit; the unreduced
+        # search expanded 106 / 9,546 / 4,228,212 nodes
+        for n, nodes in ((3, 82), (4, 2578), (5, 279431)):
+            budget = _Budget(10 ** 8)
+            _full_search(n, budget)
+            assert budget.used == nodes, n
+
+    def test_budget(self):
+        with pytest.raises(BudgetExceeded):
+            brute_force_enumerate(
+                5, SearchConfig(max_candidates=1000, mode="full-bruteforce")
+            )
 
     def test_exhaustive_product_oracle_small(self):
         # independent check: try every row assignment and count axiom survivors
-        import itertools as it
-
         for n in (2, 3):
-            perms = list(it.permutations(range(n)))
+            perms = list(itertools.permutations(range(n)))
             count = sum(
                 1
-                for rows in it.product(perms, repeat=n)
+                for rows in itertools.product(perms, repeat=n)
                 if not find_violations(rows, limit=1)
             )
             found = brute_force_enumerate(n, SearchConfig(mode="full-bruteforce"))

@@ -209,6 +209,16 @@ class TestClassifyAndEnumerate:
         )
         assert code == 1 and "budget" in payload["error"]
 
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "4", "--budget", "0"),
+        ("classify", "--p", "3", "--q", "3", "--budget", "-5"),
+        ("enumerate", "0"),
+    ])
+    def test_non_positive_sizes_and_budgets_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "must be a positive integer" in err
+
     def test_enumerate_full(self, capsys):
         code, payload, _ = run_json(capsys, "enumerate", "2", "--mode", "full")
         assert code == 0
