@@ -38,7 +38,6 @@ from .cycleset import (
     retract,
     retraction_tower,
     to_solution,
-    validate_solution,
 )
 from .errors import CycleSetError, FormatError, InvalidCycleSet
 from .perm import Permutation, format_cycles
@@ -94,9 +93,7 @@ def _cmd_verify(args):
         return {"valid": False, "violations": _violations_payload(violations)}, 1
     X = CycleSet(table)
     sol = to_solution(X)
-    solution_ok = True
     try:
-        validate_solution(sol.lam, sol.rho)
         solution_ok = from_solution(sol) == X
     except CycleSetError:
         solution_ok = False
@@ -272,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--family",
                          choices=["trivial", "p2-level2", "elementary-abelian",
                                   "prime-power"])
-    p_build.add_argument("--m", type=int, help="size for the trivial family")
+    p_build.add_argument("--m", type=_positive_int, help="size for the trivial family")
     p_build.add_argument("--p", type=int)
     p_build.add_argument("--t", type=int)
 

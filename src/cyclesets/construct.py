@@ -24,9 +24,10 @@ every indecomposable cycle set of prime-power size with cyclic permutation
 group and level >= 2 arises this way; :func:`extract_spec` recovers the
 parameters.
 
-The module also houses the level-1 (trivial shift) family, the direct
-two-parameter builder for size p^2, the elementary-abelian construction on
-Z/p x Z/p, mixed-radix digit decomposition, and dynamical extensions.
+The size-p^2, level-2 builder :func:`build_p2_level2` is the k = 2 case of
+:func:`build_prime_power`.  The module also houses the level-1 (trivial
+shift) family, the elementary-abelian construction on Z/p x Z/p, mixed-radix
+digit decomposition, and dynamical extensions.
 """
 
 from __future__ import annotations
@@ -35,16 +36,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .arith import ilog, is_prime, prime_power
-from .cycleset import (
-    CycleSet,
-    is_indecomposable,
-    mpl,
-    permutation_group,
-    retraction_tower_sizes,
-    validate,
-)
+from .cycleset import CycleSet, retraction_tower_sizes, validate
 from .errors import CocycleError, HypothesesError, SpecError, TableError
-from .perm import Permutation, is_cyclic
+from .perm import Permutation
 
 
 def trivial_cycle_set(m: int) -> CycleSet:
@@ -255,9 +249,12 @@ def extract_spec(X: CycleSet) -> CyclicBuildSpec:
     """Recover build parameters from an indecomposable prime-power cycle set.
 
     Requires cyclic regular permutation group and multipermutation level at
-    least 2.  The points are first relabeled so that the base point is 0 and
-    its row is the standard cycle; the digit functions are then read off the
-    row exponents by mixed-radix decomposition.  The result satisfies
+    least 2.  A generating set of a cyclic p-group contains a generator, so
+    the group is cyclic of order n exactly when some row is an n-cycle and
+    every row is a power of it; no group closure is built.  The points are
+    relabeled along the least such row so that the base point is 0 and its
+    row is the standard cycle; the digit functions are then read off the row
+    exponents by mixed-radix decomposition.  The result satisfies
     ``build_prime_power(extract_spec(X))`` isomorphic to X, with equality
     after the same relabeling.
     """
@@ -266,39 +263,33 @@ def extract_spec(X: CycleSet) -> CyclicBuildSpec:
     if pk is None:
         raise HypothesesError(f"size {n} is not a prime power")
     p, k = pk
-    group = permutation_group(X)
-    if group.order != n or is_cyclic(group) is None:
-        raise HypothesesError("permutation group is not cyclic of full size")
-    if not is_indecomposable(X):
-        raise HypothesesError("cycle set is not indecomposable")
-    level = mpl(X)
-    if level is None or level < 2:
-        raise HypothesesError("multipermutation level must be at least 2")
+    not_cyclic = HypothesesError(f"permutation group is not cyclic of order {n}")
 
     rows = X.rows()
     base = next((x for x in range(n) if rows[x].order() == n), None)
     if base is None:
-        raise HypothesesError("no row generates the permutation group")
+        raise not_cyclic
     phi = rows[base]
     labels = [base]
     for _ in range(n - 1):
         labels.append(phi(labels[-1]))
     pos = {x: i for i, x in enumerate(labels)}
     t = X.table
-    relabeled = tuple(
-        tuple(pos[t[labels[i]][labels[j]]] for j in range(n)) for i in range(n)
-    )
-    Y = CycleSet(relabeled)
-
-    sizes = retraction_tower_sizes(Y)
-    exps = tuple(ilog(s, p) for s in sizes)
-    shifts = [relabeled[i][0] for i in range(n)]
+    shifts = []
     for i in range(n):
-        if any(relabeled[i][j] != (j + shifts[i]) % n for j in range(n)):
-            raise HypothesesError("rows are not powers of the standard cycle")
-        if shifts[i] == 0:
+        row = t[labels[i]]
+        shift = pos[row[base]]
+        if any(pos[row[labels[j]]] != (j + shift) % n for j in range(n)):
+            raise not_cyclic
+        if shift == 0:
             raise HypothesesError(f"row {i} does not generate the group")
+        shifts.append(shift)
 
+    sizes = retraction_tower_sizes(X)
+    level = len(sizes) - 1
+    if sizes[-1] != 1 or level < 2:
+        raise HypothesesError("multipermutation level must be at least 2")
+    exps = tuple(ilog(s, p) for s in sizes)
     chain = tuple(reversed(exps))  # (0, j_{level-1}, ..., j_0 = k)
     tables: list[list[Optional[int]]] = [
         [None] * (p ** exps[m]) for m in range(1, level)
@@ -342,20 +333,19 @@ def compatible_bijections(p: int) -> list[tuple[int, ...]]:
 def build_p2_level2(p: int, t: int) -> CycleSet:
     """The size-p^2, level-2 member with digit function f(k) = k*t mod p.
 
-    Indecomposable, multipermutation level 2, cyclic permutation group of
-    order p^2; two values of t give non-isomorphic tables.
+    This is the k = 2 case of :func:`build_prime_power`, with spec
+    (p, 2, 2, (2, 1, 0), (f,)).  Indecomposable, multipermutation level 2,
+    cyclic permutation group of order p^2; two values of t give
+    non-isomorphic tables.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not 1 <= t <= p - 1:
         raise ValueError(f"t must lie in 1..{p - 1}")
-    n = p * p
-    return CycleSet(
-        tuple(
-            tuple((j + 1 + p * ((i % p) * t % p)) % n for j in range(n))
-            for i in range(n)
-        )
-    )
+    # f is admissible for every unit t (see compatible_bijections), so the
+    # O(p^4) symmetry check is not run again
+    f = tuple(i * t % p for i in range(p))
+    return build_prime_power(CyclicBuildSpec(p, 2, 2, (2, 1, 0), (f,)), check=False)
 
 
 def build_elementary_abelian(p: int, alpha: Optional[Permutation] = None) -> CycleSet:

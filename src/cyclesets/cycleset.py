@@ -13,7 +13,8 @@ The module provides validation with explicit violation witnesses, the derived
 predicates (non-degenerate, square-free, indecomposable), the retraction
 tower and multipermutation level, the two-way conversion to involutive
 non-degenerate solutions, isomorphism testing, and the complete isomorphism
-invariant for the size-p^2, level-2, cyclic-group family.
+invariant for the size-p^2, level-2, cyclic-group family, which is read from
+the prime-power spec that :func:`cyclesets.construct.extract_spec` recovers.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from .errors import (
     InvalidCycleSet,
     RetractionError,
     SolutionError,
+    SpecError,
     TableError,
 )
-from .perm import PermGroup, Permutation, generate_group, is_cyclic, is_transitive
+from .perm import PermGroup, Permutation, generate_group
 
 DEFAULT_VIOLATION_LIMIT = 100
 
@@ -440,49 +442,23 @@ def are_isomorphic(X: CycleSet, Y: CycleSet) -> Optional[tuple[int, ...]]:
 def f_invariant(X: CycleSet) -> Optional[tuple[int, ...]]:
     """The complete invariant of size-p^2, level-2, cyclic-group cycle sets.
 
+    This is the k = 2 case of :func:`cyclesets.construct.extract_spec`: its
+    one digit function f, a bijection of {0, ..., p-1} with f(0) = 0.
     Writing phi for the row of the least point whose row generates the whole
     permutation group and x_i = phi^i(x_0), every row satisfies
-    sigma_{x_i} = phi^(1 + p * f(i mod p)) for a bijection f of {0, ..., p-1}
-    with f(0) = 0; that table is returned.  None signals that the hypotheses
+    sigma_{x_i} = phi^(1 + p * f(i mod p)).  None signals that the hypotheses
     (prime-square size, multipermutation level 2, cyclic regular group) are
     not met.
     """
-    n = X.n
-    pk = prime_power(n)
+    from .construct import extract_spec  # construct imports this module
+
+    pk = prime_power(X.n)
     if pk is None or pk[1] != 2:
         return None
-    p = pk[0]
-    if mpl(X) != 2:
+    try:
+        return extract_spec(X).digit_functions[0]
+    except (HypothesesError, SpecError):
         return None
-    group = permutation_group(X)
-    if group.order != n or is_cyclic(group) is None or not is_transitive(group):
-        return None
-    rows = X.rows()
-    base = next((x for x in range(n) if rows[x].order() == n), None)
-    if base is None:
-        return None
-    phi = rows[base]
-    exp_of: dict[tuple[int, ...], int] = {}
-    cur = Permutation.identity(n)
-    for e in range(n):
-        exp_of[cur.images] = e
-        cur = phi.compose(cur)
-    f: list[Optional[int]] = [None] * p
-    x = base
-    for i in range(n):
-        m = exp_of.get(rows[x].images)
-        if m is None or (m - 1) % p:
-            return None
-        val = (m - 1) // p
-        r = i % p
-        if f[r] is None:
-            f[r] = val
-        elif f[r] != val:
-            return None
-        x = phi(x)
-    if f[0] != 0 or sorted(f) != list(range(p)):
-        return None
-    return tuple(f)  # type: ignore[arg-type]
 
 
 def relabel(X: CycleSet, images: tuple[int, ...]) -> CycleSet:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cyclesets import cli as cli_module, cycleset as cycleset_module
 from cyclesets.cli import main
 from cyclesets.jsonio import cycleset_to_dict
 from cyclesets import relabel, trivial_cycle_set
@@ -125,6 +126,20 @@ class TestVerify:
             code, payload, _ = run_json(capsys, "verify", "-i", str(out_path))
             assert code == 0 and payload["valid"] is True
 
+    def test_braid_check_runs_once(self, capsys, golden4_file, monkeypatch):
+        calls = []
+        real = cycleset_module.validate_solution
+
+        def counting(lam, rho):
+            calls.append(len(lam))
+            return real(lam, rho)
+
+        monkeypatch.setattr(cycleset_module, "validate_solution", counting)
+        monkeypatch.setattr(cli_module, "validate_solution", counting, raising=False)
+        code, payload, _ = run_json(capsys, "verify", "-i", golden4_file)
+        assert code == 0 and payload["solution_checks"] is True
+        assert calls == [4]
+
     def test_structural_errors_are_usage_errors(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -213,6 +228,7 @@ class TestClassifyAndEnumerate:
         ("enumerate", "4", "--budget", "0"),
         ("classify", "--p", "3", "--q", "3", "--budget", "-5"),
         ("enumerate", "0"),
+        ("build", "--family", "trivial", "--m", "0"),
     ])
     def test_non_positive_sizes_and_budgets_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv)

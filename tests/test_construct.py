@@ -9,9 +9,11 @@ from cyclesets import (
     CyclicBuildSpec,
     DynamicalCocycle,
     HypothesesError,
+    SearchConfig,
     SpecError,
     TableError,
     are_isomorphic,
+    brute_force_enumerate,
     build_elementary_abelian,
     build_p2_level2,
     build_prime_power,
@@ -21,6 +23,7 @@ from cyclesets import (
     extract_spec,
     f_invariant,
     group_type_of,
+    is_cyclic,
     is_indecomposable,
     mixed_radix_digits,
     mixed_radix_value,
@@ -36,6 +39,7 @@ from cyclesets import (
     validate_cocycle,
     validate_spec,
 )
+from cyclesets.arith import prime_power
 from cyclesets.classify import enumerate_specs
 from conftest import (
     GOLDEN32_ROW_EXPONENTS,
@@ -202,6 +206,34 @@ class TestExtractSpec:
                     assert extract_spec(X) == spec
                     assert are_isomorphic(build_prime_power(extract_spec(X)), X)
 
+    def test_census_matches_group_closure(self):
+        # reference: the full group closure and the retraction tower
+        censuses = [
+            brute_force_enumerate(4, SearchConfig(mode="full-bruteforce")),
+            brute_force_enumerate(8),
+            brute_force_enumerate(9),
+        ]
+        assert [len(c) for c in censuses] == [168, 496, 171]
+        for census in censuses:
+            for X in census:
+                n = X.n
+                group = permutation_group(X)
+                level = mpl(X)
+                member = (
+                    group.order == n
+                    and is_cyclic(group) is not None
+                    and level is not None
+                    and level >= 2
+                )
+                if member:
+                    spec = extract_spec(X)
+                    assert are_isomorphic(build_prime_power(spec), X) is not None
+                else:
+                    with pytest.raises(HypothesesError):
+                        extract_spec(X)
+                p2_member = member and level == 2 and prime_power(n)[1] == 2
+                assert (f_invariant(X) is not None) == p2_member
+
     def test_hypotheses_errors(self, golden8):
         with pytest.raises(HypothesesError):
             extract_spec(trivial_cycle_set(4))  # level 1
@@ -209,6 +241,12 @@ class TestExtractSpec:
             extract_spec(build_elementary_abelian(2))  # group not cyclic
         with pytest.raises(HypothesesError):
             extract_spec(trivial_cycle_set(6))  # not a prime power
+        # a 4-cycle row and row exponents read as golden4's, but row 1 is not
+        # a power of that cycle: the group is dihedral of order 8
+        dihedral = CycleSet(((1, 2, 3, 0), (3, 2, 1, 0), (1, 2, 3, 0), (3, 0, 1, 2)))
+        assert permutation_group(dihedral).order == 8
+        with pytest.raises(HypothesesError):
+            extract_spec(dihedral)
 
 
 class TestCompatibleBijections:
@@ -263,11 +301,18 @@ class TestP2Level2Builder:
         assert are_isomorphic(build_p2_level2(3, 1), build_p2_level2(3, 2)) is None
 
     def test_invariant_roundtrip(self):
-        for p in (2, 3, 5):
+        for p in (2, 3, 5, 7, 11, 13):
+            n = p * p
             for t in range(1, p):
-                assert f_invariant(build_p2_level2(p, t)) == tuple(
-                    k * t % p for k in range(p)
+                f = tuple(k * t % p for k in range(p))
+                X = build_p2_level2(p, t)
+                assert X == build_prime_power(CyclicBuildSpec(p, 2, 2, (2, 1, 0), (f,)))
+                # the closed form sigma_i = psi^(1 + p * f(i mod p))
+                assert X.table == tuple(
+                    tuple((j + 1 + p * f[i % p]) % n for j in range(n))
+                    for i in range(n)
                 )
+                assert f_invariant(X) == f
 
     def test_invariant_equality_decides_isomorphism(self):
         # complete invariant on the cyclic level-2 family: isomorphic exactly
