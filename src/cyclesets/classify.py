@@ -127,9 +127,10 @@ def dedupe_by_isomorphism(
 ) -> ClassificationReport:
     """Greedy partition into isomorphism classes.
 
-    The witness of each class is its least member by row-major encoding, and
-    classes are listed in increasing witness encoding, so identical inputs
-    produce byte-identical reports.
+    The inputs are scanned in increasing row-major encoding, so the witness
+    of each class is its least member and classes are created, and listed,
+    in increasing witness encoding: identical inputs produce byte-identical
+    reports.
     """
     xs = sorted(structures, key=lambda X: X.encoding())
     if xs and any(X.n != xs[0].n for X in xs):
@@ -157,7 +158,6 @@ def dedupe_by_isomorphism(
                 raw_count=rep["count"],
             )
         )
-    entries.sort(key=lambda e: e.witness.encoding())
     return ClassificationReport(
         size=xs[0].n if xs else 0,
         constraint=constraint,
@@ -277,29 +277,11 @@ def _translation_rows(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     Row e maps point y to y + e (componentwise); because points are labeled
     by group elements, the same table also serves as the composition table.
     """
-    n = prod(parts)
-    digs = []
-    for v in range(n):
-        rem = v
-        vec = []
-        for d in reversed(parts):
-            vec.append(rem % d)
-            rem //= d
-        vec.reverse()
-        digs.append(tuple(vec))
-
-    def flat(vec):
-        idx = 0
-        for c, d in zip(vec, parts):
-            idx = idx * d + c
-        return idx
-
+    elems = list(itertools.product(*map(range, parts)))  # big-endian order
+    index = {v: i for i, v in enumerate(elems)}
     return [
-        tuple(
-            flat(tuple((yc + ec) % d for yc, ec, d in zip(digs[y], digs[e], parts)))
-            for y in range(n)
-        )
-        for e in range(n)
+        tuple(index[tuple((a + b) % d for a, b, d in zip(y, e, parts))] for y in elems)
+        for e in elems
     ]
 
 
@@ -658,21 +640,25 @@ def brute_force_enumerate(
 
 
 def _require_matching(expected: ClassificationReport, oracle: ClassificationReport):
-    """Insist on a class-by-class isomorphism matching, else hard-fail."""
-    if len(expected.classes) != len(oracle.classes):
-        raise OracleDisagreement(
-            f"{len(expected.classes)} parameterized classes vs "
-            f"{len(oracle.classes)} oracle classes at size {expected.size}"
-        )
-    unmatched = list(oracle.classes)
-    for entry in expected.classes:
-        for cand in unmatched:
-            if are_isomorphic(entry.witness, cand.witness) is not None:
-                unmatched.remove(cand)
-                break
-        else:
+    """Insist on a class-by-class isomorphism matching, else hard-fail.
+
+    Both reports are free of repeats, so they match one to one exactly when
+    every class of their merged dedupe has two members.  The first class
+    that does not is named in the :class:`OracleDisagreement` with the side
+    its witness came from, its invariants and its witness.
+    """
+    parameterized = {entry.witness for entry in expected.classes}
+    merged = dedupe_by_isomorphism(
+        [entry.witness for entry in expected.classes + oracle.classes]
+    )
+    for entry in merged.classes:
+        if entry.raw_count != 2:
+            side = "parameterized" if entry.witness in parameterized else "oracle"
             raise OracleDisagreement(
-                f"parameterized class {entry.witness!r} has no oracle match"
+                f"{side} class at size {expected.size} has no one-to-one match "
+                f"(merged class of {entry.raw_count}, expected 2): mpl={entry.mpl}, "
+                f"group {entry.group_type} of order {entry.group_order}, "
+                f"f_invariant={entry.f_invariant}, witness {entry.witness!r}"
             )
 
 

@@ -27,6 +27,7 @@ from .construct import (
 )
 from .cycleset import (
     CycleSet,
+    Solution,
     are_isomorphic,
     find_violations,
     from_solution,
@@ -37,6 +38,7 @@ from .cycleset import (
     permutation_group,
     retract,
     retraction_tower,
+    retraction_tower_sizes,
     to_solution,
 )
 from .errors import CycleSetError, FormatError, InvalidCycleSet
@@ -107,7 +109,7 @@ def _cmd_verify(args):
         "group_order": group.order,
         "group_type": group_type_of(group),
         "mpl": mpl(X),
-        "tower": [level.n for level in retraction_tower(X)],
+        "tower": retraction_tower_sizes(X),
         "solution_checks": solution_ok,
     }
     return payload, 0
@@ -162,7 +164,7 @@ def _cmd_retract(args):
 def _cmd_solution(args):
     data = _read_json(_require_input(args))
     if args.invert:
-        sol = jsonio.solution_from_dict(data)
+        sol = Solution(*jsonio.solution_tables_from_dict(data))
         return jsonio.cycleset_to_dict(from_solution(sol)), 0
     X = jsonio.cycleset_from_dict(data)
     return jsonio.solution_to_dict(to_solution(X)), 0

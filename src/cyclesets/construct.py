@@ -209,8 +209,10 @@ def exponent_symmetry_check(
 
 
 def validate_spec(spec: CyclicBuildSpec) -> CyclicBuildSpec:
-    """Run all spec invariants, cheapest first, raising with a witness."""
-    _structural_check(spec)
+    """Run all spec invariants, cheapest first, raising with a witness.
+
+    The structural check runs first, inside :func:`phi_injectivity_check`.
+    """
     collision = phi_injectivity_check(spec)
     if collision is not None:
         raise SpecError("partial-exponent map not injective", collision)

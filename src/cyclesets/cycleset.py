@@ -336,12 +336,7 @@ def to_solution(X: CycleSet) -> Solution:
     lambda_x is the inverse of the row sigma_x, and rho_y(x) = lambda_x(y) . x.
     """
     n = X.n
-    lam = []
-    for x in range(n):
-        inv = [0] * n
-        for y, v in enumerate(X.table[x]):
-            inv[v] = y
-        lam.append(tuple(inv))
+    lam = [row.inverse().images for row in X.rows()]
     rho = [[0] * n for _ in range(n)]
     for y in range(n):
         for x in range(n):
@@ -356,14 +351,7 @@ def from_solution(sol: Solution) -> CycleSet:
     braid identity, or non-degeneracy are rejected with a witness.
     """
     sol = validate_solution(sol.lam, sol.rho)
-    n = sol.n
-    table = []
-    for x in range(n):
-        inv = [0] * n
-        for y, v in enumerate(sol.lam[x]):
-            inv[v] = y
-        table.append(inv)
-    return validate(table)
+    return validate([Permutation._trusted(row).inverse().images for row in sol.lam])
 
 
 def _row_types(X: CycleSet) -> list[tuple[int, ...]]:
@@ -462,15 +450,15 @@ def f_invariant(X: CycleSet) -> Optional[tuple[int, ...]]:
 
 
 def relabel(X: CycleSet, images: tuple[int, ...]) -> CycleSet:
-    """Transport the table along a bijection: new[F(x)][F(y)] = F(x . y)."""
+    """Transport the table along a bijection: new[F(x)][F(y)] = F(x . y).
+
+    Row F(x) of the result is the conjugate F o sigma_x o F^-1, so its rows
+    are bijective by construction and the result is not re-checked.
+    """
     perm = Permutation(images)
     if perm.degree != X.n:
         raise HypothesesError("relabeling must be a bijection of the points")
     inv = perm.inverse()
-    n = X.n
-    return CycleSet(
-        tuple(
-            tuple(perm(X.table[inv(i)][inv(j)]) for j in range(n))
-            for i in range(n)
-        )
+    return CycleSet._trusted(
+        tuple(perm.compose(X.row(inv(i))).compose(inv).images for i in range(X.n))
     )

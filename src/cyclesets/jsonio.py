@@ -54,7 +54,7 @@ def table_from_dict(d) -> list[list[int]]:
     _require("table" in d, 'cycle set payload needs a "table" key')
     table = _int_matrix(d["table"], "table")
     if "n" in d:
-        _require(isinstance(d["n"], int) and d["n"] == len(table),
+        _require(_is_int(d["n"]) and d["n"] == len(table),
                  '"n" must match the number of rows')
     return table
 
@@ -75,16 +75,22 @@ def solution_to_dict(s: Solution) -> dict:
     }
 
 
-def solution_from_dict(d) -> Solution:
+def solution_tables_from_dict(d) -> tuple[list[list[int]], list[list[int]]]:
+    """Extract the raw lambda and rho tables from a solution payload without
+    validating them."""
     _require(isinstance(d, dict), "solution payload must be an object")
     _require("lambda" in d and "rho" in d,
              'solution payload needs "lambda" and "rho" keys')
     lam = _int_matrix(d["lambda"], "lambda")
     rho = _int_matrix(d["rho"], "rho")
     if "n" in d:
-        _require(isinstance(d["n"], int) and d["n"] == len(lam),
+        _require(_is_int(d["n"]) and d["n"] == len(lam),
                  '"n" must match the number of rows')
-    return validate_solution(lam, rho)
+    return lam, rho
+
+
+def solution_from_dict(d) -> Solution:
+    return validate_solution(*solution_tables_from_dict(d))
 
 
 def spec_to_dict(spec: CyclicBuildSpec) -> dict:

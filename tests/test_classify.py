@@ -1,6 +1,6 @@
 import itertools
 import json
-from math import factorial
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -105,6 +105,25 @@ class TestTemplates:
         group = generate_group([Permutation(r) for r in rows])
         assert group.order == 4
         assert rows[0] == (0, 1, 2, 3)
+        for n in range(1, 17):
+            for name, parts in abelian_templates(n):
+                act = _translation_rows(parts)
+                assert len(act) == n
+                # row e maps 0 to e, so the rows are distinct and transitive
+                assert [row[0] for row in act] == list(range(n)), name
+                for u in range(n):
+                    for v in range(n):
+                        assert act[u][v] == act[v][u], name
+                        assert all(
+                            act[u][act[v][y]] == act[act[u][v]][y] for y in range(n)
+                        ), name
+                # in an abelian group of type Z/d_1 x ... x Z/d_r, exactly
+                # prod gcd(m, d_i) elements g satisfy m * g == 0
+                orders = [Permutation(row).order() for row in act]
+                for m in range(1, n + 1):
+                    if n % m == 0:
+                        expected = prod(gcd(m, d) for d in parts)
+                        assert sum(m % o == 0 for o in orders) == expected, name
 
 
 @pytest.fixture(scope="module")
@@ -388,11 +407,21 @@ class TestClassifyPq:
         good = dedupe_by_isomorphism([golden4])
         other = dedupe_by_isomorphism([trivial_cycle_set(4)])
         _require_matching(good, good)
-        with pytest.raises(OracleDisagreement):
+        with pytest.raises(OracleDisagreement) as err:
             _require_matching(good, other)
+        message = str(err.value)
+        assert message.startswith("oracle class at size 4 ")
+        assert "mpl=1, group cyclic of order 4, f_invariant=None" in message
+        assert message.endswith(repr(trivial_cycle_set(4)))
         both = dedupe_by_isomorphism([golden4, trivial_cycle_set(4)])
         with pytest.raises(OracleDisagreement):
             _require_matching(good, both)
+        with pytest.raises(OracleDisagreement) as err:
+            _require_matching(both, other)
+        message = str(err.value)
+        assert message.startswith("parameterized class at size 4 ")
+        assert "mpl=2, group cyclic of order 4, f_invariant=(0, 1)" in message
+        assert message.endswith(repr(golden4))
 
 
 class TestGroupTypeOf:

@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cyclesets import cli as cli_module, cycleset as cycleset_module
+from cyclesets import (
+    cli as cli_module,
+    cycleset as cycleset_module,
+    jsonio as jsonio_module,
+)
 from cyclesets.cli import main
 from cyclesets.jsonio import cycleset_to_dict
 from cyclesets import relabel, trivial_cycle_set
@@ -140,6 +148,26 @@ class TestVerify:
         assert code == 0 and payload["solution_checks"] is True
         assert calls == [4]
 
+    def test_invert_runs_braid_check_once(self, capsys, golden4_file, tmp_path,
+                                          monkeypatch):
+        calls = []
+        real = cycleset_module.validate_solution
+
+        def counting(lam, rho):
+            calls.append(len(lam))
+            return real(lam, rho)
+
+        for module in (cycleset_module, jsonio_module, cli_module):
+            monkeypatch.setattr(module, "validate_solution", counting, raising=False)
+        code, out, _ = run(capsys, "solution", "-i", golden4_file)
+        assert code == 0
+        sol_path = tmp_path / "sol.json"
+        sol_path.write_text(out)
+        code, payload, _ = run_json(capsys, "solution", "-i", str(sol_path), "--invert")
+        assert code == 0
+        assert payload == {"n": 4, "table": [list(r) for r in GOLDEN4_TABLE]}
+        assert calls == [4]
+
     def test_structural_errors_are_usage_errors(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -148,6 +176,13 @@ class TestVerify:
         assert run(capsys, "verify", "-i", str(path2))[0] == 2
         assert run(capsys, "verify", "-i", str(tmp_path / "missing.json"))[0] == 2
         assert run(capsys, "verify")[0] == 2  # no --input
+        n_error = (2, "", 'error: "n" must match the number of rows\n')
+        path3 = write_json(tmp_path / "booln.json", {"n": True, "table": [[0]]})
+        assert run(capsys, "verify", "-i", path3) == n_error
+        path4 = write_json(
+            tmp_path / "boolsol.json", {"n": True, "lambda": [[0]], "rho": [[0]]}
+        )
+        assert run(capsys, "solution", "-i", path4, "--invert") == n_error
 
 
 class TestSolution:
@@ -254,6 +289,25 @@ class TestClassifyAndEnumerate:
     def test_enumerate_spec_mode_rejects_non_prime_power(self, capsys):
         code, payload, _ = run_json(capsys, "enumerate", "6", "--mode", "spec")
         assert code == 1 and "error" in payload
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--p", "3", "--q", "3"),
+        ("classify", "--p", "2", "--k", "4"),
+        ("enumerate", "4", "--mode", "full"),
+    ])
+    def test_reports_are_identical_across_hash_seeds(self, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            path = filter(None, (src, env.get("PYTHONPATH")))
+            env["PYTHONPATH"] = os.pathsep.join(path)
+            proc = subprocess.run(
+                [sys.executable, "-m", "cyclesets.cli", *argv],
+                env=env, capture_output=True, timeout=120, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_lemma2(self, capsys):
         code, payload, _ = run_json(capsys, "lemma2", "--p", "3")

@@ -39,6 +39,8 @@ def test_cycleset_format_errors():
         cycleset_from_dict({"n": 3, "table": [[0, 1], [1, 0]]})
     with pytest.raises(FormatError):
         cycleset_from_dict([[0]])
+    with pytest.raises(FormatError):
+        cycleset_from_dict({"n": True, "table": [[0]]})
 
 
 def test_cycleset_math_errors_are_not_format_errors():
@@ -58,6 +60,8 @@ def test_solution_roundtrip(golden4):
 def test_solution_format_errors():
     with pytest.raises(FormatError):
         solution_from_dict({"lambda": [[0]]})
+    with pytest.raises(FormatError):
+        solution_from_dict({"n": True, "lambda": [[0]], "rho": [[0]]})
 
 
 def test_spec_roundtrip():
