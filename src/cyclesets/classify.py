@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .arith import factorize, is_prime, partitions, prime_power
@@ -166,6 +165,77 @@ def dedupe_by_isomorphism(
     )
 
 
+def _lift_digit_function(
+    p: int,
+    exps: tuple[int, ...],
+    tail: tuple[tuple[int, ...], ...],
+    budget: _Budget,
+) -> list[tuple[int, ...]]:
+    """Every f_1 that lifts the admissible tail (f_2, ...) to chain ``exps``.
+
+    With r = p^{j_1} and E' the tail's exponent offset, the symmetry
+    congruence for the pair (i, j) reads only i and j mod r, and after
+    dividing by r it is linear in f_1 at four residues:
+
+        f_1(b) + f_1(K(a, b)) - f_1(a) - f_1(K(b, a))
+            == (E'(a) + E'(K(b, a)) - E'(b) - E'(K(a, b))) / r  (mod p^{k - j_1})
+
+    for residues a < b, where K(a, b) = a + 1 + E'(b) mod r.  The entries of
+    f_1 are set in increasing order, each constraint is tested when its
+    largest residue is set, and phi_1(l) = 1 + r f_1(l) + E'(l) is kept
+    injective as entries are set.  Solutions come out in increasing order.
+
+    The constraints with b = x are filed when the search first reaches entry
+    x, so the work done beyond the budgeted expansions stays proportional to
+    the depth reached, however large r is.
+    """
+    r = p ** exps[1]
+    radix = p ** (exps[0] - exps[1])
+    period = p ** exps[2]  # of E', the offset of the tail f_2, f_3, ...
+    e_tail = [
+        sum(p ** j * f[x % p ** j] for j, f in zip(exps[2:], tail))
+        for x in range(period)
+    ]
+    buckets: dict[int, list[tuple[int, int, int, int, int]]] = {}
+    filed = 0
+    f: list[int] = []
+    phis: set[int] = set()
+    out: list[tuple[int, ...]] = []
+
+    def dfs(x: int) -> None:
+        nonlocal filed
+        if x == filed:
+            filed += 1
+            ex = e_tail[x % period]
+            for a in range(x):
+                ea = e_tail[a % period]
+                kab = (a + 1 + ex) % r
+                kba = (x + 1 + ea) % r
+                # exact, as the tail is admissible
+                c = (ea + e_tail[kba % period] - ex - e_tail[kab % period]) // r
+                buckets.setdefault(max(x, kab, kba), []).append((x, kab, a, kba, c))
+        for v in range(radix) if x else (0,):  # digit functions fix 0
+            budget.tick()
+            phi = v * r + e_tail[x % period]
+            if phi in phis:
+                continue
+            f.append(v)
+            if all(
+                (f[b] + f[kab] - f[a] - f[kba] - c) % radix == 0
+                for b, kab, a, kba, c in buckets.get(x, ())
+            ):
+                if x == r - 1:
+                    out.append(tuple(f))
+                else:
+                    phis.add(phi)
+                    dfs(x + 1)
+                    phis.remove(phi)
+            f.pop()
+
+    dfs(0)
+    return out
+
+
 def enumerate_specs(
     p: int,
     k: int,
@@ -174,57 +244,72 @@ def enumerate_specs(
 ) -> list[CyclicBuildSpec]:
     """All admissible prime-power build specs at (p, k), lexicographically.
 
-    The candidate space (exponent chains, then digit-function tables) is
-    enumerated exhaustively and filtered through the injectivity and symmetry
-    invariants; the budget counts candidate tuples, and the whole space is
-    summed against it before any candidate is tested.
+    Specs are constructed by lifting from the retraction rather than by
+    testing every digit-function tuple.  Reduced mod p^{j_1}, the symmetry
+    congruence of a spec with chain (k, j_1, ..., 0) loses its f_1 term and
+    becomes exactly the congruence of the tail spec (p, j_1; f_2, ...), whose
+    injectivity maps are phi_2, phi_3, ...; so the tail of every admissible
+    spec is admissible.  Each chain's admissible tails are therefore found
+    recursively (a level-2 chain has the empty tail), memoised within the
+    call, and only f_1 is searched on top of each (see
+    :func:`_lift_digit_function`).
+
+    Chains come in increasing level, and the specs of one chain in
+    increasing ``digit_functions``.  Every emitted spec still passes
+    :func:`phi_injectivity_check` and :func:`exponent_symmetry_check`.  The
+    budget counts expansions, one per digit value tried; exceeding it
+    raises :class:`BudgetExceeded` naming the chain being lifted.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be at least 1")
-    limit = (config or SearchConfig()).max_candidates
+    budget = _Budget((config or SearchConfig()).max_candidates)
+    lifts: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
+
+    def admissible(exps: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+        if len(exps) == 2:
+            return [()]
+        if exps not in lifts:
+            tails = admissible(exps[1:])
+            try:
+                lifts[exps] = sorted(
+                    (f1,) + tail
+                    for tail in tails
+                    for f1 in _lift_digit_function(p, exps, tail, budget)
+                )
+            except BudgetExceeded:
+                raise BudgetExceeded(
+                    f"spec enumeration at (p, k) = ({p}, {k}) used up its budget "
+                    f"of {budget.limit} expansions while lifting exponent chain "
+                    f"{exps} at size {p}^{exps[0]}"
+                ) from None
+        return lifts[exps]
+
     levels = [level] if level is not None else list(range(2, k + 1))
-    chains: list[tuple[tuple[int, ...], list[tuple[int, int]]]] = []
-    total = 0
+    out: list[CyclicBuildSpec] = []
     for lvl in levels:
         if not 2 <= lvl <= k:
             continue
         for mids in itertools.combinations(range(k - 1, 0, -1), lvl - 1):
             exps = (k,) + mids + (0,)
-            # (domain size, range size) of each digit function f_1 ... f_{lvl-1}
-            shape = [
-                (p ** exps[m], p ** (exps[m - 1] - exps[m])) for m in range(1, lvl)
-            ]
-            # every range has at least 2 values, so a domain this large
-            # already overflows the budget; skip the huge power
-            if any(dom > limit.bit_length() for dom, _ in shape):
-                total = limit + 1
-            else:
-                total += prod(rng ** (dom - 1) for dom, rng in shape)
-            if total > limit:
-                raise BudgetExceeded(
-                    f"spec enumeration at (p, k) = ({p}, {k}): the digit-function "
-                    f"space through exponent chain {exps} exceeds the budget of "
-                    f"{limit} candidates"
+            for fs in admissible(exps):
+                spec = CyclicBuildSpec(
+                    p=p, k=k, level=lvl, exponents=exps, digit_functions=fs
                 )
-            chains.append((exps, shape))
-    out: list[CyclicBuildSpec] = []
-    for exps, shape in chains:
-        spaces = [
-            [(0,) + rest for rest in itertools.product(range(rng), repeat=dom - 1)]
-            for dom, rng in shape
-        ]
-        for combo in itertools.product(*spaces):
-            spec = CyclicBuildSpec(
-                p=p, k=k, level=len(exps) - 1, exponents=exps, digit_functions=combo
-            )
-            if phi_injectivity_check(spec) is not None:
-                continue
-            if exponent_symmetry_check(spec) is not None:
-                continue
-            out.append(spec)
+                if phi_injectivity_check(spec) is None and (
+                    exponent_symmetry_check(spec) is None
+                ):
+                    out.append(spec)
     return out
+
+
+def _spec_family(p: int, k: int, config: Optional[SearchConfig]) -> list[CycleSet]:
+    """The trivial shift of size p^k plus one member per admissible spec."""
+    specs = enumerate_specs(p, k, config=config)  # budgeted, so before any table
+    return [trivial_cycle_set(p ** k)] + [
+        build_prime_power(spec, check=False) for spec in specs
+    ]
 
 
 def classify_cyclic_prime_power(
@@ -236,11 +321,10 @@ def classify_cyclic_prime_power(
     For k = 2 the class count is exactly p: one of level 1 and p - 1 of
     level 2.
     """
-    structures = [trivial_cycle_set(p ** k)]
-    for spec in enumerate_specs(p, k, config=config):
-        structures.append(build_prime_power(spec, check=False))
     return dedupe_by_isomorphism(
-        structures, constraint="cyclic-group", templates=("parameterized",)
+        _spec_family(p, k, config),
+        constraint="cyclic-group",
+        templates=("parameterized",),
     )
 
 
@@ -623,19 +707,14 @@ def brute_force_enumerate(
         for _, parts in abelian_templates(n):
             tables.update(_template_search(parts, budget))
     else:  # spec-parameterized
-        pk = prime_power(n) if n > 1 else None
         if n == 1:
             return [trivial_cycle_set(1)]
+        pk = prime_power(n)
         if pk is None:
             raise HypothesesError(
                 "spec-parameterized mode requires a prime-power size"
             )
-        p, k = pk
-        structures = [trivial_cycle_set(n)]
-        structures += [
-            build_prime_power(s, check=False) for s in enumerate_specs(p, k, config=cfg)
-        ]
-        return sorted(structures, key=lambda X: X.encoding())
+        return sorted(_spec_family(*pk, cfg), key=lambda X: X.encoding())
     return [CycleSet._trusted(t) for t in sorted(tables)]
 
 

@@ -156,11 +156,6 @@ def _offset(terms, x: int) -> int:
     return sum(scale * f[x % scale] for scale, f in terms)
 
 
-def _k_value(terms, j: int, i: int) -> int:
-    # the partial offset skips the m = 1 term
-    return j + 1 + sum(scale * f[i % scale] for scale, f in terms[1:])
-
-
 def phi_injectivity_check(
     spec: CyclicBuildSpec,
 ) -> Optional[tuple[int, int, int]]:
@@ -195,9 +190,12 @@ def exponent_symmetry_check(
     terms = _offset_terms(spec)
     period = spec.p ** spec.exponents[1]
     etab = [_offset(terms, x) for x in range(period)]
+    # K(j, i) - j, read at i mod p^{j_1}: the partial offset skips the m = 1 term
+    ktab = [1 + _offset(terms[1:], x) for x in range(period)]
 
     def q(j: int, i: int) -> int:
-        return (etab[i % period] + etab[_k_value(terms, j, i) % period]) % size
+        r = i % period
+        return (etab[r] + etab[(j + ktab[r]) % period]) % size
 
     for i in range(size):
         for j in range(i + 1, size):

@@ -7,6 +7,7 @@ import pytest
 from cyclesets import (
     BudgetExceeded,
     CycleSet,
+    CyclicBuildSpec,
     HypothesesError,
     OracleDisagreement,
     SearchConfig,
@@ -18,10 +19,12 @@ from cyclesets import (
     classify_pq,
     dedupe_by_isomorphism,
     enumerate_specs,
+    exponent_symmetry_check,
     find_violations,
     group_type_of,
     is_indecomposable,
     mpl,
+    phi_injectivity_check,
     relabel,
     trivial_cycle_set,
 )
@@ -38,6 +41,34 @@ from cyclesets.jsonio import report_to_dict
 from cyclesets.perm import generate_group, Permutation
 
 
+def generate_and_test_specs(p, k):
+    """Reference: every digit-function tuple of every chain, filtered.
+
+    Chains come in increasing level, then in ``itertools.combinations``
+    order, and each chain's tuples in ``itertools.product`` order.
+    """
+    out = []
+    for lvl in range(2, k + 1):
+        for mids in itertools.combinations(range(k - 1, 0, -1), lvl - 1):
+            exps = (k,) + mids + (0,)
+            spaces = [
+                [
+                    (0,) + rest
+                    for rest in itertools.product(
+                        range(p ** (exps[m - 1] - exps[m])), repeat=p ** exps[m] - 1
+                    )
+                ]
+                for m in range(1, lvl)
+            ]
+            for combo in itertools.product(*spaces):
+                spec = CyclicBuildSpec(p, k, lvl, exps, combo)
+                if phi_injectivity_check(spec) is None and (
+                    exponent_symmetry_check(spec) is None
+                ):
+                    out.append(spec)
+    return out
+
+
 class TestEnumerateSpecs:
     def test_counts(self):
         assert len(enumerate_specs(2, 2)) == 1
@@ -46,18 +77,47 @@ class TestEnumerateSpecs:
         assert len(enumerate_specs(2, 3)) == 1
         assert len(enumerate_specs(5, 2)) == 4
 
-    def test_budget_trips_before_any_candidate_is_tested(self, monkeypatch):
-        import cyclesets.classify as classify
+    @pytest.mark.parametrize(
+        "p,k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)]
+    )
+    def test_lift_equals_generate_and_test(self, p, k):
+        reference = generate_and_test_specs(p, k)
+        assert enumerate_specs(p, k) == reference
+        # the reference loops over levels outermost, so its output for one
+        # level is the matching slice of the whole list
+        for lvl in range(k + 2):
+            assert enumerate_specs(p, k, level=lvl) == [
+                spec for spec in reference if spec.level == lvl
+            ], lvl
 
-        calls = []
-        real = classify.phi_injectivity_check
-        monkeypatch.setattr(
-            classify, "phi_injectivity_check",
-            lambda spec: calls.append(spec) or real(spec),
-        )
-        with pytest.raises(BudgetExceeded, match="budget"):
-            enumerate_specs(2, 5)
-        assert calls == []
+    def test_emitted_specs_are_admissible(self):
+        for p, k in ((2, 6), (3, 4), (5, 3), (13, 2)):
+            for spec in enumerate_specs(p, k):
+                assert phi_injectivity_check(spec) is None
+                assert exponent_symmetry_check(spec) is None
+
+    def test_expansion_counts(self):
+        # the least budget that lets the search finish is its expansion
+        # count; generate-and-test tested 65,691 / 117,649 candidates at
+        # (3, 3) / (7, 2) and could not start at (2, 5)
+        for p, k, expansions in ((3, 3, 296), (7, 2, 218), (2, 5, 618)):
+            enumerate_specs(p, k, config=SearchConfig(max_candidates=expansions))
+            with pytest.raises(BudgetExceeded):
+                enumerate_specs(
+                    p, k, config=SearchConfig(max_candidates=expansions - 1)
+                )
+
+    def test_budget_trips_at_size_32(self):
+        with pytest.raises(BudgetExceeded, match=r"at \(p, k\) = \(2, 5\)"):
+            enumerate_specs(2, 5, config=SearchConfig(max_candidates=100))
+
+    def test_budget_message_names_the_chain(self):
+        with pytest.raises(BudgetExceeded) as err:
+            enumerate_specs(2, 5, config=SearchConfig(max_candidates=300))
+        message = str(err.value)
+        assert "budget of 300 expansions" in message
+        # (4, 1, 0) is the tail of the level-3 chain (5, 4, 1, 0)
+        assert message.endswith("exponent chain (4, 1, 0) at size 2^4")
 
     def test_level_filter(self):
         assert enumerate_specs(2, 3, level=3) == []
@@ -91,6 +151,36 @@ class TestClassifyCyclicPrimePower:
         report = classify_cyclic_prime_power(5, 2)
         fs = [e.f_invariant for e in report.classes if e.mpl == 2]
         assert sorted(fs) == sorted(tuple(k * t % 5 for k in range(5)) for t in range(1, 5))
+
+    @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 4)])
+    def test_matches_cyclic_template_oracle(self, p, k):
+        n = p ** k
+        found = _template_search((n,), _Budget(10 ** 8))
+        indecomposable = [CycleSet(t) for t in found if is_indecomposable(CycleSet(t))]
+        oracle = dedupe_by_isomorphism(indecomposable)
+        # a transitive subgroup of the regular Z/n is all of Z/n
+        assert all(e.group_type == "cyclic" for e in oracle.classes)
+        expected = classify_cyclic_prime_power(p, k)
+        assert len(expected.classes) == {4: 2, 8: 2, 9: 3, 16: 4}[n]
+        _require_matching(expected, oracle)
+
+    # class counts found independently by lifting each table through its
+    # retraction, without the spec construction
+    @pytest.mark.parametrize(
+        "p,k,count", [(2, 5, 6), (2, 6, 10), (3, 4, 11), (5, 3, 9), (11, 2, 11)]
+    )
+    def test_counts_beyond_the_oracle(self, p, k, count):
+        report = classify_cyclic_prime_power(p, k)
+        assert len(report.classes) == count
+        assert all(e.group_type == "cyclic" for e in report.classes)
+
+    def test_golden32_has_one_class(self, golden32):
+        report = classify_cyclic_prime_power(2, 5)
+        homes = [
+            e for e in report.classes
+            if are_isomorphic(golden32, e.witness) is not None
+        ]
+        assert len(homes) == 1
 
 
 class TestTemplates:
