@@ -34,6 +34,7 @@ from .construct import (
 )
 from .cycleset import (
     CycleSet,
+    _row_types,
     are_isomorphic,
     f_invariant,
     is_indecomposable,
@@ -115,7 +116,7 @@ def _invariant_key(X: CycleSet):
     # a filter only: classes are decided by the exact are_isomorphic test
     return (
         tuple(retraction_tower_sizes(X)),
-        tuple(sorted(p.cycle_type() for p in X.rows())),
+        tuple(sorted(_row_types(X))),
     )
 
 
@@ -421,72 +422,85 @@ def _template_search(parts: tuple[int, ...], budget: _Budget) -> list[tuple]:
 
     Inside the abelian template the pair condition for (x, y) reads
     a[x.y] + a[x] == a[y.x] + a[y] in the group, i.e. it pins the
-    *difference* of two row values.  The search therefore keeps an offset
-    union-find over the points (plus a ground node for known values): every
-    pair constraint is merged in as soon as both its points are assigned,
-    contradictions prune immediately, and a point whose class touches ground
-    admits exactly one candidate.  Union by rank without path compression
-    keeps the structure cheap to roll back on backtracking.
+    *difference* of two row values.  The search therefore keeps the points
+    in classes of known differences: every pair constraint is merged in as
+    soon as both its points are assigned, contradictions prune immediately,
+    and a point whose class has a known value admits exactly one candidate.
+    The classes are an offset quick-find: each point stores its root and its
+    offset to the root, each root its member list and its value, if known.
+    A merge relabels the smaller class, so undoing it on backtracking
+    truncates the larger class's member list and shifts the moved offsets
+    back; two classes that both have values are compared, never merged.
     """
     act = _translation_rows(parts)  # act[u][v] is also the group sum u + v
     n = len(act)
     transporters = _automorphism_transporters(parts, act)
     inv = [act[e].index(0) for e in range(n)]
-    ground = n
-    parent = list(range(n + 1))
-    offset = [0] * (n + 1)  # a[i] == a[parent[i]] + offset[i]
-    rank = [0] * (n + 1)
-    rank[ground] = n + 2  # ground must stay a root
+    root = list(range(n))
+    off = [0] * n  # a[i] == a[root[i]] + off[i]
+    members = [[i] for i in range(n)]  # members[r], for each root r
+    value = [-1] * n  # value[r] == a[r] for a root r, or -1 if unknown
     assign = [-1] * n
-    trail: list[tuple[int, int, bool]] = []
+    trail: list[tuple[int, int, int]] = []  # (big, small, d), or (r, -1, 0)
     out: list[tuple] = []
 
-    def find(i: int) -> tuple[int, int]:
-        off = 0
-        while parent[i] != i:
-            off = act[offset[i]][off]
-            i = parent[i]
-        return i, off
+    def pin(i: int, e: int) -> bool:
+        # impose a[i] == e
+        r = root[i]
+        v = act[e][inv[off[i]]]
+        if value[r] >= 0:
+            return value[r] == v
+        value[r] = v
+        trail.append((r, -1, 0))
+        return True
 
     def union(i: int, j: int, delta: int) -> bool:
-        # impose a[i] == a[j] + delta
-        ri, oi = find(i)
-        rj, oj = find(j)
+        # impose a[i] == a[j] + delta, i.e. a[ri] == a[rj] + d
+        ri, rj = root[i], root[j]
+        d = act[act[off[j]][delta]][inv[off[i]]]
         if ri == rj:
-            return oi == act[oj][delta]
-        if rank[ri] > rank[rj]:
-            parent[rj] = ri
-            offset[rj] = act[oi][inv[act[oj][delta]]]
-            trail.append((rj, ri, False))
-        else:
-            parent[ri] = rj
-            offset[ri] = act[act[oj][delta]][inv[oi]]
-            bump = rank[ri] == rank[rj]
-            if bump:
-                rank[rj] += 1
-            trail.append((ri, rj, bump))
+            return d == 0
+        if value[ri] >= 0 and value[rj] >= 0:
+            return value[ri] == act[value[rj]][d]
+        if len(members[ri]) > len(members[rj]):
+            ri, rj, d = rj, ri, inv[d]
+        for m in members[ri]:  # relabel the smaller class ri into rj
+            root[m] = rj
+            off[m] = act[off[m]][d]
+        members[rj].extend(members[ri])
+        if value[ri] >= 0:
+            value[rj] = act[value[ri]][inv[d]]
+        trail.append((rj, ri, d))
         return True
 
     def rollback(mark: int) -> None:
         while len(trail) > mark:
-            child, par, bump = trail.pop()
-            parent[child] = child
-            offset[child] = 0
-            if bump:
-                rank[par] -= 1
+            big, small, d = trail.pop()
+            if small < 0:
+                value[big] = -1
+                continue
+            moved = members[small]
+            del members[big][-len(moved):]
+            back = inv[d]
+            for m in moved:
+                root[m] = small
+                off[m] = act[off[m]][back]
+            if value[small] >= 0:  # the merge gave big its value
+                value[big] = -1
 
     assigned: list[int] = []
 
     def next_point() -> tuple[int, int]:
-        # prefer a point already pinned to ground: it admits one candidate
-        # and assigning it feeds its pair constraints back into the search
+        # prefer a point of a class with a known value: it admits one
+        # candidate and assigning it feeds its pair constraints back into
+        # the search
         first_free = -1
         for pt in range(n):
             if assign[pt] >= 0:
                 continue
-            root, off = find(pt)
-            if root == ground:
-                return pt, off
+            v = value[root[pt]]
+            if v >= 0:
+                return pt, act[v][off[pt]]
             if first_free < 0:
                 first_free = pt
         return first_free, -1
@@ -503,7 +517,7 @@ def _template_search(parts: tuple[int, ...], budget: _Budget) -> list[tuple]:
             budget.tick()
             mark = len(trail)
             assign[pt] = e
-            ok = union(pt, ground, e)
+            ok = pin(pt, e)
             if ok:
                 for x in assigned:
                     ax = assign[x]

@@ -50,14 +50,29 @@ _MODES = {
     "spec": "spec-parameterized",
 }
 
+#: lemma2 prints p - 1 tables of length p (about 59 MB of RSS at 1009)
+LEMMA2_MAX_P = 1009
 
-def _positive_int(text: str) -> int:
+
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _lemma2_prime(text: str) -> int:
+    # checked before is_prime, whose trial division is slow for huge values
+    value = _int(text)
+    if value > LEMMA2_MAX_P:
+        raise argparse.ArgumentTypeError(f"must be at most {LEMMA2_MAX_P}, got {value}")
     return value
 
 
@@ -305,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_lem = sub.add_parser("lemma2", parents=[common],
                            help="list the admissible digit bijections for a prime")
-    p_lem.add_argument("--p", type=int, required=True)
+    p_lem.add_argument("--p", type=_lemma2_prime, required=True)
 
     return parser
 

@@ -62,7 +62,7 @@ class CycleSet:
     untrusted tables.
     """
 
-    __slots__ = ("_table",)
+    __slots__ = ("_table", "_types")
 
     def __init__(self, table):
         rows = _normalize_table(table)
@@ -70,6 +70,7 @@ class CycleSet:
             if len(set(row)) != len(row):
                 raise TableError(f"row {x} is not a bijection")
         self._table = rows
+        self._types = None
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "CycleSet":
@@ -77,6 +78,7 @@ class CycleSet:
         without checks."""
         X = object.__new__(cls)
         X._table = rows
+        X._types = None
         return X
 
     @property
@@ -354,8 +356,12 @@ def from_solution(sol: Solution) -> CycleSet:
     return validate([Permutation._trusted(row).inverse().images for row in sol.lam])
 
 
-def _row_types(X: CycleSet) -> list[tuple[int, ...]]:
-    return [p.cycle_type() for p in X.rows()]
+def _row_types(X: CycleSet) -> tuple[tuple[int, ...], ...]:
+    """The cycle type of each row, computed once per distinct row and kept."""
+    if X._types is None:
+        types = {row: Permutation._trusted(row).cycle_type() for row in set(X._table)}
+        X._types = tuple(types[row] for row in X._table)
+    return X._types
 
 
 def are_isomorphic(X: CycleSet, Y: CycleSet) -> Optional[tuple[int, ...]]:

@@ -353,6 +353,15 @@ class TestRestrictedBruteForce:
                 raw_count, indecomposable,
             ), n
 
+    def test_reduced_node_counts(self):
+        # expansions summed over the templates of each size: any change to
+        # the search tree (scheduling, pruning, the Aut(G) reduction) shows
+        for n, nodes in ((8, 3109), (9, 1445), (12, 17989), (14, 11260), (15, 20240)):
+            budget = _Budget(10 ** 8)
+            for _, parts in abelian_templates(n):
+                _template_search(parts, budget)
+            assert budget.used == nodes, n
+
     def test_aut_orbits(self):
         orbits = {
             parts: sorted(_automorphism_transporters(parts, _translation_rows(parts)))
@@ -441,6 +450,29 @@ class TestDedupe:
                 e for e in report.classes if are_isomorphic(X, e.witness) is not None
             ]
             assert len(homes) == 1
+
+    def test_row_types_are_computed_once_per_table(self, monkeypatch):
+        indec = [X for X in brute_force_enumerate(8) if is_indecomposable(X)]
+        assert len(indec) == 48
+        calls = []
+        cycle_type = Permutation.cycle_type
+
+        def counting(perm):
+            calls.append(perm)
+            return cycle_type(perm)
+
+        monkeypatch.setattr(Permutation, "cycle_type", counting)
+        dedupe_by_isomorphism(indec)
+        assert 0 < len(calls) <= sum(len(set(X.table)) for X in indec)
+        # a filled cache is the table's own: relabeled copies still match
+        f = (3, 0, 5, 1, 7, 2, 4, 6)
+        for X in indec:
+            Y = relabel(X, f)
+            w = are_isomorphic(X, Y)
+            assert w is not None and all(
+                w[X.table[x][y]] == Y.table[w[x]][w[y]]
+                for x in range(8) for y in range(8)
+            )
 
     def test_witness_is_least_encoding_member(self, golden4):
         from cyclesets import relabel

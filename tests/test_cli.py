@@ -294,9 +294,13 @@ class TestClassifyAndEnumerate:
         ("classify", "--p", "3", "--q", "3"),
         ("classify", "--p", "2", "--k", "4"),
         ("enumerate", "4", "--mode", "full"),
+        ("enumerate", "8", "--mode", "regular-abelian"),
+        ("classify", "--p", "3", "--k", "3"),
+        ("retract", "-i", "GOLDEN4"),  # the golden4 table, written to a file
     ])
-    def test_reports_are_identical_across_hash_seeds(self, argv):
+    def test_reports_are_identical_across_hash_seeds(self, argv, golden4_file):
         src = str(Path(__file__).resolve().parents[1] / "src")
+        argv = [golden4_file if arg == "GOLDEN4" else arg for arg in argv]
         outputs = []
         for seed in ("0", "12345"):
             env = dict(os.environ, PYTHONHASHSEED=seed)
@@ -317,6 +321,17 @@ class TestClassifyAndEnumerate:
     def test_lemma2_composite_is_rejected(self, capsys):
         code, payload, _ = run_json(capsys, "lemma2", "--p", "4")
         assert code == 1
+
+    @pytest.mark.parametrize("p", [cli_module.LEMMA2_MAX_P + 1, 10 ** 12 + 39])
+    def test_lemma2_size_cap_is_a_usage_error(self, capsys, monkeypatch, p):
+        # rejected before any work: no primality test, no table
+        def no_work(p):
+            raise AssertionError("lemma2 ran past its size cap")
+
+        monkeypatch.setattr(cli_module, "compatible_bijections", no_work)
+        code, out, err = run(capsys, "lemma2", "--p", str(p))
+        assert code == 2 and out == ""
+        assert f"must be at most {cli_module.LEMMA2_MAX_P}" in err
 
 
 class TestRetract:
