@@ -21,12 +21,10 @@ from .classify import (
 )
 from .construct import (
     CyclicBuildSpec,
-    DynamicalCocycle,
     build_elementary_abelian,
     build_p2_level2,
     build_prime_power,
     compatible_bijections,
-    dynamical_extension,
     exponent_symmetry_check,
     extract_spec,
     mixed_radix_digits,
@@ -34,7 +32,6 @@ from .construct import (
     phi_injectivity_check,
     sigma_exponents,
     trivial_cycle_set,
-    validate_cocycle,
     validate_spec,
 )
 from .cycleset import (
@@ -61,7 +58,6 @@ from .cycleset import (
 )
 from .errors import (
     BudgetExceeded,
-    CocycleError,
     CycleSetError,
     FormatError,
     HypothesesError,
@@ -77,12 +73,10 @@ from .perm import (
     Permutation,
     discrete_log,
     format_cycles,
-    format_oneline,
     generate_group,
     is_abelian,
     is_cyclic,
     is_transitive,
-    order_of,
     parse_permutation,
 )
 

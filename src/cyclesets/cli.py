@@ -53,6 +53,9 @@ _MODES = {
 #: lemma2 prints p - 1 tables of length p (about 59 MB of RSS at 1009)
 LEMMA2_MAX_P = 1009
 
+#: build prints an n x n table (about 65 MB of RSS at 1024, 230 MB at 2048)
+BUILD_MAX_N = 1024
+
 
 def _int(text: str) -> int:
     try:
@@ -74,6 +77,17 @@ def _lemma2_prime(text: str) -> int:
     if value > LEMMA2_MAX_P:
         raise argparse.ArgumentTypeError(f"must be at most {LEMMA2_MAX_P}, got {value}")
     return value
+
+
+def _check_build_size(p: int, k: int = 1) -> None:
+    # before is_prime, whose trial division is slow for huge values; p**k is
+    # multiplied out only while it grows and stays within the cap (p < 2 is
+    # left to the builder, which rejects it at once)
+    n = p
+    while k > 1 and 1 < n <= BUILD_MAX_N:
+        n, k = n * p, k - 1
+    if n > BUILD_MAX_N:
+        raise FormatError(f"build is limited to tables of at most {BUILD_MAX_N} points")
 
 
 def _read_text(path: str) -> str:
@@ -139,17 +153,21 @@ def _cmd_build(args):
     if family == "trivial":
         if args.m is None:
             raise FormatError("build --family trivial requires --m")
+        _check_build_size(args.m)
         X = trivial_cycle_set(args.m)
     elif family == "p2-level2":
         if args.p is None or args.t is None:
             raise FormatError("build --family p2-level2 requires --p and --t")
+        _check_build_size(args.p, 2)
         X = build_p2_level2(args.p, args.t)
     elif family == "elementary-abelian":
         if args.p is None:
             raise FormatError("build --family elementary-abelian requires --p")
+        _check_build_size(args.p, 2)
         X = build_elementary_abelian(args.p)
     elif family == "prime-power":
         spec = jsonio.spec_from_dict(_read_json(_require_input(args)))
+        _check_build_size(spec.p, spec.k)
         X = build_prime_power(spec)
     else:  # pragma: no cover - argparse restricts choices
         raise FormatError(f"unknown family {family}")

@@ -26,8 +26,8 @@ parameters.
 
 The size-p^2, level-2 builder :func:`build_p2_level2` is the k = 2 case of
 :func:`build_prime_power`.  The module also houses the level-1 (trivial
-shift) family, the elementary-abelian construction on Z/p x Z/p, mixed-radix
-digit decomposition, and dynamical extensions.
+shift) family, the elementary-abelian construction on Z/p x Z/p and
+mixed-radix digit decomposition.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .arith import ilog, is_prime, prime_power
-from .cycleset import CycleSet, retraction_tower_sizes, validate
-from .errors import CocycleError, HypothesesError, SpecError, TableError
-from .perm import Permutation
+from .cycleset import CycleSet, retraction_tower_sizes
+from .errors import HypothesesError, SpecError
 
 
 def trivial_cycle_set(m: int) -> CycleSet:
@@ -348,121 +347,16 @@ def build_p2_level2(p: int, t: int) -> CycleSet:
     return build_prime_power(CyclicBuildSpec(p, 2, 2, (2, 1, 0), (f,)), check=False)
 
 
-def build_elementary_abelian(p: int, alpha: Optional[Permutation] = None) -> CycleSet:
-    """The cycle set (a, i) . (b, j) = (b + 1, alpha^a(j)) on Z/p x Z/p.
+def build_elementary_abelian(p: int) -> CycleSet:
+    """The cycle set (a, i) . (b, j) = (b + 1, j + a) on Z/p x Z/p.
 
-    ``alpha`` must be a single p-cycle (default: the standard cycle); the
-    isomorphism class does not depend on the choice.  Pairs are flattened as
-    (a, i) -> a*p + i.  The permutation group is elementary abelian of order
-    p^2 and the level is 2.
+    Pairs are flattened as (a, i) -> a*p + i.  The permutation group is
+    elementary abelian of order p^2 and the level is 2.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if alpha is None:
-        alpha = Permutation.cycle(p)
-    if alpha.degree != p or alpha.cycle_type() != (p,):
-        raise ValueError(f"alpha must be a single {p}-cycle")
-    powers = [alpha.power(a) for a in range(p)]
-    n = p * p
-    table = [[0] * n for _ in range(n)]
-    for a in range(p):
-        for i in range(p):
-            row = table[a * p + i]
-            for b in range(p):
-                for j in range(p):
-                    row[b * p + j] = ((b + 1) % p) * p + powers[a](j)
-    return CycleSet(table)
-
-
-@dataclass(frozen=True)
-class DynamicalCocycle:
-    """A family alpha[i][j][s] of fiber permutations over a base cycle set.
-
-    alpha[i][j][s] is the image tuple of the permutation alpha_(i,j)(s, -) of
-    the fiber {0, ..., fiber-1}.  Construction checks shapes and that every
-    alpha[i][j][s] is a bijection; the compatibility condition is checked by
-    :func:`validate_cocycle`.
-    """
-
-    base: CycleSet
-    fiber: int
-    alpha: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "alpha",
-            tuple(
-                tuple(tuple(tuple(img) for img in per_s) for per_s in per_j)
-                for per_j in self.alpha
-            ),
-        )
-        m = self.base.n
-        if self.fiber < 1:
-            raise TableError("fiber size must be at least 1")
-        if len(self.alpha) != m or any(len(per_j) != m for per_j in self.alpha):
-            raise TableError("alpha must be indexed by base x base")
-        for i in range(m):
-            for j in range(m):
-                block = self.alpha[i][j]
-                if len(block) != self.fiber:
-                    raise TableError(f"alpha[{i}][{j}] must have one row per fiber point")
-                for s, img in enumerate(block):
-                    if len(img) != self.fiber or sorted(img) != list(range(self.fiber)):
-                        raise TableError(
-                            f"alpha[{i}][{j}][{s}] is not a permutation of the fiber"
-                        )
-
-
-def validate_cocycle(
-    c: DynamicalCocycle,
-) -> Optional[tuple[int, int, int, int, int, int]]:
-    """None when the cocycle condition holds, else the first witness.
-
-    The condition, for all base points i, j, k and fiber points r, s, t:
-
-        alpha[i.j][i.k][ alpha[i][j][r][s] ][ alpha[i][k][r][t] ]
-     == alpha[j.i][j.k][ alpha[j][i][s][r] ][ alpha[j][k][s][t] ]
-    """
-    t = c.base.table
-    a = c.alpha
-    m, fib = c.base.n, c.fiber
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                left = a[t[i][j]][t[i][k]]
-                right = a[t[j][i]][t[j][k]]
-                aij, aik = a[i][j], a[i][k]
-                aji, ajk = a[j][i], a[j][k]
-                for r in range(fib):
-                    for s in range(fib):
-                        lrow = left[aij[r][s]]
-                        rrow = right[aji[s][r]]
-                        for tt in range(fib):
-                            if lrow[aik[r][tt]] != rrow[ajk[s][tt]]:
-                                return (i, j, k, r, s, tt)
-    return None
-
-
-def dynamical_extension(c: DynamicalCocycle) -> CycleSet:
-    """The extension (s, i) . (t, j) = (alpha[i][j][s][t], i . j) on fiber x base.
-
-    Points are flattened as (s, i) -> s * |base| + i.  The base must validate
-    as a cycle set and the cocycle condition must hold; the output is checked
-    before being returned.
-    """
-    witness = validate_cocycle(c)
-    if witness is not None:
-        raise CocycleError(witness)
-    m, fib = c.base.n, c.fiber
-    t = c.base.table
-    a = c.alpha
-    n = m * fib
-    table = [[0] * n for _ in range(n)]
-    for s in range(fib):
-        for i in range(m):
-            row = table[s * m + i]
-            for tt in range(fib):
-                for j in range(m):
-                    row[tt * m + j] = a[i][j][s][tt] * m + t[i][j]
-    return validate(table)
+    return CycleSet(
+        [((b + 1) % p) * p + (j + a) % p for b in range(p) for j in range(p)]
+        for a in range(p)
+        for _ in range(p)
+    )

@@ -45,14 +45,6 @@ class SpecError(CycleSetError, ValueError):
         super().__init__(f"{reason}" + (f": {witness}" if witness is not None else ""))
 
 
-class CocycleError(CycleSetError, ValueError):
-    """A dynamical cocycle failing its compatibility condition."""
-
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"cocycle condition fails at (i, j, k, r, s, t) = {witness}")
-
-
 class HypothesesError(CycleSetError, ValueError):
     """An operation invoked on a structure outside its hypotheses."""
 

@@ -7,8 +7,6 @@ test fixtures, and any external tooling:
 * solution    {"n": int, "lambda": [[int]], "rho": [[int]]}
 * build spec  {"p": int, "k": int, "level": int, "exponents": [int],
                "digit_functions": [[int]]}
-* cocycle     {"base": <cycle set>, "fiber": int, "alpha": [[[[int]]]]}
-               (alpha indexed i, j, s -> image list)
 * report      {"size": int, "constraint": str, "templates_searched": [str],
                "classes": [{"witness": <cycle set>, "mpl": int|null,
                             "group_order": int, "group_type": str,
@@ -24,7 +22,7 @@ from __future__ import annotations
 import json
 
 from .classify import ClassEntry, ClassificationReport
-from .construct import CyclicBuildSpec, DynamicalCocycle
+from .construct import CyclicBuildSpec
 from .cycleset import CycleSet, Solution, validate, validate_solution
 from .errors import FormatError
 
@@ -126,30 +124,6 @@ def spec_from_dict(d) -> CyclicBuildSpec:
     )
 
 
-def cocycle_to_dict(c: DynamicalCocycle) -> dict:
-    return {
-        "base": cycleset_to_dict(c.base),
-        "fiber": c.fiber,
-        "alpha": [
-            [[list(img) for img in per_s] for per_s in per_j] for per_j in c.alpha
-        ],
-    }
-
-
-def cocycle_from_dict(d) -> DynamicalCocycle:
-    _require(isinstance(d, dict), "cocycle payload must be an object")
-    for key in ("base", "fiber", "alpha"):
-        _require(key in d, f'cocycle payload needs a "{key}" key')
-    _require(_is_int(d["fiber"]), '"fiber" must be an integer')
-    _require(isinstance(d["alpha"], list), '"alpha" must be nested lists')
-    base = cycleset_from_dict(d["base"])
-    alpha = tuple(
-        tuple(tuple(tuple(img) for img in per_s) for per_s in per_j)
-        for per_j in d["alpha"]
-    )
-    return DynamicalCocycle(base=base, fiber=d["fiber"], alpha=alpha)
-
-
 def class_entry_to_dict(entry: ClassEntry) -> dict:
     return {
         "witness": cycleset_to_dict(entry.witness),
@@ -175,6 +149,8 @@ def load(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
 
 
 def dumps(payload, pretty: bool = False) -> str:

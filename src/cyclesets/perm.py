@@ -139,11 +139,6 @@ class Permutation:
         return tuple(sorted(len(c) for c in self._orbits()))
 
 
-def format_oneline(p: Permutation) -> str:
-    """One-line image list, e.g. "[1,2,3,0]"."""
-    return "[" + ",".join(map(str, p.images)) + "]"
-
-
 def format_cycles(p: Permutation) -> str:
     """Cycle notation, e.g. "(0 1 2 3)"; the identity prints as "id"."""
     cycs = p.cycles()
@@ -288,10 +283,6 @@ def is_cyclic(group: PermGroup) -> Optional[Permutation]:
         if p.order() == target:
             return p
     return None
-
-
-def order_of(p: Permutation) -> int:
-    return p.order()
 
 
 def discrete_log(base: Permutation, target: Permutation) -> Optional[int]:

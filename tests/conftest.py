@@ -8,13 +8,12 @@ import pytest
 from cyclesets import (
     CycleSet,
     CyclicBuildSpec,
-    DynamicalCocycle,
     SearchConfig,
     brute_force_enumerate,
     build_elementary_abelian,
     build_p2_level2,
     build_prime_power,
-    dynamical_extension,
+    relabel,
     trivial_cycle_set,
 )
 
@@ -57,19 +56,6 @@ def golden32() -> CycleSet:
     return build_prime_power(GOLDEN32_SPEC)
 
 
-def shift_cocycle(p: int) -> DynamicalCocycle:
-    """Over the shift base, the fiber map t -> t + i (i the left base point)."""
-    base = trivial_cycle_set(p)
-    alpha = tuple(
-        tuple(
-            tuple(tuple((t + i) % p for t in range(p)) for _ in range(p))
-            for _ in range(p)
-        )
-        for i in range(p)
-    )
-    return DynamicalCocycle(base=base, fiber=p, alpha=alpha)
-
-
 @pytest.fixture(scope="session")
 def corpus(golden4, golden8, golden32) -> list[tuple[str, CycleSet]]:
     """Every cycle set the suite produces, for the cross-cutting property
@@ -89,7 +75,10 @@ def corpus(golden4, golden8, golden32) -> list[tuple[str, CycleSet]]:
             items.append((f"p2-level2-{p}-{t}", build_p2_level2(p, t)))
         items.append((f"elementary-abelian-{p}", build_elementary_abelian(p)))
     for p in (2, 3):
-        items.append((f"shift-extension-{p}", dynamical_extension(shift_cocycle(p))))
+        # (s, i) . (t, j) = (t + i, j + 1), flattened as s*p + i: the
+        # elementary-abelian table with its two coordinates swapped
+        swap = tuple(i * p + a for a in range(p) for i in range(p))
+        items.append((f"shift-extension-{p}", relabel(build_elementary_abelian(p), swap)))
     for n in (2, 3, 4):
         full = brute_force_enumerate(n, SearchConfig(mode="full-bruteforce"))
         items.extend((f"full-{n}-{i}", X) for i, X in enumerate(full))

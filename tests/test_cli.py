@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,16 +7,26 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclesets import (
+    arith as arith_module,
     cli as cli_module,
+    construct as construct_module,
     cycleset as cycleset_module,
     jsonio as jsonio_module,
 )
 from cyclesets.cli import main
-from cyclesets.jsonio import cycleset_to_dict
-from cyclesets import relabel, trivial_cycle_set
-from conftest import GOLDEN4_TABLE
+from cyclesets.jsonio import cycleset_to_dict, solution_to_dict, spec_to_dict
+from cyclesets import (
+    CycleSet,
+    CyclicBuildSpec,
+    build_elementary_abelian,
+    relabel,
+    to_solution,
+    trivial_cycle_set,
+)
+from conftest import GOLDEN4_SPEC, GOLDEN4_TABLE
 
 
 def run(capsys, *argv):
@@ -100,6 +112,46 @@ class TestBuild:
         code, _, err = run(capsys, "build", "--family", "trivial")
         assert code == 2 and "requires" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--family", "trivial", "--m", str(cli_module.BUILD_MAX_N + 1)),
+        ("--family", "trivial", "--m", "1000000"),
+        ("--family", "p2-level2", "--p", "37", "--t", "1"),
+        ("--family", "elementary-abelian", "--p", "37"),
+        ("--family", "elementary-abelian", "--p", "1000000000000000003"),
+        ("-i", {"p": 1000000000000000003, "k": 2}),
+        ("-i", {"p": 2, "k": 11}),
+        ("-i", {"p": 2, "k": 10 ** 18}),
+        ("-i", {"p": 1000000000000000003, "k": 0}),
+    ])
+    def test_size_cap_is_a_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        # rejected before any work: no primality test, no table
+        def no_work(*args):
+            raise AssertionError("build ran past its size cap")
+
+        for name in ("trivial_cycle_set", "build_p2_level2",
+                     "build_elementary_abelian", "build_prime_power"):
+            monkeypatch.setattr(cli_module, name, no_work)
+        for module in (arith_module, construct_module):
+            monkeypatch.setattr(module, "is_prime", no_work)
+        if argv[0] == "-i":
+            spec = {**spec_to_dict(GOLDEN4_SPEC), **argv[1]}
+            argv = ("-i", write_json(tmp_path / "spec.json", spec))
+        code, out, err = run(capsys, "build", *argv)
+        assert code == 2 and out == ""
+        assert f"at most {cli_module.BUILD_MAX_N} points" in err
+
+    def test_size_cap_admits_its_bound(self, capsys, monkeypatch):
+        sizes = []
+
+        def record(m):
+            sizes.append(m)
+            return trivial_cycle_set(1)
+
+        monkeypatch.setattr(cli_module, "trivial_cycle_set", record)
+        n = str(cli_module.BUILD_MAX_N)
+        assert run(capsys, "build", "--family", "trivial", "--m", n)[0] == 0
+        assert sizes == [cli_module.BUILD_MAX_N]
+
 
 class TestVerify:
     def test_valid_table(self, capsys, golden4_file):
@@ -183,6 +235,22 @@ class TestVerify:
             tmp_path / "boolsol.json", {"n": True, "lambda": [[0]], "rho": [[0]]}
         )
         assert run(capsys, "solution", "-i", path4, "--invert") == n_error
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "-i", "DEEP"),
+        ("retract", "-i", "DEEP"),
+        ("solution", "-i", "DEEP"),
+        ("solution", "--invert", "-i", "DEEP"),
+        ("iso", "DEEP", "DEEP"),
+        ("build", "-i", "DEEP"),
+    ])
+    def test_deeply_nested_json_is_a_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = [str(path) if arg == "DEEP" else arg for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: invalid JSON: nested too deeply\n"
 
 
 class TestSolution:
@@ -297,10 +365,23 @@ class TestClassifyAndEnumerate:
         ("enumerate", "8", "--mode", "regular-abelian"),
         ("classify", "--p", "3", "--k", "3"),
         ("retract", "-i", "GOLDEN4"),  # the golden4 table, written to a file
+        ("verify", "-i", "GOLDEN4"),
+        ("iso", "GOLDEN4", "RELABELED4"),  # golden4 relabeled by (2, 0, 3, 1)
+        ("solution", "-i", "GOLDEN4"),
+        ("solution", "--invert", "-i", "SOLUTION4"),  # golden4's solution
+        ("build", "--family", "elementary-abelian", "--p", "5"),
     ])
-    def test_reports_are_identical_across_hash_seeds(self, argv, golden4_file):
+    def test_reports_are_identical_across_hash_seeds(self, argv, golden4, tmp_path):
         src = str(Path(__file__).resolve().parents[1] / "src")
-        argv = [golden4_file if arg == "GOLDEN4" else arg for arg in argv]
+        files = {
+            "GOLDEN4": cycleset_to_dict(golden4),
+            "RELABELED4": cycleset_to_dict(relabel(golden4, (2, 0, 3, 1))),
+            "SOLUTION4": solution_to_dict(to_solution(golden4)),
+        }
+        argv = [
+            write_json(tmp_path / f"{arg}.json", files[arg]) if arg in files else arg
+            for arg in argv
+        ]
         outputs = []
         for seed in ("0", "12345"):
             env = dict(os.environ, PYTHONHASHSEED=seed)
@@ -373,3 +454,78 @@ class TestOutputModes:
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+
+# JSON values of at most 6 rows, with keys that the loaders look for
+_KEYS = st.sampled_from(["n", "table", "lambda", "rho", "p", "k", "level",
+                         "exponents", "digit_functions"]) | st.text(max_size=3)
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 8) | st.integers()
+            | st.floats(allow_nan=False) | st.text(max_size=3))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(_KEYS, inner, max_size=6),
+    max_leaves=12,
+)
+_VALID = [
+    cycleset_to_dict(CycleSet(GOLDEN4_TABLE)),
+    cycleset_to_dict(trivial_cycle_set(3)),
+    cycleset_to_dict(build_elementary_abelian(2)),
+    solution_to_dict(to_solution(CycleSet(GOLDEN4_TABLE))),
+    spec_to_dict(GOLDEN4_SPEC),
+    spec_to_dict(CyclicBuildSpec(2, 2, 2, (2, 1, 0), ((0, 0),))),
+]
+
+
+@st.composite
+def _mutated(draw, value):
+    """A copy of ``value`` with one entry somewhere inside it replaced,
+    deleted or duplicated, or the whole value replaced."""
+    if isinstance(value, (list, dict)) and value and draw(st.integers(0, 3)):
+        out = value.copy()
+        key = draw(st.sampled_from(range(len(out)) if isinstance(out, list) else list(out)))
+        op = draw(st.sampled_from(["descend", "delete", "duplicate"]))
+        if op == "delete":
+            del out[key]
+        elif op == "duplicate" and isinstance(out, list):
+            out.insert(key, out[key])
+        else:
+            out[key] = draw(_mutated(out[key]))
+        return out
+    return draw(st.integers(-1, 6) | _JSON)
+
+
+_PAYLOADS = st.one_of(
+    _JSON,
+    st.sampled_from(_VALID),
+    st.sampled_from(_VALID).flatmap(_mutated),
+    st.sampled_from(_VALID).flatmap(_mutated).flatmap(_mutated),
+)
+_COMMANDS = [
+    ("verify", "-i", "IN"),
+    ("retract", "-i", "IN"),
+    ("solution", "-i", "IN"),
+    ("solution", "--invert", "-i", "IN"),
+    ("iso", "IN", "GOLDEN4"),
+    ("iso", "IN", "IN"),
+    ("build", "-i", "IN"),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    write_json(path / "golden4.json", {"n": 4, "table": [list(r) for r in GOLDEN4_TABLE]})
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=st.sampled_from(_COMMANDS), payload=_PAYLOADS)
+def test_loaders_end_in_a_documented_exit_code(fuzz_dir, argv, payload):
+    files = {"IN": write_json(fuzz_dir / "in.json", payload),
+             "GOLDEN4": str(fuzz_dir / "golden4.json")}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([files.get(arg, arg) for arg in argv])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")

@@ -4,21 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclesets import (
-    CocycleError,
     CycleSet,
     CyclicBuildSpec,
-    DynamicalCocycle,
     HypothesesError,
     SearchConfig,
     SpecError,
-    TableError,
     are_isomorphic,
     brute_force_enumerate,
     build_elementary_abelian,
     build_p2_level2,
     build_prime_power,
     compatible_bijections,
-    dynamical_extension,
     exponent_symmetry_check,
     extract_spec,
     f_invariant,
@@ -36,7 +32,6 @@ from cyclesets import (
     sigma_exponents,
     trivial_cycle_set,
     validate,
-    validate_cocycle,
     validate_spec,
 )
 from cyclesets.arith import prime_power
@@ -47,7 +42,6 @@ from conftest import (
     GOLDEN4_SPEC,
     GOLDEN4_TABLE,
     GOLDEN8_SPEC,
-    shift_cocycle,
 )
 
 
@@ -357,11 +351,6 @@ class TestElementaryAbelian:
         ]
         assert build_elementary_abelian(p) == CycleSet(table)
 
-    def test_choice_of_cycle_is_immaterial(self):
-        a = build_elementary_abelian(3, parse_permutation("(0 1 2)"))
-        b = build_elementary_abelian(3, parse_permutation("(0 2 1)"))
-        assert are_isomorphic(a, b) is not None
-
     def test_invariants(self):
         for p in (2, 3, 5):
             X = build_elementary_abelian(p)
@@ -371,59 +360,6 @@ class TestElementaryAbelian:
             assert mpl(X) == 2
             assert is_indecomposable(X)
 
-    def test_rejects_non_cycle(self):
-        with pytest.raises(ValueError):
-            build_elementary_abelian(3, parse_permutation("(0 1)", 3))
+    def test_rejects_non_prime(self):
         with pytest.raises(ValueError):
             build_elementary_abelian(4)
-
-
-class TestDynamicalExtensions:
-    def test_shift_cocycle_is_valid(self):
-        for p in (2, 3):
-            assert validate_cocycle(shift_cocycle(p)) is None
-
-    def test_shift_extension_matches_elementary_abelian(self):
-        for p in (2, 3):
-            ext = dynamical_extension(shift_cocycle(p))
-            assert are_isomorphic(ext, build_elementary_abelian(p)) is not None
-
-    def test_constant_cocycle_gives_decomposable_extension(self):
-        base = trivial_cycle_set(3)
-        ident = tuple(
-            tuple(tuple(tuple(range(3)) for _ in range(3)) for _ in range(3))
-            for _ in range(3)
-        )
-        c = DynamicalCocycle(base=base, fiber=3, alpha=ident)
-        assert validate_cocycle(c) is None
-        ext = dynamical_extension(c)
-        assert validate(ext.table)
-        assert not is_indecomposable(ext)
-
-    def test_violating_cocycle_is_rejected_with_witness(self):
-        # fiber map t -> t + s (shift by the left fiber point) breaks the
-        # compatibility condition as soon as r != s
-        base = trivial_cycle_set(2)
-        alpha = tuple(
-            tuple(
-                tuple(tuple((t + s) % 2 for t in range(2)) for s in range(2))
-                for _ in range(2)
-            )
-            for _ in range(2)
-        )
-        c = DynamicalCocycle(base=base, fiber=2, alpha=alpha)
-        witness = validate_cocycle(c)
-        assert witness is not None
-        i, j, k, r, s, t = witness
-        assert r != s
-        with pytest.raises(CocycleError):
-            dynamical_extension(c)
-
-    def test_structural_validation(self):
-        base = trivial_cycle_set(2)
-        with pytest.raises(TableError):
-            DynamicalCocycle(
-                base=base,
-                fiber=2,
-                alpha=(((((0, 0), (0, 1)),) * 2,) * 2),
-            )

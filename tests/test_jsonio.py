@@ -10,8 +10,6 @@ from cyclesets import (
     trivial_cycle_set,
 )
 from cyclesets.jsonio import (
-    cocycle_from_dict,
-    cocycle_to_dict,
     cycleset_from_dict,
     cycleset_to_dict,
     dumps,
@@ -23,7 +21,7 @@ from cyclesets.jsonio import (
     spec_to_dict,
     table_from_dict,
 )
-from conftest import GOLDEN4_SPEC, shift_cocycle
+from conftest import GOLDEN4_SPEC
 
 
 def test_cycleset_roundtrip(golden4):
@@ -96,11 +94,6 @@ def test_spec_fields_must_be_integers(key, value):
     payload = {**spec_to_dict(GOLDEN4_SPEC), key: value}
     with pytest.raises(FormatError):
         spec_from_dict(payload)
-
-
-def test_cocycle_roundtrip():
-    c = shift_cocycle(3)
-    assert cocycle_from_dict(cocycle_to_dict(c)) == c
 
 
 def test_report_serialization_is_self_describing():
