@@ -34,6 +34,7 @@ from .construct import (
 )
 from .cycleset import (
     CycleSet,
+    _certificate,
     _row_types,
     are_isomorphic,
     f_invariant,
@@ -131,12 +132,30 @@ def dedupe_by_isomorphism(
     of each class is its least member and classes are created, and listed,
     in increasing witness encoding: identical inputs produce byte-identical
     reports.
+
+    A table with a certificate (see :func:`cyclesets.cycleset._certificate`:
+    an indecomposable table one of whose seeds of least row cycle type
+    generates it) joins the class stored under that certificate, with no
+    isomorphism test: equal certificates spell the same relabelled table,
+    and isomorphic tables have equal certificates.  Having a certificate is
+    itself invariant, so the other tables (decomposable ones, mostly) are
+    only compared with each other: pairwise with :func:`are_isomorphic`,
+    against the class witnesses that share their ``_invariant_key``.
     """
     xs = sorted(structures, key=lambda X: X.encoding())
     if xs and any(X.n != xs[0].n for X in xs):
         raise ValueError("all structures must have the same size")
     reps: list[dict] = []
+    certified: dict[tuple[int, ...], dict] = {}
     for X in xs:
+        cert = _certificate(X)
+        if cert is not None:
+            rep = certified.get(cert)
+            if rep is None:
+                rep = certified[cert] = {"witness": X, "key": None, "count": 0}
+                reps.append(rep)
+            rep["count"] += 1
+            continue
         key = _invariant_key(X)
         for rep in reps:
             if rep["key"] == key and are_isomorphic(X, rep["witness"]) is not None:

@@ -56,6 +56,11 @@ LEMMA2_MAX_P = 1009
 #: build prints an n x n table (about 65 MB of RSS at 1024, 230 MB at 2048)
 BUILD_MAX_N = 1024
 
+#: classify at n = 169 (p = q = 13, or p^k = 13^2) takes about 1 s and 26 MB
+#: of RSS; p = q = 17 takes 5 s, and p^k = 3^5 runs 139 s before the default
+#: budget stops it
+CLASSIFY_MAX_N = 169
+
 
 def _int(text: str) -> int:
     try:
@@ -79,22 +84,28 @@ def _lemma2_prime(text: str) -> int:
     return value
 
 
-def _check_build_size(p: int, k: int = 1) -> None:
+def _check_size(command: str, cap: int, p: int, k: int = 1) -> None:
     # before is_prime, whose trial division is slow for huge values; p**k is
     # multiplied out only while it grows and stays within the cap (p < 2 is
-    # left to the builder, which rejects it at once)
+    # left to the callee, which rejects it at once)
     n = p
-    while k > 1 and 1 < n <= BUILD_MAX_N:
+    while k > 1 and 1 < n <= cap:
         n, k = n * p, k - 1
-    if n > BUILD_MAX_N:
-        raise FormatError(f"build is limited to tables of at most {BUILD_MAX_N} points")
+    if n > cap:
+        raise FormatError(f"{command} is limited to tables of at most {cap} points")
 
 
 def _read_text(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        source = "standard input" if path == "-" else path
+        raise FormatError(f"{source} is not valid UTF-8: {exc}") from None
 
 
 def _read_json(path: str):
@@ -153,21 +164,21 @@ def _cmd_build(args):
     if family == "trivial":
         if args.m is None:
             raise FormatError("build --family trivial requires --m")
-        _check_build_size(args.m)
+        _check_size("build", BUILD_MAX_N, args.m)
         X = trivial_cycle_set(args.m)
     elif family == "p2-level2":
         if args.p is None or args.t is None:
             raise FormatError("build --family p2-level2 requires --p and --t")
-        _check_build_size(args.p, 2)
+        _check_size("build", BUILD_MAX_N, args.p, 2)
         X = build_p2_level2(args.p, args.t)
     elif family == "elementary-abelian":
         if args.p is None:
             raise FormatError("build --family elementary-abelian requires --p")
-        _check_build_size(args.p, 2)
+        _check_size("build", BUILD_MAX_N, args.p, 2)
         X = build_elementary_abelian(args.p)
     elif family == "prime-power":
         spec = jsonio.spec_from_dict(_read_json(_require_input(args)))
-        _check_build_size(spec.p, spec.k)
+        _check_size("build", BUILD_MAX_N, spec.p, spec.k)
         X = build_prime_power(spec)
     else:  # pragma: no cover - argparse restricts choices
         raise FormatError(f"unknown family {family}")
@@ -217,8 +228,12 @@ def _cmd_classify(args):
     if args.q is not None and args.k is not None:
         raise FormatError("classify takes --q or --k, not both")
     if args.q is not None:
+        # a huge factor is over the cap even where a factor below 2 (which
+        # is_prime rejects at once) makes the product small
+        _check_size("classify", CLASSIFY_MAX_N, max(args.p, args.q, args.p * args.q))
         report = classify_pq(args.p, args.q, config=config)
     elif args.k is not None:
+        _check_size("classify", CLASSIFY_MAX_N, args.p, args.k)
         report = classify_cyclic_prime_power(args.p, args.k, config=config)
     else:
         raise FormatError("classify requires --p together with --q or --k")

@@ -433,6 +433,96 @@ def are_isomorphic(X: CycleSet, Y: CycleSet) -> Optional[tuple[int, ...]]:
     return None
 
 
+def _certificate(X: CycleSet) -> Optional[tuple[int, ...]]:
+    """A canonical form of an indecomposable X, or None.
+
+    A seed s is labelled 0, and the points are then visited in label order:
+    at the m-th point, the labels of order[i] . order[m] and
+    order[m] . order[i] for i < m are emitted, then that of
+    order[m] . order[m], and a point takes the next free label the first
+    time it appears.  When s generates X, the n^2 labels spell the table
+    relabelled along the visiting order, so two tables get equal sequences
+    from some seeds exactly when they are isomorphic.  The certificate is
+    the least sequence over the seeds of least row cycle type, which an
+    isomorphism carries onto each other; it is None when X is decomposable
+    (each point's products stay inside its invariant part) or when no such
+    seed generates X.
+
+    A seed is dropped once its sequence exceeds the least so far.  A seed
+    that ties with it gives an automorphism, best order[i] -> order[i];
+    the orbits of the automorphisms found are kept in a union-find rooted
+    at their least point, and a seed that is not its orbit's root has the
+    sequence of that root, which was already tried, so it is skipped.
+    This is the seeded case of individualisation-refinement (McKay and
+    Piperno, "Practical graph isomorphism II", 2014).
+    """
+    if not is_indecomposable(X):
+        return None
+    table = X._table
+    n = len(table)
+    types = _row_types(X)
+    least = min(types)
+    orbit = list(range(n))
+
+    def root(x: int) -> int:
+        while orbit[x] != x:
+            orbit[x] = orbit[orbit[x]]
+            x = orbit[x]
+        return x
+
+    best: Optional[list[int]] = None
+    best_order: list[int] = []
+    for s in range(n):
+        if types[s] != least or root(s) != s:
+            continue
+        label = [-1] * n
+        label[s] = 0
+        order = [s]
+        seq: list[int] = []
+        append = seq.append
+        below = best is None  # else the sequence so far equals best's prefix
+        m = 0
+        while m < len(order):
+            x = order[m]
+            rx = table[x]
+            start = len(seq)
+            for y in order[:m]:  # unrolled: this loop is the whole cost
+                v = table[y][x]
+                l = label[v]
+                if l < 0:
+                    l = label[v] = len(order)
+                    order.append(v)
+                append(l)
+                v = rx[y]
+                l = label[v]
+                if l < 0:
+                    l = label[v] = len(order)
+                    order.append(v)
+                append(l)
+            v = rx[x]
+            l = label[v]
+            if l < 0:
+                l = label[v] = len(order)
+                order.append(v)
+            append(l)
+            if not below:
+                block, best_block = seq[start:], best[start:len(seq)]
+                if block > best_block:
+                    break
+                below = block < best_block
+            m += 1
+        if m < n:  # dropped, or s generates fewer than n points
+            continue
+        if below:
+            best, best_order = seq, order
+            continue
+        for a, b in zip(best_order, order):
+            a, b = root(a), root(b)
+            if a != b:
+                orbit[max(a, b)] = min(a, b)
+    return None if best is None else tuple(best)
+
+
 def f_invariant(X: CycleSet) -> Optional[tuple[int, ...]]:
     """The complete invariant of size-p^2, level-2, cyclic-group cycle sets.
 

@@ -6,6 +6,8 @@ import pytest
 
 from cyclesets import (
     BudgetExceeded,
+    ClassEntry,
+    ClassificationReport,
     CycleSet,
     CyclicBuildSpec,
     HypothesesError,
@@ -20,19 +22,24 @@ from cyclesets import (
     dedupe_by_isomorphism,
     enumerate_specs,
     exponent_symmetry_check,
+    f_invariant,
     find_violations,
     group_type_of,
     is_indecomposable,
     mpl,
+    permutation_group,
     phi_injectivity_check,
     relabel,
     trivial_cycle_set,
 )
+from cyclesets import classify as classify_module
 from cyclesets.classify import (
     _Budget,
     _automorphism_transporters,
     _full_search,
+    _invariant_key,
     _require_matching,
+    _spec_family,
     _stabilizer_transporters,
     _template_search,
     _translation_rows,
@@ -67,6 +74,37 @@ def generate_and_test_specs(p, k):
                 ):
                     out.append(spec)
     return out
+
+
+def pairwise_dedupe(structures):
+    """Reference: the greedy pairwise partition, every table tested with
+    ``are_isomorphic`` against the witnesses that share its key."""
+    reps = []
+    for X in sorted(structures, key=lambda X: X.encoding()):
+        key = _invariant_key(X)
+        for rep in reps:
+            if rep[1] == key and are_isomorphic(X, rep[0]) is not None:
+                rep[2] += 1
+                break
+        else:
+            reps.append([X, key, 1])
+    entries = []
+    for w, _, count in reps:
+        group = permutation_group(w)
+        entries.append(ClassEntry(
+            witness=w,
+            mpl=mpl(w),
+            group_order=group.order,
+            group_type=group_type_of(group),
+            f_invariant=f_invariant(w),
+            raw_count=count,
+        ))
+    return ClassificationReport(
+        size=reps[0][0].n if reps else 0,
+        constraint="any",
+        templates_searched=(),
+        classes=tuple(entries),
+    )
 
 
 class TestEnumerateSpecs:
@@ -166,9 +204,9 @@ class TestClassifyCyclicPrimePower:
 
     # class counts found independently by lifting each table through its
     # retraction, without the spec construction
-    @pytest.mark.parametrize(
-        "p,k,count", [(2, 5, 6), (2, 6, 10), (3, 4, 11), (5, 3, 9), (11, 2, 11)]
-    )
+    @pytest.mark.parametrize("p,k,count", [
+        (2, 5, 6), (2, 6, 10), (2, 7, 14), (3, 4, 11), (5, 3, 9), (11, 2, 11),
+    ])
     def test_counts_beyond_the_oracle(self, p, k, count):
         report = classify_cyclic_prime_power(p, k)
         assert len(report.classes) == count
@@ -474,6 +512,44 @@ class TestDedupe:
                 for x in range(8) for y in range(8)
             )
 
+    @pytest.mark.parametrize("kind,arg", [
+        *(("full", n) for n in range(1, 6)),
+        *(("restricted", n) for n in range(1, 13)),
+        ("spec-family", (2, 6)),
+        ("spec-family", (5, 3)),
+    ], ids=str)
+    def test_report_equals_pairwise_reference(self, full_census, kind, arg):
+        if kind == "full":
+            tables = full_census[arg]
+        elif kind == "restricted":
+            tables = brute_force_enumerate(arg)
+        else:
+            tables = _spec_family(*arg, None)
+        got = json.dumps(report_to_dict(dedupe_by_isomorphism(tables)))
+        assert got == json.dumps(report_to_dict(pairwise_dedupe(tables)))
+
+    def test_certified_tables_skip_the_pairwise_scan(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in ("are_isomorphic", "_invariant_key"):
+            monkeypatch.setattr(
+                classify_module, name, counting(name, getattr(classify_module, name))
+            )
+        assert len(classify_pq(11, 11).classes) == 12
+        report = classify_cyclic_prime_power(13, 2)
+        assert len(report.classes) == 13
+        assert all(e.group_type == "cyclic" for e in report.classes)
+        assert calls == []
+        # decomposable tables still take the pairwise route
+        dedupe_by_isomorphism(brute_force_enumerate(3, SearchConfig(mode="full-bruteforce")))
+        assert "are_isomorphic" in calls and "_invariant_key" in calls
+
     def test_witness_is_least_encoding_member(self, golden4):
         from cyclesets import relabel
 
@@ -510,6 +586,15 @@ class TestClassifyPq:
         ]
         fs = sorted(e.f_invariant for e in report.classes if e.f_invariant)
         assert fs == [(0, 1, 2), (0, 2, 1)]
+
+    def test_p_equals_thirteen(self):
+        # the paper's p + 1 classes
+        report = classify_pq(13, 13)
+        assert len(report.classes) == 14
+        profiles = sorted((e.mpl, e.group_type) for e in report.classes)
+        assert profiles == sorted(
+            [(1, "cyclic"), (2, "abelian-noncyclic")] + [(2, "cyclic")] * 12
+        )
 
     def test_without_cross_check(self):
         report = classify_pq(3, 3, cross_check=False)

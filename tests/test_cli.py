@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclesets import (
     arith as arith_module,
+    classify as classify_module,
     cli as cli_module,
     construct as construct_module,
     cycleset as cycleset_module,
@@ -19,6 +20,7 @@ from cyclesets import (
 from cyclesets.cli import main
 from cyclesets.jsonio import cycleset_to_dict, solution_to_dict, spec_to_dict
 from cyclesets import (
+    ClassificationReport,
     CycleSet,
     CyclicBuildSpec,
     build_elementary_abelian,
@@ -252,6 +254,39 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == "error: invalid JSON: nested too deeply\n"
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("argv", [
+        ("verify", "-i", "BAD"),
+        ("retract", "-i", "BAD"),
+        ("solution", "-i", "BAD"),
+        ("solution", "--invert", "-i", "BAD"),
+        ("iso", "BAD", "GOOD"),
+        ("iso", "GOOD", "BAD"),
+        ("build", "-i", "BAD"),
+    ])
+    def test_non_utf8_input_is_a_usage_error(self, capsys, monkeypatch, tmp_path,
+                                             golden4_file, argv, source):
+        data = b"\xff\xfe{}"
+        if source == "file":
+            bad = tmp_path / "bad.json"
+            bad.write_bytes(data)
+            bad = str(bad)
+        else:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            bad = "-"
+        argv = [{"BAD": bad, "GOOD": golden4_file}.get(arg, arg) for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "is not valid UTF-8" in err
+
+    def test_stdin_input(self, capsys, monkeypatch):
+        payload = json.dumps({"n": 4, "table": [list(r) for r in GOLDEN4_TABLE]})
+        monkeypatch.setattr(
+            sys, "stdin", io.TextIOWrapper(io.BytesIO(payload.encode("utf-8")))
+        )
+        code, result, _ = run_json(capsys, "verify", "-i", "-")
+        assert code == 0 and result["valid"] is True and result["mpl"] == 2
+
 
 class TestSolution:
     def test_invert_restores_input_bytes(self, capsys, golden4_file, tmp_path):
@@ -326,6 +361,51 @@ class TestClassifyAndEnumerate:
             capsys, "enumerate", "4", "--budget", "3", "--count"
         )
         assert code == 1 and "budget" in payload["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ("--p", "17", "--q", "17"),
+        ("--p", "2", "--q", "89"),
+        ("--p", "1000000000000000003", "--q", "2"),
+        ("--p", "2", "--q", "1000000000000000003"),
+        ("--p", "1000000000000000003", "--q", "0"),
+        ("--p", "2", "--k", "8"),
+        ("--p", "3", "--k", "5"),
+        ("--p", "2", "--k", str(10 ** 18)),
+        ("--p", "1000000000000000003", "--k", "1"),
+    ])
+    def test_classify_size_cap_is_a_usage_error(self, capsys, monkeypatch, argv):
+        # rejected before any work: no primality test, no spec, no table
+        def no_work(*args, **kwargs):
+            raise AssertionError("classify ran past its size cap")
+
+        for name in ("trivial_cycle_set", "build_p2_level2", "build_elementary_abelian",
+                     "build_prime_power", "enumerate_specs", "is_prime"):
+            monkeypatch.setattr(classify_module, name, no_work)
+        monkeypatch.setattr(arith_module, "is_prime", no_work)
+        code, out, err = run(capsys, "classify", *argv)
+        assert code == 2 and out == ""
+        assert f"at most {cli_module.CLASSIFY_MAX_N} points" in err
+
+    @pytest.mark.parametrize("argv,call", [
+        (("--p", "13", "--q", "13"), ("pq", 13, 13)),
+        (("--p", "2", "--q", "83"), ("pq", 2, 83)),
+        (("--p", "13", "--k", "2"), ("k", 13, 2)),
+        (("--p", "2", "--k", "7"), ("k", 2, 7)),
+    ])
+    def test_classify_size_cap_admits_its_bound(self, capsys, monkeypatch, argv, call):
+        calls = []
+
+        def record(kind):
+            def classify(p, other, config):
+                calls.append((kind, p, other))
+                return ClassificationReport(1, "any", (), ())
+            return classify
+
+        monkeypatch.setattr(cli_module, "classify_pq", record("pq"))
+        monkeypatch.setattr(cli_module, "classify_cyclic_prime_power", record("k"))
+        assert cli_module.CLASSIFY_MAX_N == 13 ** 2
+        assert run(capsys, "classify", *argv)[0] == 0
+        assert calls == [call]
 
     @pytest.mark.parametrize("argv", [
         ("enumerate", "4", "--budget", "0"),

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,10 +8,12 @@ from cyclesets import (
     InvalidCycleSet,
     Permutation,
     RetractionError,
+    SearchConfig,
     Solution,
     SolutionError,
     TableError,
     are_isomorphic,
+    brute_force_enumerate,
     build_p2_level2,
     f_invariant,
     find_violations,
@@ -30,6 +34,8 @@ from cyclesets import (
     validate,
     validate_solution,
 )
+from cyclesets.classify import _spec_family
+from cyclesets.cycleset import _certificate
 from conftest import GOLDEN4_TABLE
 
 ALL_IDENTITY_4 = [[0, 1, 2, 3]] * 4
@@ -258,6 +264,77 @@ class TestIsomorphism:
         assert mpl(golden8) == mpl(shuffled)
         assert retraction_tower_sizes(golden8) == retraction_tower_sizes(shuffled)
         assert permutation_group(golden8).order == permutation_group(shuffled).order
+
+
+def decode_certificate(cert):
+    """The table a certificate spells: block m holds (i . m, m . i) for
+    i < m, then m . m."""
+    n = round(len(cert) ** 0.5)
+    table = [[-1] * n for _ in range(n)]
+    labels = iter(cert)
+    for m in range(n):
+        for i in range(m):
+            table[i][m] = next(labels)
+            table[m][i] = next(labels)
+        table[m][m] = next(labels)
+    return table
+
+
+class TestCertificate:
+    def test_agrees_with_are_isomorphic_on_census_pairs(self):
+        full = SearchConfig(mode="full-bruteforce")
+        tables = [
+            X
+            for n in range(1, 5)
+            for X in brute_force_enumerate(n, full)
+            if is_indecomposable(X)
+        ]
+        tables += [
+            X for n in (8, 9) for X in brute_force_enumerate(n) if is_indecomposable(X)
+        ]
+        assert len(tables) == 46 + 48 + 66
+        certs = [_certificate(X) for X in tables]
+        for i, X in enumerate(tables):
+            for j in range(i, len(tables)):
+                iso = are_isomorphic(X, tables[j]) is not None
+                assert (certs[i] == certs[j]) == iso, (X, tables[j])
+
+    @given(st.data())
+    def test_relabeling_keeps_the_certificate(self, corpus, data):
+        _, X = data.draw(st.sampled_from(corpus))
+        f = tuple(data.draw(st.permutations(range(X.n))))
+        assert _certificate(relabel(X, f)) == _certificate(X)
+
+    @pytest.mark.parametrize("p,k", [(2, 5), (3, 3)])
+    def test_relabeling_keeps_the_certificate_of_spec_members(self, p, k):
+        # the smaller censuses have automorphism groups transitive on their
+        # seeds; several of these members have 2 or 3 seed orbits with
+        # different sequences, so the orbit pruning decides the result
+        rng = random.Random(100 * p + k)
+        for X in _spec_family(p, k, None):
+            cert = _certificate(X)
+            for _ in range(4):
+                f = tuple(rng.sample(range(X.n), X.n))
+                assert _certificate(relabel(X, f)) == cert
+
+    def test_spells_an_isomorphic_table(self, golden8, golden32):
+        for X in (trivial_cycle_set(5), golden8, golden32, build_p2_level2(5, 2)):
+            cert = _certificate(X)
+            assert len(cert) == X.n ** 2
+            Y = validate(decode_certificate(cert))
+            assert are_isomorphic(X, Y) is not None
+            assert _certificate(Y) == cert
+
+    def test_none_without_a_generating_seed(self):
+        # decomposable: every point's products stay in its invariant part
+        assert _certificate(CycleSet(ALL_IDENTITY_4)) is None
+        # indecomposable, but its seeds of least row cycle type, 0 and 2,
+        # are idempotent: each generates only itself
+        assert is_indecomposable(CycleSet(IRRETRACTABLE_4))
+        assert _certificate(CycleSet(IRRETRACTABLE_4)) is None
+        assert _certificate(trivial_cycle_set(1)) == (0,)
+        # x . y = y + 1 from the seed 0: blocks (1), (2, 1, 2), (0, 1, 0, 2, 0)
+        assert _certificate(trivial_cycle_set(3)) == (1, 2, 1, 2, 0, 1, 0, 2, 0)
 
 
 class TestFInvariant:
