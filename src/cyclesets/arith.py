@@ -4,18 +4,7 @@ from __future__ import annotations
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:

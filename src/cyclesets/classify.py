@@ -48,7 +48,7 @@ from .perm import Permutation, PermGroup, is_abelian, is_cyclic
 
 MODES = ("full-bruteforce", "regular-abelian-restricted", "spec-parameterized")
 
-FULL_MODE_MAX = 9
+FULL_MODE_MAX = 5
 RESTRICTED_MODE_MAX = 25
 
 #: Oracle cross-checks in classify_pq run automatically up to this size;
@@ -133,39 +133,35 @@ def dedupe_by_isomorphism(
     in increasing witness encoding: identical inputs produce byte-identical
     reports.
 
-    A table with a certificate (see :func:`cyclesets.cycleset._certificate`:
-    an indecomposable table one of whose seeds of least row cycle type
-    generates it) joins the class stored under that certificate, with no
-    isomorphism test: equal certificates spell the same relabelled table,
-    and isomorphic tables have equal certificates.  Having a certificate is
-    itself invariant, so the other tables (decomposable ones, mostly) are
-    only compared with each other: pairwise with :func:`are_isomorphic`,
-    against the class witnesses that share their ``_invariant_key``.
+    Each class is a ``[witness, count]`` record filed under a key: the
+    table's certificate (see :func:`cyclesets.cycleset._certificate`) if it
+    has one, its ``_invariant_key`` otherwise; a certificate is a tuple of
+    ints and an invariant key a pair of tuples, so the two never collide.
+    Isomorphic tables have equal certificates, and equal certificates spell
+    the same relabelled table, so a certified table joins the one record
+    under its key untested.  Having a certificate is itself invariant, so
+    any other table (a decomposable one, mostly) is tested with
+    :func:`are_isomorphic` against the witnesses under its key, in order.
     """
     xs = sorted(structures, key=lambda X: X.encoding())
     if xs and any(X.n != xs[0].n for X in xs):
         raise ValueError("all structures must have the same size")
-    reps: list[dict] = []
-    certified: dict[tuple[int, ...], dict] = {}
+    classes: dict[tuple, list[list]] = {}
     for X in xs:
         cert = _certificate(X)
-        if cert is not None:
-            rep = certified.get(cert)
-            if rep is None:
-                rep = certified[cert] = {"witness": X, "key": None, "count": 0}
-                reps.append(rep)
-            rep["count"] += 1
-            continue
-        key = _invariant_key(X)
-        for rep in reps:
-            if rep["key"] == key and are_isomorphic(X, rep["witness"]) is not None:
-                rep["count"] += 1
+        bucket = classes.setdefault(_invariant_key(X) if cert is None else cert, [])
+        for record in bucket:
+            if cert is not None or are_isomorphic(X, record[0]) is not None:
+                record[1] += 1
                 break
         else:
-            reps.append({"witness": X, "key": key, "count": 1})
+            bucket.append([X, 1])
+    # witnesses were created in increasing encoding; list them that way
+    records = sorted(
+        itertools.chain.from_iterable(classes.values()), key=lambda r: r[0].encoding()
+    )
     entries = []
-    for rep in reps:
-        w = rep["witness"]
+    for w, count in records:
         group = permutation_group(w)
         entries.append(
             ClassEntry(
@@ -174,7 +170,7 @@ def dedupe_by_isomorphism(
                 group_order=group.order,
                 group_type=group_type_of(group),
                 f_invariant=f_invariant(w),
-                raw_count=rep["count"],
+                raw_count=count,
             )
         )
     return ClassificationReport(
@@ -259,7 +255,6 @@ def _lift_digit_function(
 def enumerate_specs(
     p: int,
     k: int,
-    level: Optional[int] = None,
     config: Optional[SearchConfig] = None,
 ) -> list[CyclicBuildSpec]:
     """All admissible prime-power build specs at (p, k), lexicographically.
@@ -306,11 +301,8 @@ def enumerate_specs(
                 ) from None
         return lifts[exps]
 
-    levels = [level] if level is not None else list(range(2, k + 1))
     out: list[CyclicBuildSpec] = []
-    for lvl in levels:
-        if not 2 <= lvl <= k:
-            continue
+    for lvl in range(2, k + 1):
         for mids in itertools.combinations(range(k - 1, 0, -1), lvl - 1):
             exps = (k,) + mids + (0,)
             for fs in admissible(exps):
@@ -711,7 +703,7 @@ def brute_force_enumerate(
 ) -> list[CycleSet]:
     """Enumerate cycle sets on {0, ..., n-1} according to ``config.mode``.
 
-    full-bruteforce (n <= 9): every cycle-set table, rows ranging over all of
+    full-bruteforce (n <= 5): every cycle-set table, rows ranging over all of
     Sym(n).  Counts are raw: nothing is quotiented by relabeling.
 
     regular-abelian-restricted (n <= 25): rows drawn from the regular

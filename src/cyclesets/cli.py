@@ -12,6 +12,8 @@ import sys
 
 from . import jsonio
 from .classify import (
+    FULL_MODE_MAX,
+    RESTRICTED_MODE_MAX,
     SearchConfig,
     brute_force_enumerate,
     classify_cyclic_prime_power,
@@ -26,10 +28,8 @@ from .construct import (
     trivial_cycle_set,
 )
 from .cycleset import (
-    CycleSet,
     Solution,
     are_isomorphic,
-    find_violations,
     from_solution,
     is_indecomposable,
     is_nondegenerate,
@@ -44,12 +44,6 @@ from .cycleset import (
 from .errors import CycleSetError, FormatError, InvalidCycleSet
 from .perm import Permutation, format_cycles
 
-_MODES = {
-    "full": "full-bruteforce",
-    "regular-abelian": "regular-abelian-restricted",
-    "spec": "spec-parameterized",
-}
-
 #: lemma2 prints p - 1 tables of length p (about 59 MB of RSS at 1009)
 LEMMA2_MAX_P = 1009
 
@@ -60,6 +54,15 @@ BUILD_MAX_N = 1024
 #: of RSS; p = q = 17 takes 5 s, and p^k = 3^5 runs 139 s before the default
 #: budget stops it
 CLASSIFY_MAX_N = 169
+
+#: each enumerate mode with its size cap; spec mode does the work of
+#: classify --k, and full mode at n = 6 runs about 5 minutes before the
+#: default budget stops it
+_MODES = {
+    "full": ("full-bruteforce", FULL_MODE_MAX),
+    "regular-abelian": ("regular-abelian-restricted", RESTRICTED_MODE_MAX),
+    "spec": ("spec-parameterized", CLASSIFY_MAX_N),
+}
 
 
 def _int(text: str) -> int:
@@ -129,11 +132,7 @@ def _violations_payload(violations) -> list[dict]:
 
 
 def _cmd_verify(args):
-    table = jsonio.table_from_dict(_read_json(_require_input(args)))
-    violations = find_violations(table)
-    if violations:
-        return {"valid": False, "violations": _violations_payload(violations)}, 1
-    X = CycleSet(table)
+    X = jsonio.cycleset_from_dict(_read_json(_require_input(args)))
     sol = to_solution(X)
     try:
         solution_ok = from_solution(sol) == X
@@ -241,7 +240,8 @@ def _cmd_classify(args):
 
 
 def _cmd_enumerate(args):
-    mode = _MODES[args.mode]
+    mode, cap = _MODES[args.mode]
+    _check_size(f"enumerate --mode {args.mode}", cap, args.n)
     config = SearchConfig(max_candidates=args.budget, mode=mode)
     structures = brute_force_enumerate(args.n, config)
     payload = {"n": args.n, "mode": mode, "count": len(structures)}
@@ -378,20 +378,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload, code = _HANDLERS[args.command](args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvalidCycleSet as exc:
         _emit({"valid": False,
                "violations": _violations_payload(exc.violations)}, args)
         return 1
-    except CycleSetError as exc:
-        _emit({"error": str(exc)}, args)
-        return 1
-    except ValueError as exc:
+    except (CycleSetError, ValueError) as exc:
         _emit({"error": str(exc)}, args)
         return 1
     _emit(payload, args)

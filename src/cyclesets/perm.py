@@ -210,7 +210,6 @@ class PermGroup:
 def generate_group(
     generators: Iterable[Permutation],
     degree: Optional[int] = None,
-    max_elements: int = DEFAULT_MAX_GROUP_ELEMENTS,
 ) -> PermGroup:
     """Breadth-first closure of the generators under composition.
 
@@ -237,9 +236,9 @@ def generate_group(
             for g in gens:
                 h = g.compose(f)
                 if h.images not in seen:
-                    if len(seen) >= max_elements:
+                    if len(seen) >= DEFAULT_MAX_GROUP_ELEMENTS:
                         raise BudgetExceeded(
-                            f"group closure exceeds {max_elements} elements"
+                            f"group closure exceeds {DEFAULT_MAX_GROUP_ELEMENTS} elements"
                         )
                     seen[h.images] = h
                     new.append(h)

@@ -121,12 +121,6 @@ class TestEnumerateSpecs:
     def test_lift_equals_generate_and_test(self, p, k):
         reference = generate_and_test_specs(p, k)
         assert enumerate_specs(p, k) == reference
-        # the reference loops over levels outermost, so its output for one
-        # level is the matching slice of the whole list
-        for lvl in range(k + 2):
-            assert enumerate_specs(p, k, level=lvl) == [
-                spec for spec in reference if spec.level == lvl
-            ], lvl
 
     def test_emitted_specs_are_admissible(self):
         for p, k in ((2, 6), (3, 4), (5, 3), (13, 2)):
@@ -156,10 +150,6 @@ class TestEnumerateSpecs:
         assert "budget of 300 expansions" in message
         # (4, 1, 0) is the tail of the level-3 chain (5, 4, 1, 0)
         assert message.endswith("exponent chain (4, 1, 0) at size 2^4")
-
-    def test_level_filter(self):
-        assert enumerate_specs(2, 3, level=3) == []
-        assert len(enumerate_specs(2, 3, level=2)) == 1
 
     def test_rejects_composite_p(self):
         with pytest.raises(ValueError):

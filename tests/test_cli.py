@@ -438,6 +438,29 @@ class TestClassifyAndEnumerate:
         code, payload, _ = run_json(capsys, "enumerate", "6", "--mode", "spec")
         assert code == 1 and "error" in payload
 
+    @pytest.mark.parametrize("n,mode,cap", [
+        ("170", "spec", 169),
+        ("1000003", "spec", 169),
+        ("6", "full", 5),
+        ("26", "regular-abelian", 25),
+    ])
+    def test_enumerate_size_cap_is_a_usage_error(self, capsys, monkeypatch, n, mode,
+                                                 cap):
+        # rejected before any work: no search, no spec, no table
+        def no_work(*args, **kwargs):
+            raise AssertionError("enumerate ran past its size cap")
+
+        for name in ("_spec_family", "_full_search", "_template_search", "prime_power"):
+            monkeypatch.setattr(classify_module, name, no_work)
+        code, out, err = run(capsys, "enumerate", n, "--mode", mode, "--count")
+        assert code == 2 and out == ""
+        assert f"at most {cap} points" in err
+
+    @pytest.mark.parametrize("n,mode,count", [("5", "full", 2640), ("169", "spec", 13)])
+    def test_enumerate_size_cap_admits_its_bound(self, capsys, n, mode, count):
+        code, payload, _ = run_json(capsys, "enumerate", n, "--mode", mode, "--count")
+        assert code == 0 and payload["count"] == count
+
     @pytest.mark.parametrize("argv", [
         ("classify", "--p", "3", "--q", "3"),
         ("classify", "--p", "2", "--k", "4"),

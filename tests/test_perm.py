@@ -12,6 +12,7 @@ from cyclesets import (
     is_transitive,
     parse_permutation,
 )
+from cyclesets import perm
 
 
 def cyc(text, degree=None):
@@ -155,9 +156,10 @@ class TestGroups:
             generate_group([], degree=0)
         assert generate_group([], degree=3).order == 1
 
-    def test_closure_cap(self):
+    def test_closure_cap(self, monkeypatch):
+        monkeypatch.setattr(perm, "DEFAULT_MAX_GROUP_ELEMENTS", 10)
         with pytest.raises(BudgetExceeded):
-            generate_group([cyc("(0 1 2 3 4 5)"), cyc("(0 1)", 6)], max_elements=10)
+            generate_group([cyc("(0 1 2 3 4 5)"), cyc("(0 1)", 6)])
 
     def test_nonabelian_detection(self):
         g = generate_group([cyc("(0 1 2)"), cyc("(0 1)", 3)])
