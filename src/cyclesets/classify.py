@@ -35,13 +35,10 @@ from .construct import (
 from .cycleset import (
     CycleSet,
     _certificate,
-    _row_types,
-    are_isomorphic,
     f_invariant,
     is_indecomposable,
     mpl,
     permutation_group,
-    retraction_tower_sizes,
 )
 from .errors import BudgetExceeded, HypothesesError, OracleDisagreement
 from .perm import Permutation, PermGroup, is_abelian, is_cyclic
@@ -113,55 +110,29 @@ def group_type_of(group: PermGroup) -> str:
     return "nonabelian"
 
 
-def _invariant_key(X: CycleSet):
-    # a filter only: classes are decided by the exact are_isomorphic test
-    return (
-        tuple(retraction_tower_sizes(X)),
-        tuple(sorted(_row_types(X))),
-    )
-
-
 def dedupe_by_isomorphism(
     structures: Iterable[CycleSet],
     constraint: str = "any",
     templates: Sequence[str] = (),
 ) -> ClassificationReport:
-    """Greedy partition into isomorphism classes.
+    """Partition into isomorphism classes.
 
-    The inputs are scanned in increasing row-major encoding, so the witness
-    of each class is its least member and classes are created, and listed,
-    in increasing witness encoding: identical inputs produce byte-identical
-    reports.
-
-    Each class is a ``[witness, count]`` record filed under a key: the
-    table's certificate (see :func:`cyclesets.cycleset._certificate`) if it
-    has one, its ``_invariant_key`` otherwise; a certificate is a tuple of
-    ints and an invariant key a pair of tuples, so the two never collide.
-    Isomorphic tables have equal certificates, and equal certificates spell
-    the same relabelled table, so a certified table joins the one record
-    under its key untested.  Having a certificate is itself invariant, so
-    any other table (a decomposable one, mostly) is tested with
-    :func:`are_isomorphic` against the witnesses under its key, in order.
+    Each class is a ``[witness, count]`` record filed under the certificate
+    of its tables (see :func:`cyclesets.cycleset._certificate`): isomorphic
+    tables have equal certificates, and equal certificates spell the same
+    relabelled table.  The inputs are scanned in increasing row-major
+    encoding, so the witness of each class is its least member and classes
+    are created, and listed, in increasing witness encoding: identical
+    inputs produce byte-identical reports.
     """
     xs = sorted(structures, key=lambda X: X.encoding())
     if xs and any(X.n != xs[0].n for X in xs):
         raise ValueError("all structures must have the same size")
-    classes: dict[tuple, list[list]] = {}
+    classes: dict[tuple[int, ...], list] = {}
     for X in xs:
-        cert = _certificate(X)
-        bucket = classes.setdefault(_invariant_key(X) if cert is None else cert, [])
-        for record in bucket:
-            if cert is not None or are_isomorphic(X, record[0]) is not None:
-                record[1] += 1
-                break
-        else:
-            bucket.append([X, 1])
-    # witnesses were created in increasing encoding; list them that way
-    records = sorted(
-        itertools.chain.from_iterable(classes.values()), key=lambda r: r[0].encoding()
-    )
+        classes.setdefault(_certificate(X), [X, 0])[1] += 1
     entries = []
-    for w, count in records:
+    for w, count in classes.values():
         group = permutation_group(w)
         entries.append(
             ClassEntry(

@@ -29,6 +29,7 @@ from .construct import (
 )
 from .cycleset import (
     Solution,
+    _retraction_steps,
     are_isomorphic,
     from_solution,
     is_indecomposable,
@@ -36,8 +37,6 @@ from .cycleset import (
     is_square_free,
     mpl,
     permutation_group,
-    retract,
-    retraction_tower,
     retraction_tower_sizes,
     to_solution,
 )
@@ -186,20 +185,18 @@ def _cmd_build(args):
 
 def _cmd_retract(args):
     X = jsonio.cycleset_from_dict(_read_json(_require_input(args)))
-    tower = retraction_tower(X)
-    steps = []
-    for level in tower[:-1]:
-        step = retract(level)
-        steps.append(
+    steps = _retraction_steps(X)
+    sizes = [X.n] + [step.quotient.n for step in steps]
+    payload = {
+        "sizes": sizes,
+        "mpl": len(steps) if sizes[-1] == 1 else None,
+        "steps": [
             {
                 "projection": list(step.projection),
                 "quotient": jsonio.cycleset_to_dict(step.quotient),
             }
-        )
-    payload = {
-        "sizes": [level.n for level in tower],
-        "mpl": mpl(X),
-        "steps": steps,
+            for step in steps
+        ],
     }
     return payload, 0
 

@@ -62,7 +62,7 @@ class CycleSet:
     untrusted tables.
     """
 
-    __slots__ = ("_table", "_types")
+    __slots__ = ("_table",)
 
     def __init__(self, table):
         rows = _normalize_table(table)
@@ -70,7 +70,6 @@ class CycleSet:
             if len(set(row)) != len(row):
                 raise TableError(f"row {x} is not a bijection")
         self._table = rows
-        self._types = None
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "CycleSet":
@@ -78,7 +77,6 @@ class CycleSet:
         without checks."""
         X = object.__new__(cls)
         X._table = rows
-        X._types = None
         return X
 
     @property
@@ -232,15 +230,22 @@ def retract(X: CycleSet) -> RetractionStep:
     return RetractionStep(quotient=CycleSet(qtable), projection=tuple(proj))
 
 
-def retraction_tower(X: CycleSet) -> list[CycleSet]:
+def _retraction_steps(X: CycleSet) -> list[RetractionStep]:
     """Iterated retractions until the quotient is a point or stops shrinking."""
-    tower = [X]
-    while tower[-1].n > 1:
-        nxt = retract(tower[-1]).quotient
-        if nxt.n == tower[-1].n:
+    steps: list[RetractionStep] = []
+    while X.n > 1:
+        step = retract(X)
+        if step.quotient.n == X.n:
             break
-        tower.append(nxt)
-    return tower
+        steps.append(step)
+        X = step.quotient
+    return steps
+
+
+def retraction_tower(X: CycleSet) -> list[CycleSet]:
+    """X and its iterated retractions, down to a point or an irretractable
+    quotient."""
+    return [X] + [step.quotient for step in _retraction_steps(X)]
 
 
 def retraction_tower_sizes(X: CycleSet) -> list[int]:
@@ -357,11 +362,9 @@ def from_solution(sol: Solution) -> CycleSet:
 
 
 def _row_types(X: CycleSet) -> tuple[tuple[int, ...], ...]:
-    """The cycle type of each row, computed once per distinct row and kept."""
-    if X._types is None:
-        types = {row: Permutation._trusted(row).cycle_type() for row in set(X._table)}
-        X._types = tuple(types[row] for row in X._table)
-    return X._types
+    """The cycle type of each row, computed once per distinct row."""
+    types = {row: Permutation._trusted(row).cycle_type() for row in set(X._table)}
+    return tuple(types[row] for row in X._table)
 
 
 def are_isomorphic(X: CycleSet, Y: CycleSet) -> Optional[tuple[int, ...]]:
@@ -433,55 +436,54 @@ def are_isomorphic(X: CycleSet, Y: CycleSet) -> Optional[tuple[int, ...]]:
     return None
 
 
-def _certificate(X: CycleSet) -> Optional[tuple[int, ...]]:
-    """A canonical form of an indecomposable X, or None.
+def _certificate(X: CycleSet) -> tuple[int, ...]:
+    """A canonical form of X: equal for two tables iff they are isomorphic.
 
-    A seed s is labelled 0, and the points are then visited in label order:
-    at the m-th point, the labels of order[i] . order[m] and
-    order[m] . order[i] for i < m are emitted, then that of
-    order[m] . order[m], and a point takes the next free label the first
-    time it appears.  When s generates X, the n^2 labels spell the table
-    relabelled along the visiting order, so two tables get equal sequences
-    from some seeds exactly when they are isomorphic.  The certificate is
-    the least sequence over the seeds of least row cycle type, which an
-    isomorphism carries onto each other; it is None when X is decomposable
-    (each point's products stay inside its invariant part) or when no such
-    seed generates X.
+    Seeds label points in turn: a seed takes the next free label, and the
+    labelled points are then visited in label order.  At the m-th point the
+    labels of order[i] . order[m] and order[m] . order[i] for i < m are
+    emitted, then that of order[m] . order[m], and a point takes the next
+    free label the first time it appears.  When the labelled points close
+    under the operation before all n are labelled, the next seed is chosen
+    among the unlabelled points, so the n^2 labels always spell the table
+    relabelled along the visiting order, and equal sequences mean isomorphic
+    tables.  Every choice of seed is tried among the unlabelled points of
+    greatest row cycle type, which an isomorphism carries onto each other,
+    and the certificate is the least sequence.
 
-    A seed is dropped once its sequence exceeds the least so far.  A seed
-    that ties with it gives an automorphism, best order[i] -> order[i];
-    the orbits of the automorphisms found are kept in a union-find rooted
-    at their least point, and a seed that is not its orbit's root has the
-    sequence of that root, which was already tried, so it is skipped.
-    This is the seeded case of individualisation-refinement (McKay and
-    Piperno, "Practical graph isomorphism II", 2014).
+    A branch is dropped once one of its blocks exceeds the least sequence's.
+    A leaf that ties with it gives an automorphism, best order[i] ->
+    order[i], which fixes the labels before the two paths diverge and maps
+    the least leaf's finished branch there onto the current one, so the
+    search jumps back to that branch point.  Each open branch point keeps
+    the orbits of the automorphisms found below it, which fix its labelled
+    points, in a union-find rooted at their least point; a seed there that
+    is not its orbit's root has the sequences of that root, which was
+    already tried, so it is skipped.  This is individualisation-refinement
+    (McKay and Piperno, "Practical graph isomorphism II", 2014).
     """
-    if not is_indecomposable(X):
-        return None
     table = X._table
     n = len(table)
     types = _row_types(X)
-    least = min(types)
-    orbit = list(range(n))
+    orbits: list[list[int]] = []  # a union-find per open branch point
+    label = [-1] * n
+    order: list[int] = []
+    seq: list[int] = []
+    best: list[int] = []
+    best_order: list[int] = []
 
-    def root(x: int) -> int:
+    def root(orbit: list[int], x: int) -> int:
         while orbit[x] != x:
             orbit[x] = orbit[orbit[x]]
             x = orbit[x]
         return x
 
-    best: Optional[list[int]] = None
-    best_order: list[int] = []
-    for s in range(n):
-        if types[s] != least or root(s) != s:
-            continue
-        label = [-1] * n
-        label[s] = 0
-        order = [s]
-        seq: list[int] = []
+    def descend(m: int, below: bool) -> int:
+        """Emit the blocks of order[m:], branching over seeds when the
+        labelled points close; return the label of the branch point to
+        resume at.  ``below`` says the sequence so far is less than best's
+        prefix, else it equals it."""
         append = seq.append
-        below = best is None  # else the sequence so far equals best's prefix
-        m = 0
         while m < len(order):
             x = order[m]
             rx = table[x]
@@ -508,19 +510,44 @@ def _certificate(X: CycleSet) -> Optional[tuple[int, ...]]:
             if not below:
                 block, best_block = seq[start:], best[start:len(seq)]
                 if block > best_block:
-                    break
+                    return n
                 below = block < best_block
             m += 1
-        if m < n:  # dropped, or s generates fewer than n points
-            continue
-        if below:
-            best, best_order = seq, order
-            continue
-        for a, b in zip(best_order, order):
-            a, b = root(a), root(b)
-            if a != b:
-                orbit[max(a, b)] = min(a, b)
-    return None if best is None else tuple(best)
+        if m == n:
+            if below:
+                best[:], best_order[:] = seq, order
+                return n
+            for orbit in orbits:
+                for a, b in zip(best_order, order):
+                    a, b = root(orbit, a), root(orbit, b)
+                    if a != b:
+                        orbit[max(a, b)] = min(a, b)
+            return next(i for i in range(n) if best_order[i] != order[i])
+        free = [x for x in range(n) if label[x] < 0]
+        top = max(types[x] for x in free)
+        mark = len(seq)
+        orbit = list(range(n))
+        orbits.append(orbit)
+        for s in free:
+            if types[s] != top or root(orbit, s) != s:
+                continue
+            label[s] = m
+            order.append(s)
+            back = descend(m, below)
+            for x in order[m:]:
+                label[x] = -1
+            del order[m:], seq[mark:]
+            if back < m:
+                break
+            below = False  # the first branch set best through this point
+        else:
+            back = n
+        orbits.pop()
+        return back
+
+    descend(0, True)
+    del descend  # it refers to itself: free its lists now, not at the next gc
+    return tuple(best)
 
 
 def f_invariant(X: CycleSet) -> Optional[tuple[int, ...]]:

@@ -30,14 +30,15 @@ from cyclesets import (
     permutation_group,
     phi_injectivity_check,
     relabel,
+    retraction_tower_sizes,
     trivial_cycle_set,
 )
 from cyclesets import classify as classify_module
+from cyclesets import cycleset as cycleset_module
 from cyclesets.classify import (
     _Budget,
     _automorphism_transporters,
     _full_search,
-    _invariant_key,
     _require_matching,
     _spec_family,
     _stabilizer_transporters,
@@ -78,10 +79,14 @@ def generate_and_test_specs(p, k):
 
 def pairwise_dedupe(structures):
     """Reference: the greedy pairwise partition, every table tested with
-    ``are_isomorphic`` against the witnesses that share its key."""
+    ``are_isomorphic`` against the witnesses that share its key (tower
+    sizes and sorted row cycle types)."""
     reps = []
     for X in sorted(structures, key=lambda X: X.encoding()):
-        key = _invariant_key(X)
+        key = (
+            retraction_tower_sizes(X),
+            sorted(Permutation(row).cycle_type() for row in X.table),
+        )
         for rep in reps:
             if rep[1] == key and are_isomorphic(X, rep[0]) is not None:
                 rep[2] += 1
@@ -504,7 +509,7 @@ class TestDedupe:
 
     @pytest.mark.parametrize("kind,arg", [
         *(("full", n) for n in range(1, 6)),
-        *(("restricted", n) for n in range(1, 13)),
+        *(("restricted", n) for n in range(1, 15)),
         ("spec-family", (2, 6)),
         ("spec-family", (5, 3)),
     ], ids=str)
@@ -518,27 +523,23 @@ class TestDedupe:
         got = json.dumps(report_to_dict(dedupe_by_isomorphism(tables)))
         assert got == json.dumps(report_to_dict(pairwise_dedupe(tables)))
 
-    def test_certified_tables_skip_the_pairwise_scan(self, monkeypatch):
+    def test_dedupe_makes_no_are_isomorphic_call(self, monkeypatch):
         calls = []
 
-        def counting(name, fn):
-            def wrapper(*args):
-                calls.append(name)
-                return fn(*args)
-            return wrapper
+        def counting(X, Y):
+            calls.append((X, Y))
+            return are_isomorphic(X, Y)
 
-        for name in ("are_isomorphic", "_invariant_key"):
-            monkeypatch.setattr(
-                classify_module, name, counting(name, getattr(classify_module, name))
-            )
+        for module in (cycleset_module, classify_module):
+            monkeypatch.setattr(module, "are_isomorphic", counting, raising=False)
         assert len(classify_pq(11, 11).classes) == 12
         report = classify_cyclic_prime_power(13, 2)
         assert len(report.classes) == 13
         assert all(e.group_type == "cyclic" for e in report.classes)
+        # decomposable tables take the same route
+        full = SearchConfig(mode="full-bruteforce")
+        assert len(dedupe_by_isomorphism(brute_force_enumerate(3, full)).classes) == 5
         assert calls == []
-        # decomposable tables still take the pairwise route
-        dedupe_by_isomorphism(brute_force_enumerate(3, SearchConfig(mode="full-bruteforce")))
-        assert "are_isomorphic" in calls and "_invariant_key" in calls
 
     def test_witness_is_least_encoding_member(self, golden4):
         from cyclesets import relabel

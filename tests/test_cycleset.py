@@ -44,6 +44,12 @@ ALL_IDENTITY_4 = [[0, 1, 2, 3]] * 4
 # the full size-4 census (its permutation group is nonabelian of order 8)
 IRRETRACTABLE_4 = ((0, 1, 3, 2), (2, 3, 1, 0), (1, 0, 2, 3), (3, 2, 0, 1))
 
+# a restricted-mode table on Z/10: rows 0 and 5 are x -> x + 5, the rest the
+# identity, so seeds of least row cycle type each close at one point
+TWO_INVOLUTIONS_10 = tuple(
+    tuple((y + 5 * (x % 5 == 0)) % 10 for y in range(10)) for x in range(10)
+)
+
 
 class TestValidate:
     def test_golden_table_is_valid(self, golden4):
@@ -283,16 +289,12 @@ def decode_certificate(cert):
 class TestCertificate:
     def test_agrees_with_are_isomorphic_on_census_pairs(self):
         full = SearchConfig(mode="full-bruteforce")
-        tables = [
-            X
-            for n in range(1, 5)
-            for X in brute_force_enumerate(n, full)
-            if is_indecomposable(X)
-        ]
+        # the full census, decomposable tables included
+        tables = [X for n in range(1, 5) for X in brute_force_enumerate(n, full)]
         tables += [
             X for n in (8, 9) for X in brute_force_enumerate(n) if is_indecomposable(X)
         ]
-        assert len(tables) == 46 + 48 + 66
+        assert len(tables) == 183 + 48 + 66
         certs = [_certificate(X) for X in tables]
         for i, X in enumerate(tables):
             for j in range(i, len(tables)):
@@ -301,7 +303,15 @@ class TestCertificate:
 
     @given(st.data())
     def test_relabeling_keeps_the_certificate(self, corpus, data):
-        _, X = data.draw(st.sampled_from(corpus))
+        decomposable = [
+            (name, CycleSet(table))
+            for name, table in (
+                ("all-identity-4", ALL_IDENTITY_4),
+                ("irretractable-4", IRRETRACTABLE_4),
+                ("two-involutions-10", TWO_INVOLUTIONS_10),
+            )
+        ]
+        _, X = data.draw(st.sampled_from(corpus + decomposable))
         f = tuple(data.draw(st.permutations(range(X.n))))
         assert _certificate(relabel(X, f)) == _certificate(X)
 
@@ -325,13 +335,19 @@ class TestCertificate:
             assert are_isomorphic(X, Y) is not None
             assert _certificate(Y) == cert
 
-    def test_none_without_a_generating_seed(self):
+    def test_spells_an_isomorphic_table_without_a_generating_seed(self):
         # decomposable: every point's products stay in its invariant part
-        assert _certificate(CycleSet(ALL_IDENTITY_4)) is None
-        # indecomposable, but its seeds of least row cycle type, 0 and 2,
-        # are idempotent: each generates only itself
+        assert not is_indecomposable(CycleSet(TWO_INVOLUTIONS_10))
+        assert CycleSet(TWO_INVOLUTIONS_10) in brute_force_enumerate(10)
+        # indecomposable, but its idempotent points 0 and 2 each generate
+        # only themselves
         assert is_indecomposable(CycleSet(IRRETRACTABLE_4))
-        assert _certificate(CycleSet(IRRETRACTABLE_4)) is None
+        for table in (ALL_IDENTITY_4, TWO_INVOLUTIONS_10, IRRETRACTABLE_4):
+            X = validate(table)
+            cert = _certificate(X)
+            Y = validate(decode_certificate(cert))
+            assert are_isomorphic(X, Y) is not None
+            assert _certificate(Y) == cert
         assert _certificate(trivial_cycle_set(1)) == (0,)
         # x . y = y + 1 from the seed 0: blocks (1), (2, 1, 2), (0, 1, 0, 2, 0)
         assert _certificate(trivial_cycle_set(3)) == (1, 2, 1, 2, 0, 1, 0, 2, 0)
