@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .arith import factorize, is_prime, partitions, prime_power
@@ -35,9 +36,10 @@ from .construct import (
 from .cycleset import (
     CycleSet,
     _certificate,
+    _mpl_of_steps,
+    _retraction_steps,
     f_invariant,
     is_indecomposable,
-    mpl,
     permutation_group,
 )
 from .errors import BudgetExceeded, HypothesesError, OracleDisagreement
@@ -110,6 +112,26 @@ def group_type_of(group: PermGroup) -> str:
     return "nonabelian"
 
 
+def _group_order_type(X: CycleSet) -> tuple[int, str]:
+    """The order and :func:`group_type_of` of the row group of X.
+
+    When the distinct rows commute and act transitively, the group is
+    abelian and transitive, hence regular: its order is n, and it is cyclic
+    iff the lcm of the row orders (its exponent) is n.  Otherwise the group
+    is closed.
+    """
+    rows = tuple(dict.fromkeys(X.table))
+    if all(
+        tuple(map(r.__getitem__, s)) == tuple(map(s.__getitem__, r))
+        for i, r in enumerate(rows)
+        for s in rows[i + 1:]
+    ) and is_indecomposable(X):
+        exponent = lcm(*(Permutation._trusted(r).order() for r in rows))
+        return X.n, "cyclic" if exponent == X.n else "abelian-noncyclic"
+    group = permutation_group(X)
+    return group.order, group_type_of(group)
+
+
 def dedupe_by_isomorphism(
     structures: Iterable[CycleSet],
     constraint: str = "any",
@@ -133,14 +155,16 @@ def dedupe_by_isomorphism(
         classes.setdefault(_certificate(X), [X, 0])[1] += 1
     entries = []
     for w, count in classes.values():
-        group = permutation_group(w)
+        level = _mpl_of_steps(w, _retraction_steps(w))
+        order, kind = _group_order_type(w)
         entries.append(
             ClassEntry(
                 witness=w,
-                mpl=mpl(w),
-                group_order=group.order,
-                group_type=group_type_of(group),
-                f_invariant=f_invariant(w),
+                mpl=level,
+                group_order=order,
+                group_type=kind,
+                # None at every level but 2
+                f_invariant=f_invariant(w) if level == 2 else None,
                 raw_count=count,
             )
         )

@@ -18,7 +18,7 @@ from .classify import (
     brute_force_enumerate,
     classify_cyclic_prime_power,
     classify_pq,
-    group_type_of,
+    _group_order_type,
 )
 from .construct import (
     build_elementary_abelian,
@@ -29,15 +29,13 @@ from .construct import (
 )
 from .cycleset import (
     Solution,
+    _mpl_of_steps,
     _retraction_steps,
     are_isomorphic,
     from_solution,
     is_indecomposable,
     is_nondegenerate,
     is_square_free,
-    mpl,
-    permutation_group,
-    retraction_tower_sizes,
     to_solution,
 )
 from .errors import CycleSetError, FormatError, InvalidCycleSet
@@ -137,17 +135,18 @@ def _cmd_verify(args):
         solution_ok = from_solution(sol) == X
     except CycleSetError:
         solution_ok = False
-    group = permutation_group(X)
+    group_order, group_type = _group_order_type(X)
+    steps = _retraction_steps(X)
     payload = {
         "valid": True,
         "n": X.n,
         "square_free": is_square_free(X),
         "nondegenerate": is_nondegenerate(X),
         "indecomposable": is_indecomposable(X),
-        "group_order": group.order,
-        "group_type": group_type_of(group),
-        "mpl": mpl(X),
-        "tower": retraction_tower_sizes(X),
+        "group_order": group_order,
+        "group_type": group_type,
+        "mpl": _mpl_of_steps(X, steps),
+        "tower": [X.n] + [step.quotient.n for step in steps],
         "solution_checks": solution_ok,
     }
     return payload, 0
@@ -186,10 +185,9 @@ def _cmd_build(args):
 def _cmd_retract(args):
     X = jsonio.cycleset_from_dict(_read_json(_require_input(args)))
     steps = _retraction_steps(X)
-    sizes = [X.n] + [step.quotient.n for step in steps]
     payload = {
-        "sizes": sizes,
-        "mpl": len(steps) if sizes[-1] == 1 else None,
+        "sizes": [X.n] + [step.quotient.n for step in steps],
+        "mpl": _mpl_of_steps(X, steps),
         "steps": [
             {
                 "projection": list(step.projection),

@@ -40,11 +40,17 @@ from .cycleset import CycleSet, retraction_tower_sizes
 from .errors import HypothesesError, SpecError
 
 
+def _shift(m: int, e: int) -> tuple[int, ...]:
+    """The row j -> j + e (mod m)."""
+    e %= m
+    return tuple(range(e, m)) + tuple(range(e))
+
+
 def trivial_cycle_set(m: int) -> CycleSet:
     """The shift table i . j = j + 1 (mod m): indecomposable, level 1."""
     if m < 1:
         raise ValueError("size must be at least 1")
-    return CycleSet(tuple(tuple((j + 1) % m for j in range(m)) for _ in range(m)))
+    return CycleSet._trusted((_shift(m, 1),) * m)
 
 
 def mixed_radix_digits(value: int, p: int, exponents: Sequence[int]) -> tuple[int, ...]:
@@ -237,11 +243,9 @@ def build_prime_power(spec: CyclicBuildSpec, check: bool = True) -> CycleSet:
         validate_spec(spec)
     else:
         _structural_check(spec)
-    size = spec.size
     exps = sigma_exponents(spec)
-    return CycleSet(
-        tuple(tuple((j + exps[i]) % size for j in range(size)) for i in range(size))
-    )
+    rows = {e: _shift(spec.size, e) for e in exps}  # translations, so bijective
+    return CycleSet._trusted(tuple(map(rows.__getitem__, exps)))
 
 
 def extract_spec(X: CycleSet) -> CyclicBuildSpec:
@@ -355,8 +359,8 @@ def build_elementary_abelian(p: int) -> CycleSet:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return CycleSet(
-        [((b + 1) % p) * p + (j + a) % p for b in range(p) for j in range(p)]
+    rows = [  # row (a, i) is the translation by (1, a), so bijective
+        tuple(((b + 1) % p) * p + (j + a) % p for b in range(p) for j in range(p))
         for a in range(p)
-        for _ in range(p)
-    )
+    ]
+    return CycleSet._trusted(tuple(row for row in rows for _ in range(p)))

@@ -206,28 +206,30 @@ def retract(X: CycleSet) -> RetractionStep:
     A finite valid cycle set always admits this quotient; an ill-defined
     induced operation raises :class:`RetractionError` and indicates a
     degenerate input.
+
+    The points of a class share one row, so each class's quotient row is
+    read at the classes' least members and is well defined when it agrees
+    with the projected row at every point.  The first class and, in its row,
+    the first point where they disagree are the first pair of classes that
+    a scan of all (x, y) in order finds with two values.  A well-defined
+    quotient of bijective rows has bijective rows, so it is not re-checked.
     """
-    n = X.n
-    class_of: dict[tuple[int, ...], int] = {}
-    proj = []
-    for x in range(n):
-        row = X.table[x]
-        if row not in class_of:
-            class_of[row] = len(class_of)
-        proj.append(class_of[row])
-    m = len(class_of)
-    qtable = [[-1] * m for _ in range(m)]
-    for x in range(n):
-        for y in range(n):
-            a, b = proj[x], proj[y]
-            c = proj[X.table[x][y]]
-            if qtable[a][b] == -1:
-                qtable[a][b] = c
-            elif qtable[a][b] != c:
-                raise RetractionError(
-                    f"quotient ill-defined on classes ({a}, {b})"
-                )
-    return RetractionStep(quotient=CycleSet(qtable), projection=tuple(proj))
+    table = X._table
+    reps: dict[tuple[int, ...], int] = {}  # row -> least point with it
+    for x, row in enumerate(table):
+        reps.setdefault(row, x)
+    class_of = {row: c for c, row in enumerate(reps)}
+    proj = tuple(map(class_of.__getitem__, table))
+    at_reps = tuple(reps.values())
+    qtable = []
+    for a, row in enumerate(reps):
+        prow = tuple(map(proj.__getitem__, row))
+        qrow = tuple(map(prow.__getitem__, at_reps))
+        if tuple(map(qrow.__getitem__, proj)) != prow:
+            b = next(c for c, v in zip(proj, prow) if qrow[c] != v)
+            raise RetractionError(f"quotient ill-defined on classes ({a}, {b})")
+        qtable.append(qrow)
+    return RetractionStep(quotient=CycleSet._trusted(tuple(qtable)), projection=proj)
 
 
 def _retraction_steps(X: CycleSet) -> list[RetractionStep]:
@@ -258,8 +260,12 @@ def mpl(X: CycleSet) -> Optional[int]:
     Returns None when the tower stabilizes above size one (irretractable at
     some stage), which cannot happen for indecomposable abelian-group inputs.
     """
-    sizes = retraction_tower_sizes(X)
-    return len(sizes) - 1 if sizes[-1] == 1 else None
+    return _mpl_of_steps(X, _retraction_steps(X))
+
+
+def _mpl_of_steps(X: CycleSet, steps: list[RetractionStep]) -> Optional[int]:
+    """:func:`mpl` read off the retraction steps of X."""
+    return len(steps) if (steps[-1].quotient if steps else X).n == 1 else None
 
 
 class Solution:

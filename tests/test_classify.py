@@ -35,10 +35,12 @@ from cyclesets import (
 )
 from cyclesets import classify as classify_module
 from cyclesets import cycleset as cycleset_module
+from cyclesets.cycleset import _certificate
 from cyclesets.classify import (
     _Budget,
     _automorphism_transporters,
     _full_search,
+    _group_order_type,
     _require_matching,
     _spec_family,
     _stabilizer_transporters,
@@ -497,15 +499,10 @@ class TestDedupe:
         monkeypatch.setattr(Permutation, "cycle_type", counting)
         dedupe_by_isomorphism(indec)
         assert 0 < len(calls) <= sum(len(set(X.table)) for X in indec)
-        # a filled cache is the table's own: relabeled copies still match
+        # the certificate reads nothing but the table: relabeled copies share it
         f = (3, 0, 5, 1, 7, 2, 4, 6)
         for X in indec:
-            Y = relabel(X, f)
-            w = are_isomorphic(X, Y)
-            assert w is not None and all(
-                w[X.table[x][y]] == Y.table[w[x]][w[y]]
-                for x in range(8) for y in range(8)
-            )
+            assert _certificate(relabel(X, f)) == _certificate(X)
 
     @pytest.mark.parametrize("kind,arg", [
         *(("full", n) for n in range(1, 6)),
@@ -541,6 +538,18 @@ class TestDedupe:
         assert len(dedupe_by_isomorphism(brute_force_enumerate(3, full)).classes) == 5
         assert calls == []
 
+    def test_report_makes_no_group_closure(self, monkeypatch):
+        def closure(*args, **kwargs):
+            raise AssertionError("generate_group called")
+
+        for module in (cycleset_module, classify_module):
+            monkeypatch.setattr(module, "generate_group", closure, raising=False)
+        report = classify_pq(11, 11)
+        assert len(report.classes) == 12
+        assert all(e.group_order == 121 for e in report.classes)
+        report = classify_cyclic_prime_power(13, 2)
+        assert [e.group_type for e in report.classes] == ["cyclic"] * 13
+
     def test_witness_is_least_encoding_member(self, golden4):
         from cyclesets import relabel
 
@@ -558,6 +567,16 @@ class TestClassifyPq:
         entry = report.classes[0]
         assert entry.mpl == 1 and entry.group_type == "cyclic" and entry.group_order == 6
         assert report.templates_searched == ("Z/6",)
+
+    @pytest.mark.parametrize("p,q", [(2, 5), (2, 7), (3, 5), (3, 7), (2, 11)])
+    def test_distinct_primes_match_the_oracle(self, p, q):
+        # the p != q theorem: the trivial shift is the only class; its
+        # labelled copies are the translations by the (p - 1)(q - 1) units
+        report = classify_pq(p, q, cross_check=True)
+        assert report.templates_searched == (f"Z/{p * q}",)
+        assert [(e.mpl, e.group_type, e.group_order, e.raw_count)
+                for e in report.classes] == [(1, "cyclic", p * q, (p - 1) * (q - 1))]
+        assert report.classes[0].witness == trivial_cycle_set(p * q)
 
     def test_p_equals_two(self):
         report = classify_pq(2, 2)
@@ -634,6 +653,21 @@ class TestGroupTypeOf:
         assert group_type_of(cyclic) == "cyclic"
         assert group_type_of(klein) == "abelian-noncyclic"
         assert group_type_of(sym3) == "nonabelian"
+
+    def test_order_and_type_equal_the_closure(self, full_census):
+        # decomposable and nonabelian tables take the closure; restricted
+        # tables with abelian transitive row groups do not
+        tables = [X for n in range(1, 5) for X in full_census[n]]
+        tables += [X for n in range(1, 13) for X in brute_force_enumerate(n)]
+        # bijective rows (0 1), (3 4), (1 2), (0 3), (0 3): transitive, and
+        # each row commutes with the next, but the first and third do not
+        tables.append(CycleSet([
+            (1, 0, 2, 3, 4), (0, 1, 2, 4, 3), (0, 2, 1, 3, 4), (3, 1, 2, 0, 4),
+            (3, 1, 2, 0, 4),
+        ]))
+        for X in tables:
+            group = permutation_group(X)
+            assert _group_order_type(X) == (group.order, group_type_of(group))
 
 
 class TestSearchConfig:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -147,6 +148,23 @@ class TestPermutationGroup:
             assert X.row(X.n - 1) == Permutation(X.table[-1])
 
 
+def reference_retract(X):
+    """Reference: the n^2 scan of every pair (x, y), raising on the first
+    pair of classes that gets two values."""
+    class_of = {}
+    proj = [class_of.setdefault(row, len(class_of)) for row in X.table]
+    m = len(class_of)
+    qtable = [[-1] * m for _ in range(m)]
+    for x in range(X.n):
+        for y in range(X.n):
+            a, b, c = proj[x], proj[y], proj[X.table[x][y]]
+            if qtable[a][b] == -1:
+                qtable[a][b] = c
+            elif qtable[a][b] != c:
+                raise RetractionError(f"quotient ill-defined on classes ({a}, {b})")
+    return tuple(proj), CycleSet(qtable)
+
+
 class TestRetraction:
     def test_golden4_retracts_to_two_point_shift(self, golden4):
         step = retract(golden4)
@@ -166,8 +184,41 @@ class TestRetraction:
     def test_ill_defined_quotient_raises(self):
         # row-bijective but not a cycle set; classes {0,1} and {2} conflict
         bad = CycleSet([[1, 2, 0], [1, 2, 0], [0, 1, 2]])
-        with pytest.raises(RetractionError):
+        with pytest.raises(RetractionError, match=r"^quotient ill-defined on classes \(0, 0\)$"):
             retract(bad)
+        # class 0 = {0, 1} has a well-defined quotient row; row 2 sends 0
+        # and 1, one class, to the classes 0 and 1
+        bad = CycleSet([[0, 1, 2, 3], [0, 1, 2, 3], [0, 2, 1, 3], [1, 0, 2, 3]])
+        with pytest.raises(RetractionError, match=r"^quotient ill-defined on classes \(1, 0\)$"):
+            retract(bad)
+
+    def test_equals_the_reference_scan(self):
+        full = SearchConfig(mode="full-bruteforce")
+        tables = [X for n in range(1, 6) for X in brute_force_enumerate(n, full)]
+        tables += [X for n in range(1, 13) for X in brute_force_enumerate(n)]
+        for X in tables:
+            step = retract(X)
+            assert (step.projection, step.quotient) == reference_retract(X)
+            assert type(step.quotient.table[0]) is tuple
+
+    def test_names_the_reference_scans_pair(self):
+        # row-bijective tables whose rows repeat, most of them not cycle sets
+        rng = random.Random(12)
+        raised = 0
+        for _ in range(500):
+            n = rng.randint(2, 7)
+            rows = [rng.sample(range(n), n) for _ in range(rng.randint(1, n))]
+            X = CycleSet([rng.choice(rows) for _ in range(n)])
+            try:
+                expected = reference_retract(X)
+            except RetractionError as exc:
+                raised += 1
+                with pytest.raises(RetractionError, match=rf"^{re.escape(str(exc))}$"):
+                    retract(X)
+            else:
+                step = retract(X)
+                assert (step.projection, step.quotient) == expected
+        assert 100 < raised < 400
 
     def test_tower_sizes(self, golden4, golden8, golden32):
         assert retraction_tower_sizes(golden32) == [32, 8, 2, 1]
