@@ -29,8 +29,6 @@ from .construct import (
     build_prime_power,
     build_p2_level2,
     build_elementary_abelian,
-    exponent_symmetry_check,
-    phi_injectivity_check,
     trivial_cycle_set,
 )
 from .cycleset import (
@@ -265,9 +263,10 @@ def enumerate_specs(
     :func:`_lift_digit_function`).
 
     Chains come in increasing level, and the specs of one chain in
-    increasing ``digit_functions``.  Every emitted spec still passes
-    :func:`phi_injectivity_check` and :func:`exponent_symmetry_check`.  The
-    budget counts expansions, one per digit value tried; exceeding it
+    increasing ``digit_functions``.  Specs are admissible by construction
+    and none is filtered; :func:`build_prime_power` validates each one it
+    builds, so a faulty lift raises :class:`SpecError`, not a lost class.
+    The budget counts expansions, one per digit value tried; exceeding it
     raises :class:`BudgetExceeded` naming the chain being lifted.
     """
     if not is_prime(p):
@@ -300,23 +299,17 @@ def enumerate_specs(
     for lvl in range(2, k + 1):
         for mids in itertools.combinations(range(k - 1, 0, -1), lvl - 1):
             exps = (k,) + mids + (0,)
-            for fs in admissible(exps):
-                spec = CyclicBuildSpec(
-                    p=p, k=k, level=lvl, exponents=exps, digit_functions=fs
-                )
-                if phi_injectivity_check(spec) is None and (
-                    exponent_symmetry_check(spec) is None
-                ):
-                    out.append(spec)
+            out.extend(
+                CyclicBuildSpec(p=p, k=k, level=lvl, exponents=exps, digit_functions=fs)
+                for fs in admissible(exps)
+            )
     return out
 
 
 def _spec_family(p: int, k: int, config: Optional[SearchConfig]) -> list[CycleSet]:
     """The trivial shift of size p^k plus one member per admissible spec."""
     specs = enumerate_specs(p, k, config=config)  # budgeted, so before any table
-    return [trivial_cycle_set(p ** k)] + [
-        build_prime_power(spec, check=False) for spec in specs
-    ]
+    return [trivial_cycle_set(p ** k)] + [build_prime_power(spec) for spec in specs]
 
 
 def classify_cyclic_prime_power(

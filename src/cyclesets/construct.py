@@ -189,6 +189,11 @@ def exponent_symmetry_check(
 
     The witness is the first (i, j, Q(i, j) mod p^k, Q(j, i) mod p^k) in
     lexicographic pair order with mismatched values.
+
+    Q reads i and j only mod period = p^{j_1} < p^k, so only residues are
+    scanned: a mismatch at (i, j) is one at (a, b) = (i, j) mod period, so
+    at (b, a) too, and a != b; so (min(a, b), max(a, b)) is a mismatched
+    pair i < j < period no later than (i, j).
     """
     _structural_check(spec)
     size = spec.size
@@ -199,11 +204,10 @@ def exponent_symmetry_check(
     ktab = [1 + _offset(terms[1:], x) for x in range(period)]
 
     def q(j: int, i: int) -> int:
-        r = i % period
-        return (etab[r] + etab[(j + ktab[r]) % period]) % size
+        return (etab[i] + etab[(j + ktab[i]) % period]) % size
 
-    for i in range(size):
-        for j in range(i + 1, size):
+    for i in range(period):
+        for j in range(i + 1, period):
             qij = q(i, j)
             qji = q(j, i)
             if qij != qji:
@@ -232,17 +236,14 @@ def sigma_exponents(spec: CyclicBuildSpec) -> tuple[int, ...]:
     return tuple(1 + _offset(terms, i) for i in range(spec.size))
 
 
-def build_prime_power(spec: CyclicBuildSpec, check: bool = True) -> CycleSet:
+def build_prime_power(spec: CyclicBuildSpec) -> CycleSet:
     """Build the table of the prime-power family member described by ``spec``.
 
-    With ``check`` (the default) the spec is fully validated first; the
+    The spec is validated first (:func:`validate_spec`), on every call; the
     symmetry congruence is equivalent to the cycle-set axiom, so the output
     is always a valid, indecomposable cycle set of level ``spec.level``.
     """
-    if check:
-        validate_spec(spec)
-    else:
-        _structural_check(spec)
+    validate_spec(spec)
     exps = sigma_exponents(spec)
     rows = {e: _shift(spec.size, e) for e in exps}  # translations, so bijective
     return CycleSet._trusted(tuple(map(rows.__getitem__, exps)))
@@ -282,7 +283,8 @@ def extract_spec(X: CycleSet) -> CyclicBuildSpec:
     for i in range(n):
         row = t[labels[i]]
         shift = pos[row[base]]
-        if any(pos[row[labels[j]]] != (j + shift) % n for j in range(n)):
+        # row i must be the power phi^shift: labels[j] -> labels[j + shift]
+        if list(map(row.__getitem__, labels)) != labels[shift:] + labels[:shift]:
             raise not_cyclic
         if shift == 0:
             raise HypothesesError(f"row {i} does not generate the group")
@@ -337,18 +339,16 @@ def build_p2_level2(p: int, t: int) -> CycleSet:
     """The size-p^2, level-2 member with digit function f(k) = k*t mod p.
 
     This is the k = 2 case of :func:`build_prime_power`, with spec
-    (p, 2, 2, (2, 1, 0), (f,)).  Indecomposable, multipermutation level 2,
-    cyclic permutation group of order p^2; two values of t give
-    non-isomorphic tables.
+    (p, 2, 2, (2, 1, 0), (f,)), and is validated like every other spec.
+    Indecomposable, multipermutation level 2, cyclic permutation group of
+    order p^2; two values of t give non-isomorphic tables.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not 1 <= t <= p - 1:
         raise ValueError(f"t must lie in 1..{p - 1}")
-    # f is admissible for every unit t (see compatible_bijections), so the
-    # O(p^4) symmetry check is not run again
     f = tuple(i * t % p for i in range(p))
-    return build_prime_power(CyclicBuildSpec(p, 2, 2, (2, 1, 0), (f,)), check=False)
+    return build_prime_power(CyclicBuildSpec(p, 2, 2, (2, 1, 0), (f,)))
 
 
 def build_elementary_abelian(p: int) -> CycleSet:

@@ -13,6 +13,7 @@ from cyclesets import (
     HypothesesError,
     OracleDisagreement,
     SearchConfig,
+    SpecError,
     abelian_templates,
     are_isomorphic,
     brute_force_enumerate,
@@ -208,6 +209,18 @@ class TestClassifyCyclicPrimePower:
         report = classify_cyclic_prime_power(p, k)
         assert len(report.classes) == count
         assert all(e.group_type == "cyclic" for e in report.classes)
+
+    def test_a_faulty_lift_raises_rather_than_losing_a_class(self, monkeypatch):
+        # an all-zero f_1 is not injective; every spec is validated when it is
+        # built, so it cannot slip through or vanish from the report
+        lift = classify_module._lift_digit_function
+
+        def faulty(p, exps, tail, budget):
+            return lift(p, exps, tail, budget) + [(0,) * p ** exps[1]]
+
+        monkeypatch.setattr(classify_module, "_lift_digit_function", faulty)
+        with pytest.raises(SpecError, match="not injective"):
+            classify_cyclic_prime_power(3, 2)
 
     def test_golden32_has_one_class(self, golden32):
         report = classify_cyclic_prime_power(2, 5)

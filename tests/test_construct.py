@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -107,6 +108,45 @@ class TestMixedRadix:
         assert mixed_radix_value(digits, p, chain) == value
 
 
+def all_pairs_symmetry_scan(spec):
+    """Reference: Q(i, j) against Q(j, i) over every pair i < j of Z/p^k,
+    straight from the definitions E(x) = sum_m p^{j_m} f_m(x) and
+    K(j, i) = j + 1 + sum_{m >= 2} p^{j_m} f_m(i)."""
+    size = spec.size
+    scales = [spec.p ** j for j in spec.exponents[1:-1]]
+
+    def offset(x, first):
+        return sum(
+            s * f[x % s]
+            for s, f in zip(scales[first - 1:], spec.digit_functions[first - 1:])
+        )
+
+    e = [offset(x, 1) for x in range(size)]
+    k_minus_j = [1 + offset(x, 2) for x in range(size)]
+
+    def q(j, i):
+        return (e[i] + e[(j + k_minus_j[i]) % size]) % size
+
+    for i in range(size):
+        for j in range(i + 1, size):
+            qij = q(i, j)
+            qji = q(j, i)
+            if qij != qji:
+                return (i, j, qij, qji)
+    return None
+
+
+def random_spec(rng, p, exps):
+    """A structurally valid spec on chain ``exps`` with random digit values."""
+    fs = tuple(
+        (0,) + tuple(
+            rng.randrange(p ** (exps[m - 1] - exps[m])) for _ in range(p ** exps[m] - 1)
+        )
+        for m in range(1, len(exps) - 1)
+    )
+    return CyclicBuildSpec(p, exps[0], len(exps) - 1, exps, fs)
+
+
 class TestSpecValidation:
     def test_golden_specs_pass(self):
         for spec in (GOLDEN4_SPEC, GOLDEN8_SPEC, GOLDEN32_SPEC):
@@ -152,6 +192,36 @@ class TestSpecValidation:
         assert q12 != q21
         with pytest.raises(SpecError):
             validate_spec(spec)
+
+    def test_symmetry_scan_matches_all_pairs_reference(self):
+        # the residue scan names the all-pairs scan's first witness, on random
+        # specs over every chain and on one-entry mutants of admissible specs
+        rng = random.Random(20190)
+        witnesses = 0
+        sizes = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4),
+                 (5, 2), (5, 3), (7, 2), (11, 2), (13, 2)]
+        for p, k in sizes:
+            for lvl in range(2, k + 1):
+                for mids in itertools.combinations(range(k - 1, 0, -1), lvl - 1):
+                    for _ in range(40):
+                        spec = random_spec(rng, p, (k,) + mids + (0,))
+                        expected = all_pairs_symmetry_scan(spec)
+                        assert exponent_symmetry_check(spec) == expected
+                        witnesses += expected is not None
+            for spec in enumerate_specs(p, k):
+                assert exponent_symmetry_check(spec) is None
+                assert all_pairs_symmetry_scan(spec) is None
+                for _ in range(3):
+                    fs = [list(f) for f in spec.digit_functions]
+                    m = rng.randrange(len(fs))
+                    radix = p ** (spec.exponents[m] - spec.exponents[m + 1])
+                    x = rng.randrange(1, len(fs[m]))
+                    fs[m][x] = (fs[m][x] + rng.randrange(1, radix)) % radix
+                    mutant = CyclicBuildSpec(p, k, spec.level, spec.exponents, fs)
+                    expected = all_pairs_symmetry_scan(mutant)
+                    assert exponent_symmetry_check(mutant) == expected
+                    witnesses += expected is not None
+        assert witnesses > 1000  # most draws fail
 
 
 class TestPrimePowerBuilder:
@@ -239,7 +309,7 @@ class TestExtractSpec:
         # a power of that cycle: the group is dihedral of order 8
         dihedral = CycleSet(((1, 2, 3, 0), (3, 2, 1, 0), (1, 2, 3, 0), (3, 0, 1, 2)))
         assert permutation_group(dihedral).order == 8
-        with pytest.raises(HypothesesError):
+        with pytest.raises(HypothesesError, match="not cyclic of order 4"):
             extract_spec(dihedral)
 
 
@@ -307,6 +377,18 @@ class TestP2Level2Builder:
                     for i in range(n)
                 )
                 assert f_invariant(X) == f
+
+    def test_builds_every_slope_up_to_the_cli_cap(self):
+        # every spec is validated, up to p = 31, the largest prime whose
+        # p^2 is within the cap of `cycleset build`
+        for p in (2, 3, 5, 7, 31):
+            n = p * p
+            for t in range(1, p):
+                X = build_p2_level2(p, t)
+                # row i is the translation by 1 + p * (i * t mod p)
+                assert [row[0] for row in X.table] == [
+                    (1 + p * (i * t % p)) % n for i in range(n)
+                ]
 
     def test_invariant_equality_decides_isomorphism(self):
         # complete invariant on the cyclic level-2 family: isomorphic exactly
