@@ -20,6 +20,8 @@ the prime-power spec that :func:`cyclesets.construct.extract_spec` recovers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import add, itemgetter
 from typing import Optional
 
 from .arith import prime_power
@@ -39,6 +41,8 @@ DEFAULT_VIOLATION_LIMIT = 100
 #: ("axiom", x, y, z) for a triple where the defining identity fails.
 Violation = tuple
 
+_INT = frozenset({int})
+
 
 def _normalize_table(table) -> tuple[tuple[int, ...], ...]:
     rows = tuple(tuple(r) for r in table)
@@ -48,6 +52,9 @@ def _normalize_table(table) -> tuple[tuple[int, ...], ...]:
     for x, row in enumerate(rows):
         if len(row) != n:
             raise TableError(f"row {x} has length {len(row)}, expected {n}")
+        if set(map(type, row)) <= _INT and 0 <= min(row) and max(row) < n:
+            continue
+        # names the first bad entry, and accepts int subclasses other than bool
         for v in row:
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise TableError(f"entry {v!r} in row {x} out of range 0..{n - 1}")
@@ -115,6 +122,14 @@ def find_violations(table, limit: int = DEFAULT_VIOLATION_LIMIT) -> list[Violati
     Non-bijective rows are reported first (ascending x), then failing triples
     in lexicographic (x, y, z) order; at most ``limit`` entries are returned.
     Raises :class:`TableError` for tables that are ragged or out of range.
+
+    A triple (x, y, z) fails iff sigma_{x.y} o sigma_x and sigma_{y.x} o
+    sigma_y differ at z.  The two composed rows are compared once per
+    unordered pair, by whole-row gathers, when the (x, y) scan reaches x < y;
+    the pair (y, x) is the same comparison with its sides swapped and reads
+    the stored verdict, and x = y always holds.  z is scanned only on a
+    failing pair, in increasing order, so the witness order is that of the
+    plain triple scan.
     """
     rows = _normalize_table(table)
     n = len(rows)
@@ -124,13 +139,20 @@ def find_violations(table, limit: int = DEFAULT_VIOLATION_LIMIT) -> list[Violati
             out.append(("row", x))
             if len(out) >= limit:
                 return out
-    for x in range(n):
+    after = [itemgetter(*row) for row in rows]  # after[x](s) = s o sigma_x
+    failing = bytearray(n * n)  # failing[y * n + x]: pair x < y fails
+    for x, row in enumerate(rows):
         for y in range(n):
-            xy, yx = rows[x][y], rows[y][x]
-            rxy, ryx = rows[xy], rows[yx]
-            rx, ry = rows[x], rows[y]
+            if y <= x and not failing[x * n + y]:
+                continue
+            left = after[x](rows[row[y]])
+            right = after[y](rows[rows[y][x]])
+            if y > x:
+                if left == right:
+                    continue
+                failing[y * n + x] = 1
             for z in range(n):
-                if rxy[rx[z]] != ryx[ry[z]]:
+                if left[z] != right[z]:
                     out.append(("axiom", x, y, z))
                     if len(out) >= limit:
                         return out
@@ -319,7 +341,19 @@ class Solution:
 
 
 def validate_solution(lam, rho) -> Solution:
-    """Full check: bijective rows, r involutive, braid identity on all triples."""
+    """Full check: bijective rows, r involutive, braid identity on all triples.
+
+    Raises :class:`SolutionError` with the first failing pair (x, y) for
+    involutivity, else the first failing triple (x, y, z) for the braid
+    identity r1 r2 r1 = r2 r1 r2, both in lexicographic order.
+
+    With (a, b) = r(x, y), the three components of the two sides are, as
+    functions of z, the gathers lambda_a o lambda_b against lambda_x o
+    lambda_y, rho_{lambda_b(z)}(a) against lambda_j(h), and rho_z(b) against
+    rho_h(j), where h = rho_z(y) and j = rho_{lambda_y(z)}(x).  They are
+    compared once per pair (x, y), and z is scanned only on the first failing
+    pair, so the witness is that of the plain triple scan.
+    """
     sol = Solution(lam, rho)
     n = sol.n
     for x in range(n):
@@ -327,19 +361,25 @@ def validate_solution(lam, rho) -> Solution:
             u, v = sol.r(x, y)
             if sol.r(u, v) != (x, y):
                 raise SolutionError("r is not involutive", (x, y))
+    if n == 1:
+        return sol  # the identity braids; a one-index itemgetter returns a scalar
+    lam, rho = sol.lam, sol.rho
+    cols = tuple(zip(*rho))  # cols[x][z] = rho_z(x)
+    cols_n = tuple(tuple(v * n for v in col) for col in cols)
+    flat_lam = tuple(chain.from_iterable(lam))  # flat_lam[j * n + h] = lambda_j(h)
+    flat_cols = tuple(chain.from_iterable(cols))  # flat_cols[j * n + h] = rho_h(j)
+    after = [itemgetter(*row) for row in lam]  # after[y](s) = s o lambda_y
     for x in range(n):
         for y in range(n):
-            for z in range(n):
-                # r1 = r x id, r2 = id x r acting on triples
-                a, b = sol.r(x, y)
-                c, d = sol.r(b, z)
-                e, f = sol.r(a, c)
-                g, h = sol.r(y, z)
-                i, j = sol.r(x, g)
-                k, m = sol.r(j, h)
-                # r1 r2 r1 (x,y,z) == r2 r1 r2 (x,y,z)
-                if (e, f, d) != (i, k, m):
-                    raise SolutionError("braid identity fails", (x, y, z))
+            a, b = lam[x][y], rho[y][x]
+            # r1 r2 r1 (x, y, z) = (e, f, d) and r2 r1 r2 (x, y, z) = (i, k, m)
+            e, i = after[b](lam[a]), after[y](lam[x])
+            at_jh = itemgetter(*map(add, after[y](cols_n[x]), cols[y]))
+            f, k = after[b](cols[a]), at_jh(flat_lam)
+            d, m = cols[b], at_jh(flat_cols)
+            if (e, f, d) != (i, k, m):
+                z = next(z for z in range(n) if (e[z], f[z], d[z]) != (i[z], k[z], m[z]))
+                raise SolutionError("braid identity fails", (x, y, z))
     return sol
 
 

@@ -1,3 +1,5 @@
+import enum
+import itertools
 import random
 import re
 
@@ -15,6 +17,7 @@ from cyclesets import (
     TableError,
     are_isomorphic,
     brute_force_enumerate,
+    build_elementary_abelian,
     build_p2_level2,
     f_invariant,
     find_violations,
@@ -36,7 +39,7 @@ from cyclesets import (
     validate_solution,
 )
 from cyclesets.classify import _spec_family
-from cyclesets.cycleset import _certificate
+from cyclesets.cycleset import _certificate, _normalize_table
 from conftest import GOLDEN4_TABLE
 
 ALL_IDENTITY_4 = [[0, 1, 2, 3]] * 4
@@ -276,6 +279,214 @@ class TestSolutionCorrespondence:
             s = to_solution(X)
             validate_solution(s.lam, s.rho)
             assert from_solution(s) == X, name
+
+
+def reference_normalize_table(table):
+    """Reference: the per-entry check of every row."""
+    rows = tuple(tuple(r) for r in table)
+    n = len(rows)
+    if n == 0:
+        raise TableError("empty table")
+    for x, row in enumerate(rows):
+        if len(row) != n:
+            raise TableError(f"row {x} has length {len(row)}, expected {n}")
+        for v in row:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                raise TableError(f"entry {v!r} in row {x} out of range 0..{n - 1}")
+    return rows
+
+
+def reference_find_violations(table, limit=100):
+    """Reference: the cubic scan of every triple (x, y, z) in order."""
+    rows = reference_normalize_table(table)
+    n = len(rows)
+    out = []
+    for x, row in enumerate(rows):
+        if len(set(row)) != len(row):
+            out.append(("row", x))
+            if len(out) >= limit:
+                return out
+    for x in range(n):
+        for y in range(n):
+            xy, yx = rows[x][y], rows[y][x]
+            rxy, ryx = rows[xy], rows[yx]
+            rx, ry = rows[x], rows[y]
+            for z in range(n):
+                if rxy[rx[z]] != ryx[ry[z]]:
+                    out.append(("axiom", x, y, z))
+                    if len(out) >= limit:
+                        return out
+    return out
+
+
+def reference_validate_solution(lam, rho):
+    """Reference: six r calls per triple (x, y, z), in order."""
+    sol = Solution(lam, rho)
+    n = sol.n
+    for x in range(n):
+        for y in range(n):
+            u, v = sol.r(x, y)
+            if sol.r(u, v) != (x, y):
+                raise SolutionError("r is not involutive", (x, y))
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                # r1 = r x id, r2 = id x r acting on triples
+                a, b = sol.r(x, y)
+                c, d = sol.r(b, z)
+                e, f = sol.r(a, c)
+                g, h = sol.r(y, z)
+                i, j = sol.r(x, g)
+                k, m = sol.r(j, h)
+                # r1 r2 r1 (x,y,z) == r2 r1 r2 (x,y,z)
+                if (e, f, d) != (i, k, m):
+                    raise SolutionError("braid identity fails", (x, y, z))
+    return sol
+
+
+def solution_outcome(check, lam, rho):
+    """The solution, or the message and witness of the SolutionError."""
+    try:
+        return check(lam, rho)
+    except SolutionError as exc:
+        return str(exc), exc.witness
+
+
+def kernel_tables():
+    """Relabelled members of every family up to n = 64, and a seeded sample
+    of the full census at n <= 4."""
+    rng = random.Random(2024)
+    members = [trivial_cycle_set(n) for n in (1, 2, 3, 5, 8, 16, 64)]
+    members += [build_p2_level2(p, t) for p in (2, 3, 5, 7) for t in range(1, p)]
+    members += [build_elementary_abelian(p) for p in (2, 3, 5, 7)]
+    for p, k in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2)):
+        members += _spec_family(p, k, None)[1:]
+    full = SearchConfig(mode="full-bruteforce")
+    for n in (2, 3, 4):
+        census = brute_force_enumerate(n, full)
+        members += rng.sample(census, min(len(census), 12))
+    tables = []
+    for X in members:
+        images = list(range(X.n))
+        rng.shuffle(images)
+        tables.append(relabel(X, tuple(images)).table)
+    return tables
+
+
+def row_mutant(table, rng, duplicate=False):
+    """The table with two entries of one row swapped or, with ``duplicate``,
+    one entry copied over another (a non-bijective row)."""
+    n = len(table)
+    rows = [list(r) for r in table]
+    x = rng.randrange(n)
+    i, j = rng.sample(range(n), 2)
+    if duplicate:
+        rows[x][i] = rows[x][j]
+    else:
+        rows[x][i], rows[x][j] = rows[x][j], rows[x][i]
+    return rows
+
+
+@pytest.fixture(scope="module")
+def kernel_corpus():
+    return kernel_tables()
+
+
+class TestPairKernels:
+    """The per-pair kernels against the triple scans they replace."""
+
+    def test_find_violations_equals_the_triple_scan(self, kernel_corpus):
+        rng = random.Random(7)
+        failing = 0
+        for table in kernel_corpus:
+            mutants = [row_mutant(table, rng, dup) for dup in (False, True)] if len(table) > 1 else []
+            for rows in [table, *mutants]:
+                full = reference_find_violations(rows, 10**6)
+                failing += bool(full)
+                for limit in (1, 2, 100, 10**6):
+                    assert find_violations(rows, limit) == full[:limit], (rows, limit)
+        assert failing > len(kernel_corpus)
+
+    def test_validate_solution_equals_the_triple_scan(self, kernel_corpus):
+        rng = random.Random(11)
+        witnesses = {"braid identity fails": 0, "r is not involutive": 0, "valid": 0}
+        for table in kernel_corpus:
+            X = CycleSet(table)
+            s = to_solution(X)
+            cases = [(s.lam, s.rho)] if X.n <= 32 else []
+            for _ in range(3 if X.n > 1 else 0):
+                try:
+                    t = to_solution(CycleSet(row_mutant(table, rng)))
+                except TableError:  # rho is not bijective
+                    continue
+                cases.append((t.lam, t.rho))
+            if X.n > 1:  # swaps inside lambda or rho mostly break involutivity
+                cases += [(row_mutant(s.lam, rng), s.rho), (s.lam, row_mutant(s.rho, rng))]
+            for lam, rho in cases:
+                expected = solution_outcome(reference_validate_solution, lam, rho)
+                assert solution_outcome(validate_solution, lam, rho) == expected
+                witnesses[expected[0].split(" at ")[0] if isinstance(expected, tuple) else "valid"] += 1
+        assert witnesses == {"braid identity fails": 49, "r is not involutive": 192, "valid": 73}
+
+    def test_valid_solutions_at_64(self):
+        for X in (trivial_cycle_set(64), _spec_family(2, 6, None)[-1]):
+            s = to_solution(X)
+            assert validate_solution(s.lam, s.rho) == reference_validate_solution(s.lam, s.rho)
+
+    @pytest.mark.parametrize("table, expected", [
+        ([[0]], []),
+        ([[1, 0], [1, 0]], []),
+        ([[0, 1], [1, 0]], [("axiom", 0, 1, 0), ("axiom", 0, 1, 1),
+                            ("axiom", 1, 0, 0), ("axiom", 1, 0, 1)]),
+        ([[0, 0], [1, 0]], [("row", 0), ("axiom", 0, 1, 1), ("axiom", 1, 0, 1)]),
+    ])
+    def test_find_violations_at_one_and_two_points(self, table, expected):
+        assert reference_find_violations(table, 10**6) == expected
+        for limit in (1, 2, 100):
+            assert find_violations(table, limit) == expected[:limit]
+
+    def test_validate_solution_at_one_and_two_points(self):
+        assert validate_solution([[0]], [[0]]) == Solution([[0]], [[0]])
+        bijections = [(0, 1), (1, 0)]
+        outcomes = []
+        for lam0, lam1, rho0, rho1 in itertools.product(bijections, repeat=4):
+            lam, rho = (lam0, lam1), (rho0, rho1)
+            expected = solution_outcome(reference_validate_solution, lam, rho)
+            assert solution_outcome(validate_solution, lam, rho) == expected
+            outcomes.append(expected)
+        assert sum(isinstance(o, Solution) for o in outcomes) == 2
+        assert ("r is not involutive at (0, 1)", (0, 1)) in outcomes
+
+    def test_braid_witness_at_three_points(self):
+        lam = [[0, 2, 1], [0, 2, 1], [1, 2, 0]]
+        rho = [[0, 2, 1], [2, 0, 1], [0, 2, 1]]
+        with pytest.raises(SolutionError, match=re.escape("braid identity fails at (0, 0, 1)")):
+            validate_solution(lam, rho)
+
+
+class Small(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+class TestNormalizeTable:
+    @pytest.mark.parametrize("table, message", [
+        ([[0, True], [1, 0]], "entry True in row 0 out of range 0..1"),
+        ([[0, 1], [1.0, 0]], "entry 1.0 in row 1 out of range 0..1"),
+        ([[0, 1], [2, -1]], "entry 2 in row 1 out of range 0..1"),
+        ([[0, -1], [1, 0]], "entry -1 in row 0 out of range 0..1"),
+        ([[0, 1], [1, "0"]], "entry '0' in row 1 out of range 0..1"),
+        ([[0, 1], [0]], "row 1 has length 1, expected 2"),
+    ])
+    def test_rejects_with_the_first_bad_entry(self, table, message):
+        for normalize in (reference_normalize_table, _normalize_table):
+            with pytest.raises(TableError, match=f"^{re.escape(message)}$"):
+                normalize(table)
+
+    def test_accepts_int_enum_members(self):
+        table = [[Small.ONE, Small.ZERO], [1, 0]]
+        assert _normalize_table(table) == reference_normalize_table(table)
+        assert find_violations(table) == []
 
 
 class TestIsomorphism:
