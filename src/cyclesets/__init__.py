@@ -27,8 +27,6 @@ from .construct import (
     compatible_bijections,
     exponent_symmetry_check,
     extract_spec,
-    mixed_radix_digits,
-    mixed_radix_value,
     phi_injectivity_check,
     sigma_exponents,
     trivial_cycle_set,

@@ -293,8 +293,10 @@ def _emit(payload, args) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # only the subcommands that read one payload take --input
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("--input", "-i", help="input path, or '-' for stdin")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", "-i", help="input path, or '-' for stdin")
     common.add_argument("--output", "-o", help="output path (default: stdout)")
     common.add_argument("--pretty", action="store_true",
                         help="human-readable rendering instead of strict JSON")
@@ -306,10 +308,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("verify", parents=[common],
+    sub.add_parser("verify", parents=[reads, common],
                    help="validate a table and report its invariants")
 
-    p_build = sub.add_parser("build", parents=[common],
+    p_build = sub.add_parser("build", parents=[reads, common],
                              help="build a table from a named family or a spec file")
     p_build.add_argument("--family",
                          choices=["trivial", "p2-level2", "elementary-abelian",
@@ -318,10 +320,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--p", type=int)
     p_build.add_argument("--t", type=int)
 
-    sub.add_parser("retract", parents=[common],
+    sub.add_parser("retract", parents=[reads, common],
                    help="print the retraction tower of a table")
 
-    p_sol = sub.add_parser("solution", parents=[common],
+    p_sol = sub.add_parser("solution", parents=[reads, common],
                            help="convert a table to lambda/rho form and back")
     p_sol.add_argument("--invert", action="store_true",
                        help="read a solution payload and emit its table")

@@ -25,15 +25,17 @@ group and level >= 2 arises this way; :func:`extract_spec` recovers the
 parameters.
 
 The size-p^2, level-2 builder :func:`build_p2_level2` is the k = 2 case of
-:func:`build_prime_power`.  The module also houses the level-1 (trivial
-shift) family, the elementary-abelian construction on Z/p x Z/p and
-mixed-radix digit decomposition.
+:func:`build_prime_power`.  The map from a spec to its row exponents lives in
+one place, :func:`sigma_exponents`: the builder reads it forwards, and
+:func:`extract_spec` accepts a table only if that map gives back its row
+exponents.  The module also houses the level-1 (trivial shift) family and the
+elementary-abelian construction on Z/p x Z/p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .arith import ilog, is_prime, prime_power
 from .cycleset import CycleSet, retraction_tower_sizes
@@ -51,43 +53,6 @@ def trivial_cycle_set(m: int) -> CycleSet:
     if m < 1:
         raise ValueError("size must be at least 1")
     return CycleSet._trusted((_shift(m, 1),) * m)
-
-
-def mixed_radix_digits(value: int, p: int, exponents: Sequence[int]) -> tuple[int, ...]:
-    """Digits of ``value`` in the mixed radix with place values p^exponents[i].
-
-    ``exponents`` is the full chain (0 = e_0 < e_1 < ... < e_m); the result
-    (a_0, ..., a_{m-1}) is the unique vector with
-
-        value == sum_i a_i * p**e_i,    0 <= a_i < p**(e_{i+1} - e_i),
-
-    and ``value`` must lie in [0, p**e_m).
-    """
-    exps = tuple(exponents)
-    if len(exps) < 2 or exps[0] != 0 or any(a >= b for a, b in zip(exps, exps[1:])):
-        raise ValueError(f"exponent chain must strictly increase from 0: {exps}")
-    top = p ** exps[-1]
-    if not 0 <= value < top:
-        raise ValueError(f"value {value} out of range 0..{top - 1}")
-    return tuple(
-        (value // p ** exps[i]) % p ** (exps[i + 1] - exps[i])
-        for i in range(len(exps) - 1)
-    )
-
-
-def mixed_radix_value(digits: Sequence[int], p: int, exponents: Sequence[int]) -> int:
-    """Inverse of :func:`mixed_radix_digits`; validates digit ranges."""
-    exps = tuple(exponents)
-    digs = tuple(digits)
-    if len(digs) != len(exps) - 1:
-        raise ValueError("digit count does not match the exponent chain")
-    total = 0
-    for i, d in enumerate(digs):
-        radix = p ** (exps[i + 1] - exps[i])
-        if not 0 <= d < radix:
-            raise ValueError(f"digit {d} out of range 0..{radix - 1} at position {i}")
-        total += d * p ** exps[i]
-    return total
 
 
 @dataclass(frozen=True)
@@ -257,8 +222,11 @@ def extract_spec(X: CycleSet) -> CyclicBuildSpec:
     the group is cyclic of order n exactly when some row is an n-cycle and
     every row is a power of it; no group closure is built.  The points are
     relabeled along the least such row so that the base point is 0 and its
-    row is the standard cycle; the digit functions are then read off the row
-    exponents by mixed-radix decomposition.  The result satisfies
+    row is the standard cycle.  The exponent chain comes from the retraction
+    tower, and f_m(r) is read off row r < p^{j_m} as the digit of its exponent
+    minus one at place p^{j_m}.  The spec is accepted only if
+    :func:`sigma_exponents`, the builder's own map, gives back every row
+    exponent, and then validated.  The result satisfies
     ``build_prime_power(extract_spec(X))`` isomorphic to X, with equality
     after the same relabeling.
     """
@@ -267,12 +235,13 @@ def extract_spec(X: CycleSet) -> CyclicBuildSpec:
     if pk is None:
         raise HypothesesError(f"size {n} is not a prime power")
     p, k = pk
-    not_cyclic = HypothesesError(f"permutation group is not cyclic of order {n}")
+    # a message: a raised exception held in a local keeps this frame in a gc cycle
+    not_cyclic = f"permutation group is not cyclic of order {n}"
 
     rows = X.rows()
     base = next((x for x in range(n) if rows[x].order() == n), None)
     if base is None:
-        raise not_cyclic
+        raise HypothesesError(not_cyclic)
     phi = rows[base]
     labels = [base]
     for _ in range(n - 1):
@@ -285,7 +254,7 @@ def extract_spec(X: CycleSet) -> CyclicBuildSpec:
         shift = pos[row[base]]
         # row i must be the power phi^shift: labels[j] -> labels[j + shift]
         if list(map(row.__getitem__, labels)) != labels[shift:] + labels[:shift]:
-            raise not_cyclic
+            raise HypothesesError(not_cyclic)
         if shift == 0:
             raise HypothesesError(f"row {i} does not generate the group")
         shifts.append(shift)
@@ -295,30 +264,17 @@ def extract_spec(X: CycleSet) -> CyclicBuildSpec:
     if sizes[-1] != 1 or level < 2:
         raise HypothesesError("multipermutation level must be at least 2")
     exps = tuple(ilog(s, p) for s in sizes)
-    chain = tuple(reversed(exps))  # (0, j_{level-1}, ..., j_0 = k)
-    tables: list[list[Optional[int]]] = [
-        [None] * (p ** exps[m]) for m in range(1, level)
-    ]
-    for i in range(n):
-        digits = mixed_radix_digits(shifts[i] - 1, p, chain)
-        if digits[0] != 0:
-            raise HypothesesError(f"row exponent {shifts[i]} has a stray low digit")
-        for m in range(1, level):
-            d = digits[level - m]
-            r = i % (p ** exps[m])
-            if tables[m - 1][r] is None:
-                tables[m - 1][r] = d
-            elif tables[m - 1][r] != d:
-                raise HypothesesError(
-                    f"digit function {m} is not well defined at residue {r}"
-                )
-    spec = CyclicBuildSpec(
-        p=p,
-        k=k,
-        level=level,
-        exponents=exps,
-        digit_functions=tuple(tuple(ft) for ft in tables),  # type: ignore[arg-type]
-    )
+    # f_m(r) is the digit of E(r) = shift_r - 1 at place p^{j_m}; shifts[0] is
+    # 1, so every f_m fixes 0
+    spec = CyclicBuildSpec(p, k, level, exps, tuple(
+        tuple((e - 1) // p ** exps[m] % p ** (exps[m - 1] - exps[m])
+              for e in shifts[:p ** exps[m]])
+        for m in range(1, level)
+    ))
+    if sigma_exponents(spec) != tuple(shifts):
+        raise HypothesesError(
+            f"row exponents are not those of a family member on chain {exps}"
+        )
     return validate_spec(spec)
 
 

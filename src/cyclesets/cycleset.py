@@ -422,7 +422,8 @@ def are_isomorphic(X: CycleSet, Y: CycleSet) -> Optional[tuple[int, ...]]:
     table, so the search degenerates to at most n candidate seeds; for
     decomposable inputs the same code backtracks over row-profile-compatible
     maps.  The first witness in this fixed search order is returned, making
-    the result deterministic.
+    the result deterministic.  The search keeps its own stack, so a deep
+    search on a large decomposable table does not recurse.
     """
     n = X.n
     if n != Y.n:
@@ -462,24 +463,30 @@ def are_isomorphic(X: CycleSet, Y: CycleSet) -> Optional[tuple[int, ...]]:
             fwd[a] = -1
             bwd[v] = -1
 
-    trail: list[tuple[int, int]] = []
+    def first_unmapped() -> int:
+        return next((i for i in range(n) if fwd[i] == -1), -1)
 
-    def search() -> bool:
-        x = next((i for i in range(n) if fwd[i] == -1), -1)
-        if x == -1:
-            return True
-        for u in range(n):
+    # depth-first over the images of the least unmapped point, with one
+    # frame (point, next candidate, trail mark) per assigned point
+    trail: list[tuple[int, int]] = []
+    frames: list[tuple[int, int, int]] = []
+    x, start = first_unmapped(), 0
+    while x != -1:
+        for u in range(start, n):
             if bwd[u] != -1 or rty[u] != rtx[x]:
                 continue
             mark = len(trail)
-            if assign(x, u, trail) and search():
-                return True
+            if assign(x, u, trail):
+                frames.append((x, u + 1, mark))
+                x, start = first_unmapped(), 0
+                break
             undo(trail, mark)
-        return False
-
-    if search():
-        return tuple(fwd)
-    return None
+        else:
+            if not frames:
+                return None
+            x, start, mark = frames.pop()
+            undo(trail, mark)
+    return tuple(fwd)
 
 
 def _certificate(X: CycleSet) -> tuple[int, ...]:

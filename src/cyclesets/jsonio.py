@@ -23,7 +23,7 @@ import json
 
 from .classify import ClassEntry, ClassificationReport
 from .construct import CyclicBuildSpec
-from .cycleset import CycleSet, Solution, validate, validate_solution
+from .cycleset import _INT, CycleSet, Solution, validate, validate_solution
 from .errors import FormatError
 
 
@@ -36,9 +36,10 @@ def _int_matrix(obj, name: str) -> list[list[int]]:
     _require(isinstance(obj, list) and obj, f"{name} must be a non-empty list of rows")
     for row in obj:
         _require(isinstance(row, list), f"{name} rows must be lists")
-        for v in row:
-            _require(isinstance(v, int) and not isinstance(v, bool),
-                     f"{name} entries must be integers")
+        # a row of plain ints passes at C level; other int subclasses than
+        # bool pass the per-entry check
+        _require(set(map(type, row)) <= _INT or all(map(_is_int, row)),
+                 f"{name} entries must be integers")
     return obj
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -337,8 +338,34 @@ class TestIso:
         assert code == 1
         assert payload == {"isomorphic": False}
 
+    def test_large_decomposable_pair(self, capsys, monkeypatch, tmp_path):
+        # the search ran out of recursion depth here; validating the tables
+        # takes most of a minute, so the loader checks their rows only
+        monkeypatch.setattr(jsonio_module, "validate", CycleSet)
+        identity = {"n": 1000, "table": [list(range(1000))] * 1000}
+        a = write_json(tmp_path / "a.json", identity)
+        b = write_json(tmp_path / "b.json", identity)
+        code, payload, err = run_json(capsys, "iso", a, b)
+        assert (code, err) == (0, "")
+        assert payload == {"isomorphic": True, "witness": list(range(1000))}
+
 
 class TestClassifyAndEnumerate:
+    @pytest.mark.parametrize("flag,p,v,digest", [
+        ("--q", 3, 3, "b6fd70d2e3db5eb11ad2b2cf5b2c6369d832ed4548590dcd2d1ca2f6dfccf846"),
+        ("--q", 7, 7, "aa43c4a4d50e5940c26dea55b958d6804389eab5d85ca7d243c7a19d5be5eb67"),
+        ("--q", 11, 11, "335ba6c924248e8ee26a0da680845702e34974773ff69bc710ebe5828d8cad91"),
+        ("--k", 3, 3, "deaf6ad88360b4608be3058c2b8add9081f0cff83433deb679c0f1a5c9ec1229"),
+        ("--k", 7, 2, "bc21af08163f565948069b29c6df05dafd56f8abe33bb38688c3c45ffd14285a"),
+        ("--k", 2, 4, "988f54d152b8b0044d05c1281101ef8eb9a614a40aa5c2c692392e4cbd86893e"),
+        ("--k", 5, 2, "976acb121d4c1cf6f38c39c5e41c8c7b47d49a4ff55f6c99ecea2f20a7344700"),
+    ])
+    def test_report_bytes(self, capsys, flag, p, v, digest):
+        # the sha256 of stdout that the classify-reports benchmark records
+        code, out, err = run(capsys, "classify", "--p", str(p), flag, str(v))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_pq_classification(self, capsys):
         code, payload, _ = run_json(capsys, "classify", "--p", "2", "--q", "3")
         assert code == 0
@@ -526,6 +553,30 @@ class TestRetract:
         assert payload["mpl"] == 2
         assert payload["steps"][0]["projection"] == [0, 1, 0, 1]
         assert payload["steps"][0]["quotient"]["n"] == 2
+
+
+class TestInputOption:
+    @pytest.mark.parametrize("argv", [
+        ("iso", "TABLE", "TABLE"),
+        ("classify", "--p", "3", "--q", "3"),
+        ("enumerate", "3"),
+        ("lemma2", "--p", "3"),
+    ])
+    @pytest.mark.parametrize("flag", ["-i", "--input"])
+    def test_rejected_where_nothing_reads_it(self, capsys, golden4_file, argv, flag):
+        argv = [golden4_file if arg == "TABLE" else arg for arg in argv]
+        code, out, err = run(capsys, *argv, flag, golden4_file)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize("command", ["verify", "build", "retract", "solution"])
+    def test_read_where_accepted(self, capsys, tmp_path, golden4_file, command):
+        if command == "build":
+            path = write_json(tmp_path / "spec.json", spec_to_dict(GOLDEN4_SPEC))
+        else:
+            path = golden4_file
+        code, _, err = run(capsys, command, "-i", path)
+        assert (code, err) == (0, "")
 
 
 class TestOutputModes:

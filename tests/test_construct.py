@@ -1,13 +1,15 @@
+import gc
 import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
+from cyclesets import construct as construct_module
 from cyclesets import (
     CycleSet,
     CyclicBuildSpec,
     HypothesesError,
+    RetractionError,
     SearchConfig,
     SpecError,
     are_isomorphic,
@@ -22,8 +24,6 @@ from cyclesets import (
     group_type_of,
     is_cyclic,
     is_indecomposable,
-    mixed_radix_digits,
-    mixed_radix_value,
     mpl,
     parse_permutation,
     permutation_group,
@@ -35,8 +35,8 @@ from cyclesets import (
     validate,
     validate_spec,
 )
-from cyclesets.arith import prime_power
-from cyclesets.classify import enumerate_specs
+from cyclesets.arith import ilog, prime_power
+from cyclesets.classify import _spec_family, enumerate_specs
 from conftest import (
     GOLDEN32_ROW_EXPONENTS,
     GOLDEN32_SPEC,
@@ -65,47 +65,109 @@ class TestTrivialFamily:
             trivial_cycle_set(0)
 
 
-class TestMixedRadix:
-    def test_zero(self):
-        assert mixed_radix_digits(0, 2, (0, 1, 3)) == (0, 0)
+def reference_mixed_radix_digits(value, p, exponents):
+    """Reference: the mixed-radix digit decomposition that the extraction
+    used to call once per row, kept verbatim."""
+    exps = tuple(exponents)
+    if len(exps) < 2 or exps[0] != 0 or any(a >= b for a, b in zip(exps, exps[1:])):
+        raise ValueError(f"exponent chain must strictly increase from 0: {exps}")
+    top = p ** exps[-1]
+    if not 0 <= value < top:
+        raise ValueError(f"value {value} out of range 0..{top - 1}")
+    return tuple(
+        (value // p ** exps[i]) % p ** (exps[i + 1] - exps[i])
+        for i in range(len(exps) - 1)
+    )
 
-    def test_worked_example(self):
-        # 5 = 1 + 2 * 2  with place values 2^0 and 2^1
-        assert mixed_radix_digits(5, 2, (0, 1, 3)) == (1, 2)
 
-    def test_single_block(self):
-        assert mixed_radix_digits(7, 3, (0, 2)) == (7,)
+def reference_extract_spec(X):
+    """Reference: the extraction that decomposed every row exponent into
+    mixed-radix digits and checked each digit function for consistency, kept
+    verbatim."""
+    n = X.n
+    pk = prime_power(n)
+    if pk is None:
+        raise HypothesesError(f"size {n} is not a prime power")
+    p, k = pk
+    not_cyclic = HypothesesError(f"permutation group is not cyclic of order {n}")
 
-    def test_uniqueness_exhaustive(self):
-        seen = {}
-        for value in range(8):
-            digits = mixed_radix_digits(value, 2, (0, 1, 3))
-            assert digits not in seen
-            seen[digits] = value
-            assert mixed_radix_value(digits, 2, (0, 1, 3)) == value
+    rows = X.rows()
+    base = next((x for x in range(n) if rows[x].order() == n), None)
+    if base is None:
+        raise not_cyclic
+    phi = rows[base]
+    labels = [base]
+    for _ in range(n - 1):
+        labels.append(phi(labels[-1]))
+    pos = {x: i for i, x in enumerate(labels)}
+    t = X.table
+    shifts = []
+    for i in range(n):
+        row = t[labels[i]]
+        shift = pos[row[base]]
+        # row i must be the power phi^shift: labels[j] -> labels[j + shift]
+        if list(map(row.__getitem__, labels)) != labels[shift:] + labels[:shift]:
+            raise not_cyclic
+        if shift == 0:
+            raise HypothesesError(f"row {i} does not generate the group")
+        shifts.append(shift)
 
-    def test_range_errors(self):
-        with pytest.raises(ValueError):
-            mixed_radix_digits(8, 2, (0, 1, 3))
-        with pytest.raises(ValueError):
-            mixed_radix_digits(-1, 2, (0, 1, 3))
-        with pytest.raises(ValueError):
-            mixed_radix_digits(0, 2, (1, 3))
-        with pytest.raises(ValueError):
-            mixed_radix_digits(0, 2, (0, 3, 1))
+    sizes = retraction_tower_sizes(X)
+    level = len(sizes) - 1
+    if sizes[-1] != 1 or level < 2:
+        raise HypothesesError("multipermutation level must be at least 2")
+    exps = tuple(ilog(s, p) for s in sizes)
+    chain = tuple(reversed(exps))  # (0, j_{level-1}, ..., j_0 = k)
+    tables = [
+        [None] * (p ** exps[m]) for m in range(1, level)
+    ]
+    for i in range(n):
+        digits = reference_mixed_radix_digits(shifts[i] - 1, p, chain)
+        if digits[0] != 0:
+            raise HypothesesError(f"row exponent {shifts[i]} has a stray low digit")
+        for m in range(1, level):
+            d = digits[level - m]
+            r = i % (p ** exps[m])
+            if tables[m - 1][r] is None:
+                tables[m - 1][r] = d
+            elif tables[m - 1][r] != d:
+                raise HypothesesError(
+                    f"digit function {m} is not well defined at residue {r}"
+                )
+    spec = CyclicBuildSpec(
+        p=p,
+        k=k,
+        level=level,
+        exponents=exps,
+        digit_functions=tuple(tuple(ft) for ft in tables),
+    )
+    return validate_spec(spec)
 
-    def test_value_validates_digits(self):
-        with pytest.raises(ValueError):
-            mixed_radix_value((2, 0), 2, (0, 1, 3))
 
-    @given(st.data())
-    def test_roundtrip(self, data):
-        p = data.draw(st.sampled_from([2, 3, 5]))
-        mids = data.draw(st.lists(st.integers(1, 5), max_size=3, unique=True))
-        chain = (0,) + tuple(sorted(mids)) + (6,)
-        value = data.draw(st.integers(0, p ** 6 - 1))
-        digits = mixed_radix_digits(value, p, chain)
-        assert mixed_radix_value(digits, p, chain) == value
+def reference_f_invariant(X):
+    """Reference: :func:`f_invariant` through :func:`reference_extract_spec`."""
+    pk = prime_power(X.n)
+    if pk is None or pk[1] != 2:
+        return None
+    try:
+        return reference_extract_spec(X).digit_functions[0]
+    except (HypothesesError, SpecError):
+        return None
+
+
+def extraction_outcome(extract, X):
+    """The spec that ``extract`` gives on X, or the class and message of the
+    exception it raises."""
+    try:
+        return extract(X)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+def translation_table(shifts):
+    """The table whose row i is the translation j -> j + shifts[i] (mod n)."""
+    n = len(shifts)
+    return CycleSet(tuple(tuple((j + e) % n for j in range(n)) for e in shifts))
 
 
 def all_pairs_symmetry_scan(spec):
@@ -311,6 +373,83 @@ class TestExtractSpec:
         assert permutation_group(dihedral).order == 8
         with pytest.raises(HypothesesError, match="not cyclic of order 4"):
             extract_spec(dihedral)
+
+    def test_equals_the_reference_on_tables(self):
+        # the full census n <= 5, the restricted censuses at 8, 9 and 12, and
+        # every spec-family member at nine sizes, each also relabelled
+        full = SearchConfig(mode="full-bruteforce")
+        tables = [X for n in range(1, 6) for X in brute_force_enumerate(n, full)]
+        tables += [X for n in (8, 9, 12) for X in brute_force_enumerate(n)]
+        rng = random.Random(2019)
+        for p, k in ((2, 5), (2, 6), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2),
+                     (11, 2), (13, 2)):
+            for X in _spec_family(p, k, None):
+                tables += [X, relabel(X, tuple(rng.sample(range(X.n), X.n)))]
+        assert len(tables) == 4416
+        specs = 0
+        for X in tables:
+            outcome = extraction_outcome(extract_spec, X)
+            assert outcome == extraction_outcome(reference_extract_spec, X), X
+            assert f_invariant(X) == reference_f_invariant(X), X
+            specs += isinstance(outcome, CyclicBuildSpec)
+        assert specs == 246
+
+    def test_equals_the_reference_on_exponent_vectors(self):
+        # the table whose row i translates by shifts[i]: every vector at
+        # n = 4, then seeded vectors at 8, 9 and 27, drawn at random, periodic
+        # with unit-like entries, or one entry off a family member's
+        vectors = list(itertools.product(range(4), repeat=4))
+        for p, k in ((2, 3), (3, 2), (3, 3)):
+            n = p ** k
+            rng = random.Random(n)
+            members = [[row[0] for row in X.table] for X in _spec_family(p, k, None)]
+            for i in range(5000):
+                if i % 3 == 0:
+                    v = [rng.randrange(n) for _ in range(n)]
+                elif i % 3 == 1:
+                    period = p ** rng.randrange(1, k)
+                    base = [1 + p * rng.randrange(n // p) for _ in range(period)]
+                    v = [base[x % period] for x in range(n)]
+                else:
+                    v = list(rng.choice(members))
+                    x = rng.randrange(n)
+                    v[x] = (v[x] + p * rng.randrange(1, n // p)) % n
+                vectors.append(v)
+        kinds = set()
+        for v in vectors:
+            X = translation_table(v)
+            outcome = extraction_outcome(extract_spec, X)
+            assert outcome == extraction_outcome(reference_extract_spec, X), v
+            kinds.add(outcome[0] if isinstance(outcome, tuple) else CyclicBuildSpec)
+        assert kinds == {CyclicBuildSpec, HypothesesError, RetractionError, SpecError}
+
+    def test_a_rejection_leaves_no_reference_cycle(self):
+        # the exception must not hold the frames of the report that caught it
+        dihedral = CycleSet(((1, 2, 3, 0), (3, 2, 1, 0), (1, 2, 3, 0), (3, 0, 1, 2)))
+        gc.collect()
+        gc.disable()
+        try:
+            for X in (build_elementary_abelian(5), dihedral):
+                assert f_invariant(X) is None  # the group is not cyclic
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("sizes,reference_message", [
+        ([32, 8, 1], "stray low digit"),
+        ([32, 4, 1], "not well defined at residue 0"),
+    ])
+    def test_rejects_row_exponents_off_the_chain(self, golden32, monkeypatch, sizes,
+                                                 reference_message):
+        # a cycle set's tower always gives a chain its row exponents follow,
+        # so a wrong chain is patched in to reach the check
+        monkeypatch.setattr(construct_module, "retraction_tower_sizes",
+                            lambda X: sizes)
+        monkeypatch.setitem(globals(), "retraction_tower_sizes", lambda X: sizes)
+        with pytest.raises(HypothesesError, match="row exponents are not those"):
+            extract_spec(golden32)
+        with pytest.raises(HypothesesError, match=reference_message):
+            reference_extract_spec(golden32)
 
 
 class TestCompatibleBijections:

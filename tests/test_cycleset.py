@@ -39,7 +39,7 @@ from cyclesets import (
     validate_solution,
 )
 from cyclesets.classify import _spec_family
-from cyclesets.cycleset import _certificate, _normalize_table
+from cyclesets.cycleset import _certificate, _normalize_table, _row_types
 from conftest import GOLDEN4_TABLE
 
 ALL_IDENTITY_4 = [[0, 1, 2, 3]] * 4
@@ -489,6 +489,67 @@ class TestNormalizeTable:
         assert find_violations(table) == []
 
 
+def reference_are_isomorphic(X, Y):
+    """Reference: the recursive search, one call per branch point, kept
+    verbatim."""
+    n = X.n
+    if n != Y.n:
+        return None
+    tx, ty = X.table, Y.table
+    rtx, rty = _row_types(X), _row_types(Y)
+    if sorted(rtx) != sorted(rty):
+        return None
+
+    fwd: list[int] = [-1] * n
+    bwd: list[int] = [-1] * n
+
+    def assign(x: int, u: int, trail: list[tuple[int, int]]) -> bool:
+        stack = [(x, u)]
+        while stack:
+            a, v = stack.pop()
+            if fwd[a] != -1:
+                if fwd[a] != v:
+                    return False
+                continue
+            if bwd[v] != -1 or rtx[a] != rty[v]:
+                return False
+            fwd[a] = v
+            bwd[v] = a
+            trail.append((a, v))
+            for b in range(n):
+                w = fwd[b]
+                if w == -1:
+                    continue
+                stack.append((tx[a][b], ty[v][w]))
+                stack.append((tx[b][a], ty[w][v]))
+        return True
+
+    def undo(trail: list[tuple[int, int]], mark: int) -> None:
+        while len(trail) > mark:
+            a, v = trail.pop()
+            fwd[a] = -1
+            bwd[v] = -1
+
+    trail: list[tuple[int, int]] = []
+
+    def search() -> bool:
+        x = next((i for i in range(n) if fwd[i] == -1), -1)
+        if x == -1:
+            return True
+        for u in range(n):
+            if bwd[u] != -1 or rty[u] != rtx[x]:
+                continue
+            mark = len(trail)
+            if assign(x, u, trail) and search():
+                return True
+            undo(trail, mark)
+        return False
+
+    if search():
+        return tuple(fwd)
+    return None
+
+
 class TestIsomorphism:
     def test_equal_tables_are_isomorphic(self, golden4):
         w = are_isomorphic(golden4, build_p2_level2(2, 1))
@@ -532,6 +593,40 @@ class TestIsomorphism:
         assert mpl(golden8) == mpl(shuffled)
         assert retraction_tower_sizes(golden8) == retraction_tower_sizes(shuffled)
         assert permutation_group(golden8).order == permutation_group(shuffled).order
+
+    def test_equals_the_reference_on_census_pairs(self):
+        # every ordered pair of the full census n <= 4, decomposable tables
+        # included
+        full = SearchConfig(mode="full-bruteforce")
+        for n in range(1, 5):
+            tables = brute_force_enumerate(n, full)
+            for X in tables:
+                for Y in tables:
+                    assert are_isomorphic(X, Y) == reference_are_isomorphic(X, Y)
+
+    def test_equals_the_reference_on_relabelled_members(self):
+        rng = random.Random(1019)
+        families = [_spec_family(p, k, None) for p, k in ((2, 4), (3, 3), (5, 2))]
+        families.append([CycleSet(t) for t in (
+            ALL_IDENTITY_4, IRRETRACTABLE_4, TWO_INVOLUTIONS_10)])
+        families.append([build_elementary_abelian(p) for p in (2, 3)])
+        witnesses = 0
+        for members in families:
+            tables = members + [
+                relabel(X, tuple(rng.sample(range(X.n), X.n))) for X in members
+            ]
+            for X in tables:
+                for Y in tables:
+                    w = are_isomorphic(X, Y)
+                    assert w == reference_are_isomorphic(X, Y), (X, Y)
+                    witnesses += w is not None
+        assert witnesses == 140
+
+    def test_large_decomposable_tables(self):
+        # the reference recursed once per point here, past the interpreter's
+        # recursion limit
+        X = CycleSet([list(range(1000))] * 1000)
+        assert are_isomorphic(X, X) == tuple(range(1000))
 
 
 def decode_certificate(cert):

@@ -1,3 +1,4 @@
+import enum
 import json
 
 import pytest
@@ -48,6 +49,23 @@ def test_cycleset_math_errors_are_not_format_errors():
 
 def test_table_extraction_skips_validation():
     assert table_from_dict({"table": [[0, 1], [1, 0]]}) == [[0, 1], [1, 0]]
+
+
+class Small(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+@pytest.mark.parametrize("entry", [True, 1.0])
+def test_table_entries_must_be_integers(entry):
+    # a bool or a float fails after a well-formed first row
+    with pytest.raises(FormatError, match="^table entries must be integers$"):
+        table_from_dict({"table": [[0, 1], [entry, 0]]})
+
+
+def test_table_entries_may_be_int_subclasses():
+    table = [[Small.ZERO, 1], [Small.ONE, Small.ZERO]]
+    assert table_from_dict({"table": table}) is table
 
 
 def test_solution_roundtrip(golden4):
