@@ -575,13 +575,27 @@ def _stabilizer_transporters(
     return out
 
 
+def _sym_table(n: int) -> tuple[list, dict, list[list[int]], list[int]]:
+    """(perms, index, mul, inv): Sym(n) in lexicographic order, numbered.
+
+    ``index`` inverts ``perms``; ``mul[i][j]`` is the index of perms[i] o
+    perms[j] (perms[j] first, as in :meth:`Permutation.compose`) and
+    ``inv[i]`` that of perms[i]^-1.  Index 0 is the identity.
+    """
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    mul = [[index[tuple(map(p.__getitem__, q))] for q in perms] for p in perms]
+    return perms, index, mul, [row.index(0) for row in mul]
+
+
 def _full_search(n: int, budget: _Budget) -> list[tuple]:
     """Depth-first search over all rows with incremental axiom pruning.
 
     Same scheduling and propagation as the restricted search, except that
-    rows range over all of Sym(n): the pair condition composes permutations
-    pointwise, and a single missing row is forced to the explicit composite
-    sigma_{y.x} o sigma_y o sigma_x^{-1}.
+    rows range over all of Sym(n).  Rows are held as indices into
+    :func:`_sym_table`, so the pair condition sigma_{x.y} o sigma_x ==
+    sigma_{y.x} o sigma_y is two table lookups a side, and a single missing
+    row is forced to the index of sigma_{y.x} o sigma_y o sigma_x^{-1}.
 
     A relabeling f with f(0) = 0 carries a solution T to the solution
     T'[f(x)][f(y)] = f(T[x][y]), whose row 0 is f o sigma_0 o f^-1.  So
@@ -592,41 +606,39 @@ def _full_search(n: int, budget: _Budget) -> list[tuple]:
     and free of repeats, and the budget counts the expansions of the reduced
     search.  Output rows are the shared tuples of ``perms``.
     """
-    perms = list(itertools.permutations(range(n)))
-    shared = {p: p for p in perms}
-    transporters = _stabilizer_transporters(perms)
-    rows: list = [None] * n
-    forced: list = [None] * n
+    perms, index, mul, inv = _sym_table(n)
+    # row 0's candidates, each with its transporters f as (f, f's index,
+    # f^-1's index)
+    carry = {
+        index[r]: [(f, index[f], inv[index[f]]) for f in by.values()]
+        for r, by in _stabilizer_transporters(perms).items()
+    }
+    rows = [0] * n  # row indices; only rows[:d + 1] are read at depth d
+    forced = [-1] * n
     pending: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
     out: list[tuple] = []
 
     def pair_ok(x: int, y: int, tx: int, ty: int) -> bool:
-        ra, rx = rows[tx], rows[x]
-        rb, ry = rows[ty], rows[y]
-        return all(ra[rx[z]] == rb[ry[z]] for z in range(n))
+        return mul[rows[tx]][rows[x]] == mul[rows[ty]][rows[y]]
 
-    def forced_row(x: int, y: int, ty: int) -> tuple:
+    def forced_row(x: int, y: int, ty: int) -> int:
         # the unique sigma with sigma o sigma_x == sigma_{y.x} o sigma_y
-        rx, rb, ry = rows[x], rows[ty], rows[y]
-        inv_x = [0] * n
-        for z in range(n):
-            inv_x[rx[z]] = z
-        return tuple(rb[ry[inv_x[z]]] for z in range(n))
+        return mul[mul[rows[ty]][rows[y]]][inv[rows[x]]]
 
-    def force(slot: int, value: tuple, added_f: list[int]) -> bool:
-        if forced[slot] is None:
+    def force(slot: int, value: int, added_f: list[int]) -> bool:
+        if forced[slot] < 0:
             forced[slot] = value
             added_f.append(slot)
             return True
         return forced[slot] == value
 
     def dfs(d: int) -> None:
-        if forced[d] is not None:
+        if forced[d] >= 0:
             candidates = (forced[d],)
         elif d:
-            candidates = perms
+            candidates = range(len(perms))
         else:  # row 0 takes one value per Stab(0)-orbit
-            candidates = transporters
+            candidates = carry
         for cand in candidates:
             budget.tick()
             rows[d] = cand
@@ -647,9 +659,10 @@ def _full_search(n: int, budget: _Budget) -> list[tuple]:
                         ok = False
                         break
             if ok:
+                row = perms[cand]
                 for x in range(d):
-                    tx = rows[x][d]
-                    ty = cand[x]
+                    tx = perms[rows[x]][d]
+                    ty = row[x]
                     if tx <= d and ty <= d:
                         if not pair_ok(x, d, tx, ty):
                             ok = False
@@ -668,19 +681,17 @@ def _full_search(n: int, budget: _Budget) -> list[tuple]:
                             break
             if ok:
                 if d == n - 1:
-                    for f in transporters[rows[0]].values():
-                        inv = sorted(range(n), key=f.__getitem__)
+                    for f, fi, fi_inv in carry[rows[0]]:
                         moved = [None] * n
-                        for x, row in enumerate(rows):
-                            moved[f[x]] = shared[tuple(f[row[w]] for w in inv)]
+                        for x, r in enumerate(rows):
+                            moved[f[x]] = perms[mul[mul[fi][r]][fi_inv]]
                         out.append(tuple(moved))
                 else:
                     dfs(d + 1)
             for slot in reversed(added_p):
                 pending[slot].pop()
             for slot in added_f:
-                forced[slot] = None
-        rows[d] = None
+                forced[slot] = -1
 
     dfs(0)
     return out
@@ -702,24 +713,14 @@ def brute_force_enumerate(
     spec-parameterized (prime powers only): the trivial shift plus the
     structures built from every admissible spec.
 
-    Results are sorted by table encoding, so output is reproducible.
+    Results are sorted by table encoding, so output is reproducible.  Running
+    out of budget raises :class:`BudgetExceeded` naming the mode, n and, in
+    restricted mode, the template and the expansions of earlier templates.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     cfg = config or SearchConfig()
-    if cfg.mode == "full-bruteforce":
-        if n > FULL_MODE_MAX:
-            raise ValueError(f"full mode supports n <= {FULL_MODE_MAX}")
-        tables = set(_full_search(n, _Budget(cfg.max_candidates)))
-    elif cfg.mode == "regular-abelian-restricted":
-        if n > RESTRICTED_MODE_MAX:
-            raise ValueError(f"restricted mode supports n <= {RESTRICTED_MODE_MAX}")
-        budget = _Budget(cfg.max_candidates)
-        # the identity table lies in every template, so tables can repeat
-        tables = set()
-        for _, parts in abelian_templates(n):
-            tables.update(_template_search(parts, budget))
-    else:  # spec-parameterized
+    if cfg.mode == "spec-parameterized":
         if n == 1:
             return [trivial_cycle_set(1)]
         pk = prime_power(n)
@@ -728,6 +729,31 @@ def brute_force_enumerate(
                 "spec-parameterized mode requires a prime-power size"
             )
         return sorted(_spec_family(*pk, cfg), key=lambda X: X.encoding())
+    full = cfg.mode == "full-bruteforce"
+    if full and n > FULL_MODE_MAX:
+        raise ValueError(f"full mode supports n <= {FULL_MODE_MAX}")
+    if not full and n > RESTRICTED_MODE_MAX:
+        raise ValueError(f"restricted mode supports n <= {RESTRICTED_MODE_MAX}")
+    budget = _Budget(cfg.max_candidates)
+    template = None
+    try:
+        if full:
+            tables = _full_search(n, budget)  # free of repeats
+        else:
+            # the identity table lies in every template, so tables can repeat
+            tables = set()
+            for template, parts in abelian_templates(n):
+                earlier = budget.used
+                tables.update(_template_search(parts, budget))
+    except BudgetExceeded:
+        where = "" if template is None else (
+            f" in template {template}, after {earlier} expansions in "
+            "earlier templates"
+        )
+        raise BudgetExceeded(
+            f"{cfg.mode} search at n = {n} used up its budget of "
+            f"{budget.limit} expansions{where}"
+        ) from None
     return [CycleSet._trusted(t) for t in sorted(tables)]
 
 

@@ -8,6 +8,7 @@ strict JSON unless --pretty is given, which renders tables in cycle notation.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import jsonio
@@ -53,7 +54,7 @@ BUILD_MAX_N = 1024
 CLASSIFY_MAX_N = 169
 
 #: each enumerate mode with its size cap; spec mode does the work of
-#: classify --k, and full mode at n = 6 runs about 5 minutes before the
+#: classify --k, and full mode at n = 6 runs about 2 minutes before the
 #: default budget stops it
 _MODES = {
     "full": ("full-bruteforce", FULL_MODE_MAX),
@@ -289,7 +290,7 @@ def _emit(payload, args) -> None:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)  # a closed stdout fails here, not at exit
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -376,17 +377,26 @@ def main(argv=None) -> int:
     try:
         payload, code = _HANDLERS[args.command](args)
     except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _io_error(exc)
     except InvalidCycleSet as exc:
-        _emit({"valid": False,
-               "violations": _violations_payload(exc.violations)}, args)
-        return 1
+        payload = {"valid": False, "violations": _violations_payload(exc.violations)}
+        code = 1
     except (CycleSetError, ValueError) as exc:
-        _emit({"error": str(exc)}, args)
-        return 1
-    _emit(payload, args)
+        payload, code = {"error": str(exc)}, 1
+    try:
+        _emit(payload, args)
+    except OSError as exc:  # a closed stdout, or an unwritable --output
+        return _io_error(exc)
     return code
+
+
+def _io_error(exc: Exception) -> int:
+    if isinstance(exc, BrokenPipeError):
+        # the reader is gone: send what is still buffered for stdout, and
+        # the interpreter's flush at exit, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

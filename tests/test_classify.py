@@ -45,6 +45,7 @@ from cyclesets.classify import (
     _require_matching,
     _spec_family,
     _stabilizer_transporters,
+    _sym_table,
     _template_search,
     _translation_rows,
 )
@@ -264,6 +265,107 @@ class TestTemplates:
                         assert sum(m % o == 0 for o in orders) == expected, name
 
 
+def tuple_full_search(n, budget):
+    """Reference: the full search with rows held as permutation tuples.
+
+    The same tree, candidate order and budget unit as ``_full_search``, but
+    every node composes, inverts and compares tuples pointwise instead of
+    reading a Cayley table of Sym(n).
+    """
+    perms = list(itertools.permutations(range(n)))
+    shared = {p: p for p in perms}
+    transporters = _stabilizer_transporters(perms)
+    rows: list = [None] * n
+    forced: list = [None] * n
+    pending: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    out: list[tuple] = []
+
+    def pair_ok(x: int, y: int, tx: int, ty: int) -> bool:
+        ra, rx = rows[tx], rows[x]
+        rb, ry = rows[ty], rows[y]
+        return all(ra[rx[z]] == rb[ry[z]] for z in range(n))
+
+    def forced_row(x: int, y: int, ty: int) -> tuple:
+        # the unique sigma with sigma o sigma_x == sigma_{y.x} o sigma_y
+        rx, rb, ry = rows[x], rows[ty], rows[y]
+        inv_x = [0] * n
+        for z in range(n):
+            inv_x[rx[z]] = z
+        return tuple(rb[ry[inv_x[z]]] for z in range(n))
+
+    def force(slot: int, value: tuple, added_f: list[int]) -> bool:
+        if forced[slot] is None:
+            forced[slot] = value
+            added_f.append(slot)
+            return True
+        return forced[slot] == value
+
+    def dfs(d: int) -> None:
+        if forced[d] is not None:
+            candidates = (forced[d],)
+        elif d:
+            candidates = perms
+        else:  # row 0 takes one value per Stab(0)-orbit
+            candidates = transporters
+        for cand in candidates:
+            budget.tick()
+            rows[d] = cand
+            ok = True
+            added_p: list[int] = []
+            added_f: list[int] = []
+            for x, y, tx, ty in pending[d]:
+                if tx <= d and ty <= d:
+                    if not pair_ok(x, y, tx, ty):
+                        ok = False
+                        break
+                elif ty > d:
+                    if not force(ty, forced_row(y, x, tx), added_f):
+                        ok = False
+                        break
+                else:
+                    if not force(tx, forced_row(x, y, ty), added_f):
+                        ok = False
+                        break
+            if ok:
+                for x in range(d):
+                    tx = rows[x][d]
+                    ty = cand[x]
+                    if tx <= d and ty <= d:
+                        if not pair_ok(x, d, tx, ty):
+                            ok = False
+                            break
+                    elif tx > d and ty > d:
+                        slot = tx if tx < ty else ty
+                        pending[slot].append((x, d, tx, ty))
+                        added_p.append(slot)
+                    elif tx > d:
+                        if not force(tx, forced_row(x, d, ty), added_f):
+                            ok = False
+                            break
+                    else:
+                        if not force(ty, forced_row(d, x, tx), added_f):
+                            ok = False
+                            break
+            if ok:
+                if d == n - 1:
+                    for f in transporters[rows[0]].values():
+                        inv = sorted(range(n), key=f.__getitem__)
+                        moved = [None] * n
+                        for x, row in enumerate(rows):
+                            moved[f[x]] = shared[tuple(f[row[w]] for w in inv)]
+                        out.append(tuple(moved))
+                else:
+                    dfs(d + 1)
+            for slot in reversed(added_p):
+                pending[slot].pop()
+            for slot in added_f:
+                forced[slot] = None
+        rows[d] = None
+
+    dfs(0)
+    return out
+
+
 @pytest.fixture(scope="module")
 def full_census():
     """Full-mode output for n = 1..5, searched once per module."""
@@ -323,11 +425,32 @@ class TestFullBruteForce:
             _full_search(n, budget)
             assert budget.used == nodes, n
 
+    def test_search_equals_tuple_reference(self):
+        # same output list, element by element, and the same expansions
+        for n in range(1, 6):
+            budget, reference_budget = _Budget(10 ** 8), _Budget(10 ** 8)
+            assert _full_search(n, budget) == tuple_full_search(n, reference_budget)
+            assert budget.used == reference_budget.used, n
+
+    def test_cayley_table(self):
+        for n in range(1, 5):
+            perms, index, mul, inv = _sym_table(n)
+            assert perms == list(itertools.permutations(range(n)))
+            assert [index[p] for p in perms] == list(range(len(perms)))
+            group = [Permutation(p) for p in perms]
+            for i, f in enumerate(group):
+                assert perms[inv[i]] == f.inverse().images
+                for j, g in enumerate(group):
+                    assert perms[mul[i][j]] == f.compose(g).images
+
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as err:
             brute_force_enumerate(
                 5, SearchConfig(max_candidates=1000, mode="full-bruteforce")
             )
+        assert str(err.value) == (
+            "full-bruteforce search at n = 5 used up its budget of 1000 expansions"
+        )
 
     def test_exhaustive_product_oracle_small(self):
         # independent check: try every row assignment and count axiom survivors
@@ -382,6 +505,16 @@ class TestRestrictedBruteForce:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             brute_force_enumerate(4, SearchConfig(max_candidates=3))
+
+    def test_budget_message_names_the_template(self):
+        # Z/4 takes 51 expansions, so the 60th falls in the second template
+        with pytest.raises(BudgetExceeded) as err:
+            brute_force_enumerate(4, SearchConfig(max_candidates=60))
+        assert str(err.value) == (
+            "regular-abelian-restricted search at n = 4 used up its budget of "
+            "60 expansions in template Z/2xZ/2, after 51 expansions in earlier "
+            "templates"
+        )
 
     def test_one_point(self):
         assert abelian_templates(1) == [("Z/1", (1,))]

@@ -603,6 +603,32 @@ class TestOutputModes:
         assert code == 0
         assert "3 classes" in out
 
+    def test_unwritable_output_is_an_io_error(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "out.json"
+        code, stdout, err = run(
+            capsys, "build", "--family", "trivial", "--m", "3", "-o", str(out)
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: [Errno 2]")
+
+    def test_closed_stdout_is_an_io_error(self):
+        # about 206 KB of JSON, more than a pipe holds, so the write meets
+        # the closed pipe whatever the timing
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cyclesets.cli", "enumerate", "5", "--mode", "full"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(300).startswith(b'{"n":5,"mode":"full-bruteforce"')
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        # no traceback, and nothing more at interpreter exit
+        assert proc.wait(timeout=120) == 2
+        assert err.splitlines() == ["error: [Errno 32] Broken pipe"]
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
