@@ -45,7 +45,7 @@ from .perm import Permutation, PermGroup, is_abelian, is_cyclic
 
 MODES = ("full-bruteforce", "regular-abelian-restricted", "spec-parameterized")
 
-FULL_MODE_MAX = 5
+FULL_MODE_MAX = 6
 RESTRICTED_MODE_MAX = 25
 
 #: Oracle cross-checks in classify_pq run automatically up to this size;
@@ -407,36 +407,42 @@ def _automorphism_transporters(
     return {r: reach[r] for r in range(n) if min(reach[r]) == r}
 
 
-def _template_search(parts: tuple[int, ...], budget: _Budget) -> list[tuple]:
-    """All row assignments from one regular template satisfying the axiom.
+def _group_search(
+    act: list[tuple[int, ...]],
+    mul: Sequence[Sequence[int]],
+    inv: list[int],
+    carry: dict[int, list[tuple[Sequence[int], Sequence[int]]]],
+    budget: _Budget,
+) -> list[tuple]:
+    """All tables whose rows lie in a group of permutations given by tables.
 
-    Solutions are a map x -> a[x] with row x the translation by a[x].  An
-    automorphism alpha of G relabels a solution a into alpha o a o alpha^-1,
-    again a solution, whose value at 0 is alpha(a[0]).  So the search only
-    lets a[0] range over the least point r of each Aut(G)-orbit, and every
-    solution found is carried to each s in the orbit of r by one fixed
-    transporter; that is a bijection onto the solutions with a[0] = s, so
-    the output is complete and free of repeats, and the budget counts the
-    expansions of the reduced search.
+    ``act[e]`` is element e as a row on the points, ``mul[e][f]`` the element
+    e o f (f first), ``inv[e]`` that of e^-1, and 0 is the identity.  A table
+    is a map x -> a[x] with row x equal to ``act[a[x]]``, and the pair
+    condition sigma_{x.y} o sigma_x == sigma_{y.x} o sigma_y reads
+    a[x.y] == a[y.x] o (a[y] o a[x]^-1).  So the search keeps the points in
+    classes of known relations: every pair constraint is merged in as soon
+    as both its points are assigned, contradictions prune at once, and a
+    point whose class has a known value admits exactly one candidate.  The
+    classes are an offset quick-find: each point stores its root and its
+    offset, composed on the right (a[i] == a[root[i]] o off[i]), each root
+    its member list and its value, if known.  A merge relabels the smaller
+    class and is undone on backtracking by truncating the larger class's
+    member list and shifting the moved offsets back; two classes that both
+    have values are compared, never merged.
 
-    Inside the abelian template the pair condition for (x, y) reads
-    a[x.y] + a[x] == a[y.x] + a[y] in the group, i.e. it pins the
-    *difference* of two row values.  The search therefore keeps the points
-    in classes of known differences: every pair constraint is merged in as
-    soon as both its points are assigned, contradictions prune immediately,
-    and a point whose class has a known value admits exactly one candidate.
-    The classes are an offset quick-find: each point stores its root and its
-    offset to the root, each root its member list and its value, if known.
-    A merge relabels the smaller class, so undoing it on backtracking
-    truncates the larger class's member list and shifts the moved offsets
-    back; two classes that both have values are compared, never merged.
+    ``carry`` maps each candidate r for a[0] to pairs (f, c): f relabels
+    the points, fixes 0 and carries solutions to solutions, and c maps
+    elements with act[c[e]] == f o act[e] o f^-1, so a solution a goes to
+    the one with c[a[x]] at f(x).  a[0] ranges only over the keys, and each
+    solution found is carried by every pair of its key.  When the c[r] of
+    each key r list r's orbit once each and the orbits cover the group, that
+    is a bijection onto all the solutions: the output is complete and free
+    of repeats, and the budget counts the expansions of the reduced search.
     """
-    act = _translation_rows(parts)  # act[u][v] is also the group sum u + v
-    n = len(act)
-    transporters = _automorphism_transporters(parts, act)
-    inv = [act[e].index(0) for e in range(n)]
+    n = len(act[0])  # points; the group has len(act) elements
     root = list(range(n))
-    off = [0] * n  # a[i] == a[root[i]] + off[i]
+    off = [0] * n  # a[i] == a[root[i]] o off[i]
     members = [[i] for i in range(n)]  # members[r], for each root r
     value = [-1] * n  # value[r] == a[r] for a root r, or -1 if unknown
     assign = [-1] * n
@@ -446,7 +452,7 @@ def _template_search(parts: tuple[int, ...], budget: _Budget) -> list[tuple]:
     def pin(i: int, e: int) -> bool:
         # impose a[i] == e
         r = root[i]
-        v = act[e][inv[off[i]]]
+        v = mul[e][inv[off[i]]]
         if value[r] >= 0:
             return value[r] == v
         value[r] = v
@@ -454,21 +460,21 @@ def _template_search(parts: tuple[int, ...], budget: _Budget) -> list[tuple]:
         return True
 
     def union(i: int, j: int, delta: int) -> bool:
-        # impose a[i] == a[j] + delta, i.e. a[ri] == a[rj] + d
+        # impose a[i] == a[j] o delta, i.e. a[ri] == a[rj] o d
         ri, rj = root[i], root[j]
-        d = act[act[off[j]][delta]][inv[off[i]]]
+        d = mul[mul[off[j]][delta]][inv[off[i]]]
         if ri == rj:
             return d == 0
         if value[ri] >= 0 and value[rj] >= 0:
-            return value[ri] == act[value[rj]][d]
+            return value[ri] == mul[value[rj]][d]
         if len(members[ri]) > len(members[rj]):
             ri, rj, d = rj, ri, inv[d]
         for m in members[ri]:  # relabel the smaller class ri into rj
             root[m] = rj
-            off[m] = act[off[m]][d]
+            off[m] = mul[d][off[m]]
         members[rj].extend(members[ri])
         if value[ri] >= 0:
-            value[rj] = act[value[ri]][inv[d]]
+            value[rj] = mul[value[ri]][inv[d]]
         trail.append((rj, ri, d))
         return True
 
@@ -480,10 +486,10 @@ def _template_search(parts: tuple[int, ...], budget: _Budget) -> list[tuple]:
                 continue
             moved = members[small]
             del members[big][-len(moved):]
-            back = inv[d]
+            back = mul[inv[d]]
             for m in moved:
                 root[m] = small
-                off[m] = act[off[m]][back]
+                off[m] = back[off[m]]
             if value[small] >= 0:  # the merge gave big its value
                 value[big] = -1
 
@@ -499,7 +505,7 @@ def _template_search(parts: tuple[int, ...], budget: _Budget) -> list[tuple]:
                 continue
             v = value[root[pt]]
             if v >= 0:
-                return pt, act[v][off[pt]]
+                return pt, mul[v][off[pt]]
             if first_free < 0:
                 first_free = pt
         return first_free, -1
@@ -509,30 +515,29 @@ def _template_search(parts: tuple[int, ...], budget: _Budget) -> list[tuple]:
         if pinned >= 0:
             candidates = (pinned,)
         elif assigned:
-            candidates = range(n)
-        else:  # the root point 0 takes one value per Aut(G)-orbit
-            candidates = transporters
+            candidates = range(len(act))
+        else:  # the root point 0 takes one value per orbit
+            candidates = carry
         for e in candidates:
             budget.tick()
             mark = len(trail)
             assign[pt] = e
             ok = pin(pt, e)
             if ok:
+                row = act[e]
                 for x in assigned:
                     ax = assign[x]
-                    tx = act[ax][pt]  # the point x . pt
-                    ty = act[e][x]  # the point pt . x
-                    # a[tx] == a[ty] + (a[pt] - a[x])
-                    if not union(tx, ty, act[e][inv[ax]]):
+                    # a[x . pt] == a[pt . x] o a[pt] o a[x]^-1
+                    if not union(act[ax][pt], row[x], mul[e][inv[ax]]):
                         ok = False
                         break
             if ok:
                 assigned.append(pt)
                 if len(assigned) == n:
-                    for alpha in transporters[assign[0]].values():
+                    for f, c in carry[assign[0]]:
                         moved = [0] * n
                         for x in range(n):
-                            moved[alpha[x]] = alpha[assign[x]]
+                            moved[f[x]] = c[assign[x]]
                         out.append(tuple(act[v] for v in moved))
                 else:
                     dfs()
@@ -542,6 +547,24 @@ def _template_search(parts: tuple[int, ...], budget: _Budget) -> list[tuple]:
 
     dfs()
     return out
+
+
+def _template_search(parts: tuple[int, ...], budget: _Budget) -> list[tuple]:
+    """All row assignments from one regular template satisfying the axiom.
+
+    Points are labeled by the elements of G, so the translation rows are
+    also G's composition table.  An automorphism alpha of G relabels a
+    solution a into alpha o a o alpha^-1, whose value at 0 is alpha(a[0]):
+    :func:`_group_search` lets a[0] range over the least point of each
+    Aut(G)-orbit and carries each solution by one fixed transporter alpha,
+    as the pair (alpha, alpha), to each point of the orbit.
+    """
+    act = _translation_rows(parts)
+    carry = {
+        r: [(alpha, alpha) for alpha in by.values()]
+        for r, by in _automorphism_transporters(parts, act).items()
+    }
+    return _group_search(act, act, [row.index(0) for row in act], carry, budget)
 
 
 def _stabilizer_transporters(
@@ -589,112 +612,27 @@ def _sym_table(n: int) -> tuple[list, dict, list[list[int]], list[int]]:
 
 
 def _full_search(n: int, budget: _Budget) -> list[tuple]:
-    """Depth-first search over all rows with incremental axiom pruning.
-
-    Same scheduling and propagation as the restricted search, except that
-    rows range over all of Sym(n).  Rows are held as indices into
-    :func:`_sym_table`, so the pair condition sigma_{x.y} o sigma_x ==
-    sigma_{y.x} o sigma_y is two table lookups a side, and a single missing
-    row is forced to the index of sigma_{y.x} o sigma_y o sigma_x^{-1}.
+    """Every cycle-set table on n points: :func:`_group_search` over Sym(n).
 
     A relabeling f with f(0) = 0 carries a solution T to the solution
-    T'[f(x)][f(y)] = f(T[x][y]), whose row 0 is f o sigma_0 o f^-1.  So
-    row 0 ranges only over the least permutation r of each orbit of Stab(0)
-    acting by conjugation (12 of 120 at n = 5), and every solution found is
-    carried to each s in the orbit of r by one fixed transporter; that is a
-    bijection onto the solutions with sigma_0 = s, so the output is complete
-    and free of repeats, and the budget counts the expansions of the reduced
-    search.  Output rows are the shared tuples of ``perms``.
+    T'[f(x)][f(y)] = f(T[x][y]), whose row 0 is f o sigma_0 o f^-1.  So row 0
+    ranges only over the least permutation of each orbit of Stab(0) acting
+    by conjugation (12 of 120 at n = 5), and each solution is carried by
+    every transporter f of :func:`_stabilizer_transporters`, with the
+    element map e -> f o perms[e] o f^-1 read off the Cayley table of
+    :func:`_sym_table`.  Output rows are the shared tuples of ``perms``.
     """
     perms, index, mul, inv = _sym_table(n)
-    # row 0's candidates, each with its transporters f as (f, f's index,
-    # f^-1's index)
+
+    def conjugation(f: tuple[int, ...]) -> list[int]:  # e -> f o perms[e] o f^-1
+        i = index[f]
+        return [mul[g][inv[i]] for g in mul[i]]
+
     carry = {
-        index[r]: [(f, index[f], inv[index[f]]) for f in by.values()]
+        index[r]: [(f, conjugation(f)) for f in by.values()]
         for r, by in _stabilizer_transporters(perms).items()
     }
-    rows = [0] * n  # row indices; only rows[:d + 1] are read at depth d
-    forced = [-1] * n
-    pending: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
-    out: list[tuple] = []
-
-    def pair_ok(x: int, y: int, tx: int, ty: int) -> bool:
-        return mul[rows[tx]][rows[x]] == mul[rows[ty]][rows[y]]
-
-    def forced_row(x: int, y: int, ty: int) -> int:
-        # the unique sigma with sigma o sigma_x == sigma_{y.x} o sigma_y
-        return mul[mul[rows[ty]][rows[y]]][inv[rows[x]]]
-
-    def force(slot: int, value: int, added_f: list[int]) -> bool:
-        if forced[slot] < 0:
-            forced[slot] = value
-            added_f.append(slot)
-            return True
-        return forced[slot] == value
-
-    def dfs(d: int) -> None:
-        if forced[d] >= 0:
-            candidates = (forced[d],)
-        elif d:
-            candidates = range(len(perms))
-        else:  # row 0 takes one value per Stab(0)-orbit
-            candidates = carry
-        for cand in candidates:
-            budget.tick()
-            rows[d] = cand
-            ok = True
-            added_p: list[int] = []
-            added_f: list[int] = []
-            for x, y, tx, ty in pending[d]:
-                if tx <= d and ty <= d:
-                    if not pair_ok(x, y, tx, ty):
-                        ok = False
-                        break
-                elif ty > d:
-                    if not force(ty, forced_row(y, x, tx), added_f):
-                        ok = False
-                        break
-                else:
-                    if not force(tx, forced_row(x, y, ty), added_f):
-                        ok = False
-                        break
-            if ok:
-                row = perms[cand]
-                for x in range(d):
-                    tx = perms[rows[x]][d]
-                    ty = row[x]
-                    if tx <= d and ty <= d:
-                        if not pair_ok(x, d, tx, ty):
-                            ok = False
-                            break
-                    elif tx > d and ty > d:
-                        slot = tx if tx < ty else ty
-                        pending[slot].append((x, d, tx, ty))
-                        added_p.append(slot)
-                    elif tx > d:
-                        if not force(tx, forced_row(x, d, ty), added_f):
-                            ok = False
-                            break
-                    else:
-                        if not force(ty, forced_row(d, x, tx), added_f):
-                            ok = False
-                            break
-            if ok:
-                if d == n - 1:
-                    for f, fi, fi_inv in carry[rows[0]]:
-                        moved = [None] * n
-                        for x, r in enumerate(rows):
-                            moved[f[x]] = perms[mul[mul[fi][r]][fi_inv]]
-                        out.append(tuple(moved))
-                else:
-                    dfs(d + 1)
-            for slot in reversed(added_p):
-                pending[slot].pop()
-            for slot in added_f:
-                forced[slot] = -1
-
-    dfs(0)
-    return out
+    return _group_search(perms, mul, inv, carry, budget)
 
 
 def brute_force_enumerate(
@@ -702,7 +640,7 @@ def brute_force_enumerate(
 ) -> list[CycleSet]:
     """Enumerate cycle sets on {0, ..., n-1} according to ``config.mode``.
 
-    full-bruteforce (n <= 5): every cycle-set table, rows ranging over all of
+    full-bruteforce (n <= 6): every cycle-set table, rows ranging over all of
     Sym(n).  Counts are raw: nothing is quotiented by relabeling.
 
     regular-abelian-restricted (n <= 25): rows drawn from the regular
@@ -712,6 +650,10 @@ def brute_force_enumerate(
 
     spec-parameterized (prime powers only): the trivial shift plus the
     structures built from every admissible spec.
+
+    The full and restricted modes run :func:`_group_search`, over the
+    Cayley table of Sym(n) or over each template group's translations; a
+    size above the mode's limit raises ``ValueError`` before any table.
 
     Results are sorted by table encoding, so output is reproducible.  Running
     out of budget raises :class:`BudgetExceeded` naming the mode, n and, in

@@ -266,11 +266,13 @@ class TestTemplates:
 
 
 def tuple_full_search(n, budget):
-    """Reference: the full search with rows held as permutation tuples.
+    """Reference: a row-by-row full search with rows held as tuples.
 
-    The same tree, candidate order and budget unit as ``_full_search``, but
-    every node composes, inverts and compares tuples pointwise instead of
-    reading a Cayley table of Sym(n).
+    Row d ranges over Sym(n), a pair whose points are both set is checked
+    pointwise, a pair with one unset point forces that point's row, and a
+    pair with two unset points waits on the lesser one.  It shares only
+    ``_stabilizer_transporters`` with ``_full_search``, which searches a
+    different tree, so the two are compared as sets of tables.
     """
     perms = list(itertools.permutations(range(n)))
     shared = {p: p for p in perms}
@@ -418,19 +420,21 @@ class TestFullBruteForce:
                     assert all(f[r[x]] == s[f[x]] for x in range(n))
 
     def test_reduced_node_counts(self):
-        # row 0 ranges over one value per Stab(0)-orbit; the unreduced
-        # search expanded 106 / 9,546 / 4,228,212 nodes
-        for n, nodes in ((3, 82), (4, 2578), (5, 279431)):
-            budget = _Budget(10 ** 8)
+        # row 0 ranges over one value per Stab(0)-orbit; unreduced, the
+        # row-by-row reference expanded 106 / 9,546 / 4,228,212 nodes.
+        # Pinned: the reduced reference's expansions, then _full_search's
+        for n, row_nodes, nodes in ((3, 82, 58), (4, 2578, 1398), (5, 279431, 83501)):
+            budget, reference_budget = _Budget(10 ** 8), _Budget(10 ** 8)
+            tuple_full_search(n, reference_budget)
             _full_search(n, budget)
-            assert budget.used == nodes, n
+            assert (reference_budget.used, budget.used) == (row_nodes, nodes), n
 
     def test_search_equals_tuple_reference(self):
-        # same output list, element by element, and the same expansions
+        # the same tables, each found once
         for n in range(1, 6):
-            budget, reference_budget = _Budget(10 ** 8), _Budget(10 ** 8)
-            assert _full_search(n, budget) == tuple_full_search(n, reference_budget)
-            assert budget.used == reference_budget.used, n
+            found = _full_search(n, _Budget(10 ** 8))
+            assert len(set(found)) == len(found), n
+            assert sorted(found) == sorted(tuple_full_search(n, _Budget(10 ** 8))), n
 
     def test_cayley_table(self):
         for n in range(1, 5):
@@ -489,6 +493,149 @@ class TestFullBruteForce:
             brute_force_enumerate(26, SearchConfig())
 
 
+def abelian_template_search(parts, budget):
+    """Reference: the offset quick-find written for abelian templates alone.
+
+    It adds offsets with the translation rows, in whichever order comes
+    first, which only an abelian group allows; otherwise it has the same
+    tree, candidate order and budget unit as ``_template_search``.
+
+    All row assignments from one regular template satisfying the axiom.
+
+    Solutions are a map x -> a[x] with row x the translation by a[x].  An
+    automorphism alpha of G relabels a solution a into alpha o a o alpha^-1,
+    again a solution, whose value at 0 is alpha(a[0]).  So the search only
+    lets a[0] range over the least point r of each Aut(G)-orbit, and every
+    solution found is carried to each s in the orbit of r by one fixed
+    transporter; that is a bijection onto the solutions with a[0] = s, so
+    the output is complete and free of repeats, and the budget counts the
+    expansions of the reduced search.
+
+    Inside the abelian template the pair condition for (x, y) reads
+    a[x.y] + a[x] == a[y.x] + a[y] in the group, i.e. it pins the
+    *difference* of two row values.  The search therefore keeps the points
+    in classes of known differences: every pair constraint is merged in as
+    soon as both its points are assigned, contradictions prune immediately,
+    and a point whose class has a known value admits exactly one candidate.
+    The classes are an offset quick-find: each point stores its root and its
+    offset to the root, each root its member list and its value, if known.
+    A merge relabels the smaller class, so undoing it on backtracking
+    truncates the larger class's member list and shifts the moved offsets
+    back; two classes that both have values are compared, never merged.
+    """
+    act = _translation_rows(parts)  # act[u][v] is also the group sum u + v
+    n = len(act)
+    transporters = _automorphism_transporters(parts, act)
+    inv = [act[e].index(0) for e in range(n)]
+    root = list(range(n))
+    off = [0] * n  # a[i] == a[root[i]] + off[i]
+    members = [[i] for i in range(n)]  # members[r], for each root r
+    value = [-1] * n  # value[r] == a[r] for a root r, or -1 if unknown
+    assign = [-1] * n
+    trail: list[tuple[int, int, int]] = []  # (big, small, d), or (r, -1, 0)
+    out: list[tuple] = []
+
+    def pin(i: int, e: int) -> bool:
+        # impose a[i] == e
+        r = root[i]
+        v = act[e][inv[off[i]]]
+        if value[r] >= 0:
+            return value[r] == v
+        value[r] = v
+        trail.append((r, -1, 0))
+        return True
+
+    def union(i: int, j: int, delta: int) -> bool:
+        # impose a[i] == a[j] + delta, i.e. a[ri] == a[rj] + d
+        ri, rj = root[i], root[j]
+        d = act[act[off[j]][delta]][inv[off[i]]]
+        if ri == rj:
+            return d == 0
+        if value[ri] >= 0 and value[rj] >= 0:
+            return value[ri] == act[value[rj]][d]
+        if len(members[ri]) > len(members[rj]):
+            ri, rj, d = rj, ri, inv[d]
+        for m in members[ri]:  # relabel the smaller class ri into rj
+            root[m] = rj
+            off[m] = act[off[m]][d]
+        members[rj].extend(members[ri])
+        if value[ri] >= 0:
+            value[rj] = act[value[ri]][inv[d]]
+        trail.append((rj, ri, d))
+        return True
+
+    def rollback(mark: int) -> None:
+        while len(trail) > mark:
+            big, small, d = trail.pop()
+            if small < 0:
+                value[big] = -1
+                continue
+            moved = members[small]
+            del members[big][-len(moved):]
+            back = inv[d]
+            for m in moved:
+                root[m] = small
+                off[m] = act[off[m]][back]
+            if value[small] >= 0:  # the merge gave big its value
+                value[big] = -1
+
+    assigned: list[int] = []
+
+    def next_point() -> tuple[int, int]:
+        # prefer a point of a class with a known value: it admits one
+        # candidate and assigning it feeds its pair constraints back into
+        # the search
+        first_free = -1
+        for pt in range(n):
+            if assign[pt] >= 0:
+                continue
+            v = value[root[pt]]
+            if v >= 0:
+                return pt, act[v][off[pt]]
+            if first_free < 0:
+                first_free = pt
+        return first_free, -1
+
+    def dfs() -> None:
+        pt, pinned = next_point()
+        if pinned >= 0:
+            candidates = (pinned,)
+        elif assigned:
+            candidates = range(n)
+        else:  # the root point 0 takes one value per Aut(G)-orbit
+            candidates = transporters
+        for e in candidates:
+            budget.tick()
+            mark = len(trail)
+            assign[pt] = e
+            ok = pin(pt, e)
+            if ok:
+                for x in assigned:
+                    ax = assign[x]
+                    tx = act[ax][pt]  # the point x . pt
+                    ty = act[e][x]  # the point pt . x
+                    # a[tx] == a[ty] + (a[pt] - a[x])
+                    if not union(tx, ty, act[e][inv[ax]]):
+                        ok = False
+                        break
+            if ok:
+                assigned.append(pt)
+                if len(assigned) == n:
+                    for alpha in transporters[assign[0]].values():
+                        moved = [0] * n
+                        for x in range(n):
+                            moved[alpha[x]] = alpha[assign[x]]
+                        out.append(tuple(act[v] for v in moved))
+                else:
+                    dfs()
+                assigned.pop()
+            rollback(mark)
+        assign[pt] = -1
+
+    dfs()
+    return out
+
+
 class TestRestrictedBruteForce:
     def test_size_four_census(self):
         raw = brute_force_enumerate(4, SearchConfig())
@@ -542,6 +689,15 @@ class TestRestrictedBruteForce:
             for _, parts in abelian_templates(n):
                 _template_search(parts, budget)
             assert budget.used == nodes, n
+
+    def test_search_equals_abelian_reference(self):
+        # the same output list, element by element, and the same expansions
+        for n in range(1, 13):
+            for name, parts in abelian_templates(n):
+                budget, reference_budget = _Budget(10 ** 8), _Budget(10 ** 8)
+                found = _template_search(parts, budget)
+                assert found == abelian_template_search(parts, reference_budget), name
+                assert budget.used == reference_budget.used, name
 
     def test_aut_orbits(self):
         orbits = {

@@ -338,6 +338,16 @@ class TestIso:
         assert code == 1
         assert payload == {"isomorphic": False}
 
+    def test_both_tables_from_stdin_is_a_usage_error(self, capsys, monkeypatch):
+        # standard input holds one payload, so the second read would see none
+        payload = json.dumps({"n": 4, "table": [list(r) for r in GOLDEN4_TABLE]})
+        monkeypatch.setattr(
+            sys, "stdin", io.TextIOWrapper(io.BytesIO(payload.encode("utf-8")))
+        )
+        code, out, err = run(capsys, "iso", "-", "-")
+        assert (code, out) == (2, "")
+        assert err == "error: only one of the two tables can come from standard input\n"
+
     def test_large_decomposable_pair(self, capsys, monkeypatch, tmp_path):
         # the search ran out of recursion depth here; validating the tables
         # takes most of a minute, so the loader checks their rows only
@@ -468,7 +478,7 @@ class TestClassifyAndEnumerate:
     @pytest.mark.parametrize("n,mode,cap", [
         ("170", "spec", 169),
         ("1000003", "spec", 169),
-        ("6", "full", 5),
+        ("7", "full", 6),
         ("26", "regular-abelian", 25),
     ])
     def test_enumerate_size_cap_is_a_usage_error(self, capsys, monkeypatch, n, mode,
@@ -477,12 +487,14 @@ class TestClassifyAndEnumerate:
         def no_work(*args, **kwargs):
             raise AssertionError("enumerate ran past its size cap")
 
-        for name in ("_spec_family", "_full_search", "_template_search", "prime_power"):
+        for name in ("_spec_family", "_group_search", "_sym_table", "_full_search",
+                     "_template_search", "prime_power"):
             monkeypatch.setattr(classify_module, name, no_work)
         code, out, err = run(capsys, "enumerate", n, "--mode", mode, "--count")
         assert code == 2 and out == ""
         assert f"at most {cap} points" in err
 
+    # full mode's bound, n = 6, takes about 14 s, so CI checks it instead
     @pytest.mark.parametrize("n,mode,count", [("5", "full", 2640), ("169", "spec", 13)])
     def test_enumerate_size_cap_admits_its_bound(self, capsys, n, mode, count):
         code, payload, _ = run_json(capsys, "enumerate", n, "--mode", mode, "--count")
