@@ -423,7 +423,10 @@ def _group_search(
     a[x.y] == a[y.x] o (a[y] o a[x]^-1).  So the search keeps the points in
     classes of known relations: every pair constraint is merged in as soon
     as both its points are assigned, contradictions prune at once, and a
-    point whose class has a known value admits exactly one candidate.  The
+    point whose class has a known value admits exactly one candidate.  Such
+    points come first; else the search branches on the first point of the
+    largest class without a value, whose candidate fixes every member.  At
+    the root every class is one point, so the first branch is at 0.  The
     classes are an offset quick-find: each point stores its root and its
     offset, composed on the right (a[i] == a[root[i]] o off[i]), each root
     its member list and its value, if known.  A merge relabels the smaller
@@ -497,18 +500,18 @@ def _group_search(
 
     def next_point() -> tuple[int, int]:
         # prefer a point of a class with a known value: it admits one
-        # candidate and assigning it feeds its pair constraints back into
-        # the search
-        first_free = -1
+        # candidate and feeds its pair constraints back into the search;
+        # else take the first point of the largest class without a value
+        best, size = -1, 0
         for pt in range(n):
             if assign[pt] >= 0:
                 continue
-            v = value[root[pt]]
-            if v >= 0:
-                return pt, mul[v][off[pt]]
-            if first_free < 0:
-                first_free = pt
-        return first_free, -1
+            r = root[pt]
+            if value[r] >= 0:
+                return pt, mul[value[r]][off[pt]]
+            if len(members[r]) > size:
+                best, size = pt, len(members[r])
+        return best, -1
 
     def dfs() -> None:
         pt, pinned = next_point()

@@ -42,6 +42,7 @@ from cyclesets.classify import (
     _automorphism_transporters,
     _full_search,
     _group_order_type,
+    _group_search,
     _require_matching,
     _spec_family,
     _stabilizer_transporters,
@@ -497,8 +498,9 @@ def abelian_template_search(parts, budget):
     """Reference: the offset quick-find written for abelian templates alone.
 
     It adds offsets with the translation rows, in whichever order comes
-    first, which only an abelian group allows; otherwise it has the same
-    tree, candidate order and budget unit as ``_template_search``.
+    first, which only an abelian group allows, and branches on the first
+    free point in index order; ``_template_search`` branches on the largest
+    class without a value, so the two trees differ but the tables do not.
 
     All row assignments from one regular template satisfying the axiom.
 
@@ -683,21 +685,44 @@ class TestRestrictedBruteForce:
 
     def test_reduced_node_counts(self):
         # expansions summed over the templates of each size: any change to
-        # the search tree (scheduling, pruning, the Aut(G) reduction) shows
-        for n, nodes in ((8, 3109), (9, 1445), (12, 17989), (14, 11260), (15, 20240)):
-            budget = _Budget(10 ** 8)
+        # the search tree (scheduling, pruning, the Aut(G) reduction) shows.
+        # Pinned: the first-free reference's expansions, then _template_search's,
+        # which branches on the largest class without a value
+        for n, first_free_nodes, nodes in (
+            (8, 3109, 2894), (9, 1445, 1362), (12, 17989, 11442),
+            (14, 11260, 5313), (15, 20240, 6414),
+        ):
+            budget, reference_budget = _Budget(10 ** 8), _Budget(10 ** 8)
             for _, parts in abelian_templates(n):
+                abelian_template_search(parts, reference_budget)
                 _template_search(parts, budget)
-            assert budget.used == nodes, n
+            assert (reference_budget.used, budget.used) == (first_free_nodes, nodes), n
 
     def test_search_equals_abelian_reference(self):
-        # the same output list, element by element, and the same expansions
+        # the same tables, each found once; the trees differ, so the order may
         for n in range(1, 13):
             for name, parts in abelian_templates(n):
-                budget, reference_budget = _Budget(10 ** 8), _Budget(10 ** 8)
-                found = _template_search(parts, budget)
-                assert found == abelian_template_search(parts, reference_budget), name
-                assert budget.used == reference_budget.used, name
+                found = _template_search(parts, _Budget(10 ** 8))
+                assert len(set(found)) == len(found), name
+                reference = abelian_template_search(parts, _Budget(10 ** 8))
+                assert sorted(found) == sorted(reference), name
+
+    def test_root_branches_at_point_zero(self):
+        # the carry is keyed on a[0], so the first branch must be at point 0:
+        # with one key r and only the identity to carry by, every table found
+        # has row 0 == act[r], and the keys together find every table once
+        for n in (4, 8, 9, 12):
+            for name, parts in abelian_templates(n):
+                act = _translation_rows(parts)
+                inv = [row.index(0) for row in act]
+                identity = act[0]
+                found = []
+                for r in range(n):
+                    carry = {r: [(identity, identity)]}
+                    part = _group_search(act, act, inv, carry, _Budget(10 ** 8))
+                    assert all(table[0] == act[r] for table in part), (name, r)
+                    found += part
+                assert sorted(found) == sorted(_template_search(parts, _Budget(10 ** 8)))
 
     def test_aut_orbits(self):
         orbits = {
@@ -907,6 +932,22 @@ class TestClassifyPq:
         assert profiles == sorted(
             [(1, "cyclic"), (2, "abelian-noncyclic")] + [(2, "cyclic")] * 12
         )
+
+    def test_p_equals_five_matches_the_oracle(self, monkeypatch):
+        # the oracle at RESTRICTED_MODE_MAX: both templates of order 25
+        raw = []
+
+        def recording(n, config=None):
+            raw.extend(brute_force_enumerate(n, config))
+            return raw
+
+        monkeypatch.setattr(classify_module, "brute_force_enumerate", recording)
+        report = classify_pq(5, 5, cross_check=True)
+        assert report.templates_searched == ("Z/25", "Z/5xZ/5")
+        assert [(e.mpl, e.group_type, e.raw_count) for e in report.classes] == [
+            (2, "abelian-noncyclic", 480), (1, "cyclic", 20),
+        ] + [(2, "cyclic", 20)] * 4
+        assert (len(raw), sum(map(is_indecomposable, raw))) == (19325, 580)
 
     def test_without_cross_check(self):
         report = classify_pq(3, 3, cross_check=False)
