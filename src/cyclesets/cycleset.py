@@ -12,9 +12,10 @@ for all pairs x, y; the pair form is what the fast paths check.
 The module provides validation with explicit violation witnesses, the derived
 predicates (non-degenerate, square-free, indecomposable), the retraction
 tower and multipermutation level, the two-way conversion to involutive
-non-degenerate solutions, isomorphism testing, and the complete isomorphism
-invariant for the size-p^2, level-2, cyclic-group family, which is read from
-the prime-power spec that :func:`cyclesets.construct.extract_spec` recovers.
+non-degenerate solutions, checked through the cycle-set axiom, isomorphism
+testing, and the complete isomorphism invariant for the size-p^2, level-2,
+cyclic-group family, which is read from the prime-power spec that
+:func:`cyclesets.construct.extract_spec` recovers.
 """
 
 from __future__ import annotations
@@ -341,18 +342,15 @@ class Solution:
 
 
 def validate_solution(lam, rho) -> Solution:
-    """Full check: bijective rows, r involutive, braid identity on all triples.
+    """Full check: bijective rows, r involutive, and the braid identity.
 
     Raises :class:`SolutionError` with the first failing pair (x, y) for
     involutivity, else the first failing triple (x, y, z) for the braid
     identity r1 r2 r1 = r2 r1 r2, both in lexicographic order.
 
-    With (a, b) = r(x, y), the three components of the two sides are, as
-    functions of z, the gathers lambda_a o lambda_b against lambda_x o
-    lambda_y, rho_{lambda_b(z)}(a) against lambda_j(h), and rho_z(b) against
-    rho_h(j), where h = rho_z(y) and j = rho_{lambda_y(z)}(x).  They are
-    compared once per pair (x, y), and z is scanned only on the first failing
-    pair, so the witness is that of the plain triple scan.
+    By Rump (Adv. Math. 193, 2005, Prop. 1), an involutive r with bijective
+    lambda rows braids exactly when x . y = lambda_x^{-1}(y) is a cycle set,
+    so :func:`find_violations` decides; only a rejected r is scanned.
     """
     sol = Solution(lam, rho)
     n = sol.n
@@ -361,8 +359,27 @@ def validate_solution(lam, rho) -> Solution:
             u, v = sol.r(x, y)
             if sol.r(u, v) != (x, y):
                 raise SolutionError("r is not involutive", (x, y))
-    if n == 1:
-        return sol  # the identity braids; a one-index itemgetter returns a scalar
+    if find_violations(_inverse_rows(sol.lam), limit=1):
+        raise SolutionError("braid identity fails", _braid_witness(sol))
+    return sol
+
+
+def _inverse_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    return tuple(Permutation._trusted(row).inverse().images for row in rows)
+
+
+def _braid_witness(sol: Solution) -> tuple[int, int, int]:
+    """The least triple (x, y, z) where an involutive r fails to braid.
+
+    With (a, b) = r(x, y), the three components of the two sides are, as
+    functions of z, the gathers lambda_a o lambda_b against lambda_x o
+    lambda_y, rho_{lambda_b(z)}(a) against lambda_j(h), and rho_z(b) against
+    rho_h(j), where h = rho_z(y) and j = rho_{lambda_y(z)}(x).  They are
+    compared once per pair (x, y), and z is scanned only on the first failing
+    pair, so the witness is that of the plain triple scan.  An r rejected by
+    :func:`validate_solution` has one: its first components fail to braid.
+    """
+    n = sol.n
     lam, rho = sol.lam, sol.rho
     cols = tuple(zip(*rho))  # cols[x][z] = rho_z(x)
     cols_n = tuple(tuple(v * n for v in col) for col in cols)
@@ -379,32 +396,30 @@ def validate_solution(lam, rho) -> Solution:
             d, m = cols[b], at_jh(flat_cols)
             if (e, f, d) != (i, k, m):
                 z = next(z for z in range(n) if (e[z], f[z], d[z]) != (i[z], k[z], m[z]))
-                raise SolutionError("braid identity fails", (x, y, z))
-    return sol
+                return x, y, z
 
 
 def to_solution(X: CycleSet) -> Solution:
     """The involutive solution attached to a cycle set.
 
-    lambda_x is the inverse of the row sigma_x, and rho_y(x) = lambda_x(y) . x.
+    lambda_x is the inverse of the row sigma_x, and rho_y(x) = lambda_x(y) . x;
+    column x of rho is column x of the table gathered at the rows lambda_x.
     """
-    n = X.n
-    lam = [row.inverse().images for row in X.rows()]
-    rho = [[0] * n for _ in range(n)]
-    for y in range(n):
-        for x in range(n):
-            rho[y][x] = X.table[lam[x][y]][x]
-    return Solution(lam, rho)
+    lam = _inverse_rows(X.table)
+    rho_cols = [map(col.__getitem__, row) for col, row in zip(zip(*X.table), lam)]
+    return Solution(lam, zip(*rho_cols))
 
 
 def from_solution(sol: Solution) -> CycleSet:
     """Recover the cycle set via x . y = lambda_x^{-1}(y).
 
-    The input is fully re-validated, so tables that fail involutivity, the
-    braid identity, or non-degeneracy are rejected with a witness.
+    The input is re-validated by :func:`validate_solution`, whose braid check
+    accepts exactly this table; a failure raises :class:`SolutionError` with
+    a witness.  Non-bijective rows raise :class:`TableError`, with no witness,
+    when the :class:`Solution` is built.
     """
     sol = validate_solution(sol.lam, sol.rho)
-    return validate([Permutation._trusted(row).inverse().images for row in sol.lam])
+    return CycleSet._trusted(_inverse_rows(sol.lam))
 
 
 def _row_types(X: CycleSet) -> tuple[tuple[int, ...], ...]:

@@ -48,6 +48,21 @@ def write_json(path, payload):
     return str(path)
 
 
+def count_scans(monkeypatch):
+    """Count the calls of the pair kernel and of the braid witness scan."""
+    counts = {}
+    for name in ("find_violations", "_braid_witness"):
+        real = getattr(cycleset_module, name)
+        counts[name] = 0
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cycleset_module, name, counting)
+    return counts
+
+
 @pytest.fixture
 def golden4_file(tmp_path, golden4):
     return write_json(tmp_path / "golden4.json", cycleset_to_dict(golden4))
@@ -199,9 +214,12 @@ class TestVerify:
 
         monkeypatch.setattr(cycleset_module, "validate_solution", counting)
         monkeypatch.setattr(cli_module, "validate_solution", counting, raising=False)
+        scans = count_scans(monkeypatch)
         code, payload, _ = run_json(capsys, "verify", "-i", golden4_file)
         assert code == 0 and payload["solution_checks"] is True
         assert calls == [4]
+        # the load's axiom check and the braid criterion, no witness scan
+        assert scans == {"find_violations": 2, "_braid_witness": 0}
 
     def test_invert_runs_braid_check_once(self, capsys, golden4_file, tmp_path,
                                           monkeypatch):
@@ -218,10 +236,12 @@ class TestVerify:
         assert code == 0
         sol_path = tmp_path / "sol.json"
         sol_path.write_text(out)
+        scans = count_scans(monkeypatch)
         code, payload, _ = run_json(capsys, "solution", "-i", str(sol_path), "--invert")
         assert code == 0
         assert payload == {"n": 4, "table": [list(r) for r in GOLDEN4_TABLE]}
         assert calls == [4]
+        assert scans == {"find_violations": 1, "_braid_witness": 0}
 
     def test_structural_errors_are_usage_errors(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

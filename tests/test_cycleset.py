@@ -38,6 +38,7 @@ from cyclesets import (
     validate,
     validate_solution,
 )
+from cyclesets import cycleset as cycleset_module
 from cyclesets.classify import _spec_family
 from cyclesets.cycleset import _certificate, _normalize_table, _row_types
 from conftest import GOLDEN4_TABLE
@@ -392,6 +393,43 @@ def kernel_corpus():
     return kernel_tables()
 
 
+def involutive_maps(n):
+    """Every (lam, rho) at n points with bijective rows where rho is forced
+    by r^2 = id, rho_y(x) = lambda^{-1}_{lambda_x(y)}(x).
+
+    The search runs over the tables T of the lambda^{-1} rows.  rho_y sends
+    x to T[u][x] where T[x][u] = y, so rho has bijective rows exactly when
+    the pairs (T[x][u], T[u][x]) are distinct over all (x, u); each row of T
+    is kept only if its pairs with the rows before it are new."""
+    perms = list(itertools.permutations(range(n)))
+
+    def extend(rows, seen):
+        k = len(rows)
+        if k == n:
+            yield rows
+            return
+        for row in perms:
+            new = [(row[k], row[k])]
+            for u in range(k):
+                new += [(row[u], rows[u][k]), (rows[u][k], row[u])]
+            if len(set(new)) == len(new) and seen.isdisjoint(new):
+                yield from extend(rows + (row,), seen.union(new))
+
+    for table in extend((), frozenset()):
+        lam = [tuple(sorted(range(n), key=row.__getitem__)) for row in table]
+        yield lam, [[table[lam[x][y]][x] for x in range(n)] for y in range(n)]
+
+
+def forced_rho_maps(n):
+    """The same maps by the plain loop over every lambda."""
+    perms = list(itertools.permutations(range(n)))
+    for lam in itertools.product(perms, repeat=n):
+        inv = [tuple(sorted(range(n), key=row.__getitem__)) for row in lam]
+        rho = [[inv[lam[x][y]][x] for x in range(n)] for y in range(n)]
+        if all(len(set(row)) == n for row in rho):
+            yield list(lam), rho
+
+
 class TestPairKernels:
     """The per-pair kernels against the triple scans they replace."""
 
@@ -427,6 +465,36 @@ class TestPairKernels:
                 assert solution_outcome(validate_solution, lam, rho) == expected
                 witnesses[expected[0].split(" at ")[0] if isinstance(expected, tuple) else "valid"] += 1
         assert witnesses == {"braid identity fails": 49, "r is not involutive": 192, "valid": 73}
+
+    def test_criterion_equals_the_triple_scan_exhaustively(self):
+        for n in (2, 3):
+            assert sorted(involutive_maps(n)) == sorted(forced_rho_maps(n))
+        counts = []
+        for n in (2, 3, 4):
+            maps = accepted = 0
+            for lam, rho in involutive_maps(n):
+                expected = solution_outcome(reference_validate_solution, lam, rho)
+                assert solution_outcome(validate_solution, lam, rho) == expected
+                maps += 1
+                if isinstance(expected, Solution):
+                    accepted += 1
+                else:
+                    assert expected[0].startswith("braid identity fails at ")
+            counts.append((maps, accepted))
+        # the accepted maps are the labelled cycle sets of the census
+        assert counts == [(2, 2), (24, 12), (3360, 168)]
+
+    def test_valid_solutions_skip_the_witness_scan(self, kernel_corpus, monkeypatch):
+        def entered(sol):
+            raise AssertionError(f"witness scan entered at n = {sol.n}")
+
+        monkeypatch.setattr(cycleset_module, "_braid_witness", entered)
+        full = SearchConfig(mode="full-bruteforce")
+        census = [brute_force_enumerate(n, full) for n in range(1, 6)]
+        assert list(map(len, census)) == [1, 2, 12, 168, 2640]
+        for X in [*itertools.chain(*census), *map(CycleSet, kernel_corpus)]:
+            s = to_solution(X)
+            assert validate_solution(s.lam, s.rho) == s
 
     def test_valid_solutions_at_64(self):
         for X in (trivial_cycle_set(64), _spec_family(2, 6, None)[-1]):
