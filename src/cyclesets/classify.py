@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .arith import factorize, is_prime, partitions, prime_power
@@ -355,56 +355,50 @@ def abelian_templates(n: int) -> list[tuple[str, tuple[int, ...]]]:
     return templates
 
 
+def _labelled(parts: tuple[int, ...]) -> tuple[list[tuple[int, ...]], dict]:
+    """The elements of Z/d_1 x ... x Z/d_k in big-endian order, and their labels."""
+    elems = list(itertools.product(*map(range, parts)))
+    return elems, {v: i for i, v in enumerate(elems)}
+
+
 def _translation_rows(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Regular action of the product of cyclic groups Z/d, flattened big-endian.
 
     Row e maps point y to y + e (componentwise); because points are labeled
     by group elements, the same table also serves as the composition table.
     """
-    elems = list(itertools.product(*map(range, parts)))  # big-endian order
-    index = {v: i for i, v in enumerate(elems)}
+    elems, index = _labelled(parts)
     return [
         tuple(index[tuple((a + b) % d for a, b, d in zip(y, e, parts))] for y in elems)
         for e in elems
     ]
 
 
-def _automorphism_transporters(
-    parts: tuple[int, ...], act: list[tuple[int, ...]]
-) -> dict[int, dict[int, tuple[int, ...]]]:
-    """Orbits of Aut(G) on the template group G, with one transporter each.
+def _orbit_walk(gens: list[tuple], points: int, size: int) -> dict[int, list[tuple]]:
+    """Orbits on the elements of the group that ``gens`` generate, with transporters.
 
-    Returns {r: {s: alpha}} over the orbit representatives r (the least point
-    of each orbit), where alpha is an automorphism with alpha(r) = s, for
-    every s in the orbit of r.  Automorphisms are streamed, never listed:
-    the images of the basis generators range over the elements of order
-    exactly d_i, and a choice is kept when the induced map is a bijection,
-    which is checked generator by generator to prune early.
+    Each generator is a pair (f, c) as in the ``carry`` of
+    :func:`_group_search`: f relabels the points and c maps the elements.
+    Each orbit is walked breadth-first from its least element r, and the
+    result {r: [(f, c), ...]} lists the identity first, then one product of
+    generators, with c[r] == s, for each other element s of the orbit.
     """
-    n = len(act)
-    multiples = []  # multiples[g] = [0, g, 2g, ...], as long as the order of g
-    for g in range(n):
-        mult = [0]
-        while act[mult[-1]][g] != 0:
-            mult.append(act[mult[-1]][g])
-        multiples.append(mult)
-    reach: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
-
-    def extend(i: int, imgs: list[int]) -> None:
-        # imgs maps the flattened prefix (x_1, ..., x_i) to x_1 g_1 + ... + x_i g_i
-        if i == len(parts):
-            alpha = tuple(imgs)
-            for x, s in enumerate(alpha):
-                reach[x].setdefault(s, alpha)
-            return
-        for mult in multiples:
-            if len(mult) == parts[i]:
-                nxt = [act[u][m] for u in imgs for m in mult]
-                if len(set(nxt)) == len(nxt):
-                    extend(i + 1, nxt)
-
-    extend(0, [0])
-    return {r: reach[r] for r in range(n) if min(reach[r]) == r}
+    seen = [False] * size
+    out: dict[int, list[tuple]] = {}
+    for r in range(size):
+        if seen[r]:
+            continue
+        seen[r] = True
+        walk = out[r] = [(tuple(range(points)), tuple(range(size)))]
+        for f, c in walk:  # the loop also visits the pairs appended to walk
+            for g, h in gens:
+                s = h[c[r]]
+                if not seen[s]:
+                    seen[s] = True
+                    walk.append((
+                        tuple(map(g.__getitem__, f)), tuple(map(h.__getitem__, c))
+                    ))
+    return out
 
 
 def _group_search(
@@ -555,50 +549,31 @@ def _group_search(
 def _template_search(parts: tuple[int, ...], budget: _Budget) -> list[tuple]:
     """All row assignments from one regular template satisfying the axiom.
 
-    Points are labeled by the elements of G, so the translation rows are
-    also G's composition table.  An automorphism alpha of G relabels a
-    solution a into alpha o a o alpha^-1, whose value at 0 is alpha(a[0]):
-    :func:`_group_search` lets a[0] range over the least point of each
-    Aut(G)-orbit and carries each solution by one fixed transporter alpha,
-    as the pair (alpha, alpha), to each point of the orbit.
+    Points are labeled by the elements of G = Z/d_1 x ... x Z/d_k, so the
+    translation rows are also G's composition table.  An automorphism alpha
+    of G relabels a solution a into alpha o a o alpha^-1, whose value at 0 is
+    alpha(a[0]), so :func:`_group_search` carries by the pairs (alpha, alpha)
+    of :func:`_orbit_walk`.  Its generators replace y_j by y_j + m y_i mod
+    d_j: for i == j with m + 1 a unit mod d_i, the scalings, and for i != j
+    with m = d_j / gcd(d_i, d_j), the transvections.  Their orbits are those
+    of Aut(G) for every template up to RESTRICTED_MODE_MAX, as tests check.
     """
     act = _translation_rows(parts)
-    carry = {
-        r: [(alpha, alpha) for alpha in by.values()]
-        for r, by in _automorphism_transporters(parts, act).items()
-    }
+    elems, index = _labelled(parts)
+    gens = []
+    for i, di in enumerate(parts):
+        for j, dj in enumerate(parts):
+            if i == j:
+                ms = [u - 1 for u in range(2, di) if gcd(u, di) == 1]
+            else:
+                ms = [dj // gcd(di, dj)]
+            for m in ms:
+                alpha = tuple(
+                    index[y[:j] + ((y[j] + m * y[i]) % dj,) + y[j + 1:]] for y in elems
+                )
+                gens.append((alpha, alpha))
+    carry = _orbit_walk(gens, len(act), len(act))
     return _group_search(act, act, [row.index(0) for row in act], carry, budget)
-
-
-def _stabilizer_transporters(
-    perms: list[tuple[int, ...]],
-) -> dict[tuple, dict[tuple, tuple[int, ...]]]:
-    """Orbits of Stab(0) on Sym(n) by conjugation, with one transporter each.
-
-    Returns {r: {s: f}} over the orbit representatives r (the least
-    permutation of each orbit, as ``perms`` is in lexicographic order), where
-    f fixes 0 and f o r o f^-1 == s, for every s in the orbit of r.  Two
-    permutations share an orbit exactly when they have the same cycle type
-    and the same length of the cycle through 0; f is read off by aligning
-    their cycle notations, 0's cycle first and starting at 0, the other
-    cycles longest first.
-    """
-    reps: dict[tuple, tuple[tuple[int, ...], list[int]]] = {}
-    out: dict[tuple, dict[tuple, tuple[int, ...]]] = {}
-    for s in perms:
-        first, *rest = Permutation._trusted(s)._orbits()
-        rest.sort(key=len, reverse=True)
-        key = (len(first), tuple(map(len, rest)))
-        seq = [x for cycle in (first, *rest) for x in cycle]
-        if key not in reps:
-            reps[key] = (s, seq)
-            out[s] = {}
-        r, seq_r = reps[key]
-        f = [0] * len(s)
-        for a, b in zip(seq_r, seq):
-            f[a] = b
-        out[r][s] = tuple(f)
-    return out
 
 
 def _sym_table(n: int) -> tuple[list, dict, list[list[int]], list[int]]:
@@ -620,22 +595,18 @@ def _full_search(n: int, budget: _Budget) -> list[tuple]:
     A relabeling f with f(0) = 0 carries a solution T to the solution
     T'[f(x)][f(y)] = f(T[x][y]), whose row 0 is f o sigma_0 o f^-1.  So row 0
     ranges only over the least permutation of each orbit of Stab(0) acting
-    by conjugation (12 of 120 at n = 5), and each solution is carried by
-    every transporter f of :func:`_stabilizer_transporters`, with the
-    element map e -> f o perms[e] o f^-1 read off the Cayley table of
-    :func:`_sym_table`.  Output rows are the shared tuples of ``perms``.
+    by conjugation (12 of 120 at n = 5), and each solution is carried by the
+    transporters of :func:`_orbit_walk`.  Stab(0) is generated by (1 2) and
+    (1 2 ... n-1), each with its element map e -> f o perms[e] o f^-1 read
+    off the Cayley table of :func:`_sym_table`.  Output rows are the shared
+    tuples of ``perms``.
     """
     perms, index, mul, inv = _sym_table(n)
-
-    def conjugation(f: tuple[int, ...]) -> list[int]:  # e -> f o perms[e] o f^-1
+    gens = []
+    for f in ((0, 2, 1) + perms[0][3:], (0,) + perms[0][2:] + (1,)) if n > 2 else ():
         i = index[f]
-        return [mul[g][inv[i]] for g in mul[i]]
-
-    carry = {
-        index[r]: [(f, conjugation(f)) for f in by.values()]
-        for r, by in _stabilizer_transporters(perms).items()
-    }
-    return _group_search(perms, mul, inv, carry, budget)
+        gens.append((f, [mul[g][inv[i]] for g in mul[i]]))
+    return _group_search(perms, mul, inv, _orbit_walk(gens, n, len(perms)), budget)
 
 
 def brute_force_enumerate(

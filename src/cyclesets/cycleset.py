@@ -353,15 +353,31 @@ def validate_solution(lam, rho) -> Solution:
     so :func:`find_violations` decides; only a rejected r is scanned.
     """
     sol = Solution(lam, rho)
-    n = sol.n
-    for x in range(n):
-        for y in range(n):
-            u, v = sol.r(x, y)
-            if sol.r(u, v) != (x, y):
-                raise SolutionError("r is not involutive", (x, y))
-    if find_violations(_inverse_rows(sol.lam), limit=1):
-        raise SolutionError("braid identity fails", _braid_witness(sol))
+    _check_solution(sol)
     return sol
+
+
+def _involution_failure(sol: Solution) -> Optional[tuple[int, int]]:
+    """The least pair (x, y) with r(r(x, y)) != (x, y), or None."""
+    for x in range(sol.n):
+        for y in range(sol.n):
+            if sol.r(*sol.r(x, y)) != (x, y):
+                return x, y
+    return None
+
+
+def _check_solution(sol: Solution) -> tuple[tuple[int, ...], ...]:
+    """The checks of :func:`validate_solution` on a built :class:`Solution`.
+
+    Returns the lambda^{-1} rows, the cycle set's table.
+    """
+    pair = _involution_failure(sol)
+    if pair is not None:
+        raise SolutionError("r is not involutive", pair)
+    rows = _inverse_rows(sol.lam)
+    if find_violations(rows, limit=1):
+        raise SolutionError("braid identity fails", _braid_witness(sol))
+    return rows
 
 
 def _inverse_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -413,13 +429,12 @@ def to_solution(X: CycleSet) -> Solution:
 def from_solution(sol: Solution) -> CycleSet:
     """Recover the cycle set via x . y = lambda_x^{-1}(y).
 
-    The input is re-validated by :func:`validate_solution`, whose braid check
+    The input gets the checks of :func:`validate_solution`, whose braid check
     accepts exactly this table; a failure raises :class:`SolutionError` with
     a witness.  Non-bijective rows raise :class:`TableError`, with no witness,
     when the :class:`Solution` is built.
     """
-    sol = validate_solution(sol.lam, sol.rho)
-    return CycleSet._trusted(_inverse_rows(sol.lam))
+    return CycleSet._trusted(_check_solution(sol))
 
 
 def _row_types(X: CycleSet) -> tuple[tuple[int, ...], ...]:

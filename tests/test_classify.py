@@ -39,13 +39,11 @@ from cyclesets import cycleset as cycleset_module
 from cyclesets.cycleset import _certificate
 from cyclesets.classify import (
     _Budget,
-    _automorphism_transporters,
     _full_search,
     _group_order_type,
     _group_search,
     _require_matching,
     _spec_family,
-    _stabilizer_transporters,
     _sym_table,
     _template_search,
     _translation_rows,
@@ -266,14 +264,46 @@ class TestTemplates:
                         assert sum(m % o == 0 for o in orders) == expected, name
 
 
+def _stabilizer_transporters(
+    perms: list[tuple[int, ...]],
+) -> dict[tuple, dict[tuple, tuple[int, ...]]]:
+    """Orbits of Stab(0) on Sym(n) by conjugation, with one transporter each.
+
+    Returns {r: {s: f}} over the orbit representatives r (the least
+    permutation of each orbit, as ``perms`` is in lexicographic order), where
+    f fixes 0 and f o r o f^-1 == s, for every s in the orbit of r.  Two
+    permutations share an orbit exactly when they have the same cycle type
+    and the same length of the cycle through 0; f is read off by aligning
+    their cycle notations, 0's cycle first and starting at 0, the other
+    cycles longest first.
+    """
+    reps: dict[tuple, tuple[tuple[int, ...], list[int]]] = {}
+    out: dict[tuple, dict[tuple, tuple[int, ...]]] = {}
+    for s in perms:
+        first, *rest = Permutation._trusted(s)._orbits()
+        rest.sort(key=len, reverse=True)
+        key = (len(first), tuple(map(len, rest)))
+        seq = [x for cycle in (first, *rest) for x in cycle]
+        if key not in reps:
+            reps[key] = (s, seq)
+            out[s] = {}
+        r, seq_r = reps[key]
+        f = [0] * len(s)
+        for a, b in zip(seq_r, seq):
+            f[a] = b
+        out[r][s] = tuple(f)
+    return out
+
+
 def tuple_full_search(n, budget):
     """Reference: a row-by-row full search with rows held as tuples.
 
     Row d ranges over Sym(n), a pair whose points are both set is checked
     pointwise, a pair with one unset point forces that point's row, and a
-    pair with two unset points waits on the lesser one.  It shares only
-    ``_stabilizer_transporters`` with ``_full_search``, which searches a
-    different tree, so the two are compared as sets of tables.
+    pair with two unset points waits on the lesser one.  Its Stab(0) orbits
+    come from ``_stabilizer_transporters``, not from the library's orbit walk,
+    and ``_full_search`` searches a different tree, so the two are compared
+    as sets of tables.
     """
     perms = list(itertools.permutations(range(n)))
     shared = {p: p for p in perms}
@@ -492,6 +522,44 @@ class TestFullBruteForce:
             brute_force_enumerate(10, SearchConfig(mode="full-bruteforce"))
         with pytest.raises(ValueError):
             brute_force_enumerate(26, SearchConfig())
+
+
+def _automorphism_transporters(
+    parts: tuple[int, ...], act: list[tuple[int, ...]]
+) -> dict[int, dict[int, tuple[int, ...]]]:
+    """Orbits of Aut(G) on the template group G, with one transporter each.
+
+    Returns {r: {s: alpha}} over the orbit representatives r (the least point
+    of each orbit), where alpha is an automorphism with alpha(r) = s, for
+    every s in the orbit of r.  Automorphisms are streamed, never listed:
+    the images of the basis generators range over the elements of order
+    exactly d_i, and a choice is kept when the induced map is a bijection,
+    which is checked generator by generator to prune early.
+    """
+    n = len(act)
+    multiples = []  # multiples[g] = [0, g, 2g, ...], as long as the order of g
+    for g in range(n):
+        mult = [0]
+        while act[mult[-1]][g] != 0:
+            mult.append(act[mult[-1]][g])
+        multiples.append(mult)
+    reach: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
+
+    def extend(i: int, imgs: list[int]) -> None:
+        # imgs maps the flattened prefix (x_1, ..., x_i) to x_1 g_1 + ... + x_i g_i
+        if i == len(parts):
+            alpha = tuple(imgs)
+            for x, s in enumerate(alpha):
+                reach[x].setdefault(s, alpha)
+            return
+        for mult in multiples:
+            if len(mult) == parts[i]:
+                nxt = [act[u][m] for u in imgs for m in mult]
+                if len(set(nxt)) == len(nxt):
+                    extend(i + 1, nxt)
+
+    extend(0, [0])
+    return {r: reach[r] for r in range(n) if min(reach[r]) == r}
 
 
 def abelian_template_search(parts, budget):
@@ -773,6 +841,61 @@ class TestRestrictedBruteForce:
         with pytest.raises(HypothesesError):
             brute_force_enumerate(6, SearchConfig(mode="spec-parameterized"))
         assert len(brute_force_enumerate(1, SearchConfig(mode="spec-parameterized"))) == 1
+
+
+class TestOrbitWalk:
+    """The carry that each oracle mode builds with ``_orbit_walk`` from its
+    own generators, against the reference transporters: the same keys, and
+    each key's c[r] list its orbit once each."""
+
+    @staticmethod
+    def carry_of(monkeypatch, search, *args):
+        # the carry that search hands to _group_search, which is not run
+        seen = []
+
+        def capture(act, mul, inv, carry, budget):
+            seen.append(carry)
+            return []
+
+        monkeypatch.setattr(classify_module, "_group_search", capture)
+        search(*args, _Budget(1))
+        return seen[0]
+
+    def test_template_orbits_equal_the_automorphism_orbits(self, monkeypatch):
+        for n in range(1, 26):
+            for name, parts in abelian_templates(n):
+                act = _translation_rows(parts)
+                carry = self.carry_of(monkeypatch, _template_search, parts)
+                reference = _automorphism_transporters(parts, act)
+                assert list(carry) == sorted(reference), name
+                for r, pairs in carry.items():
+                    reached = [c[r] for f, c in pairs]
+                    assert len(set(reached)) == len(reached), (name, r)
+                    assert set(reached) == set(reference[r]), (name, r)
+                    for f, c in pairs:
+                        assert f == c and sorted(f) == list(range(n)), (name, r)
+                        assert all(
+                            f[act[u][v]] == act[f[u]][f[v]]
+                            for u in range(n) for v in range(n)
+                        ), (name, r)
+
+    def test_sym_orbits_equal_the_stabilizer_orbits(self, monkeypatch):
+        for n in range(1, 7):
+            perms, index, _, _ = _sym_table(n)
+            carry = self.carry_of(monkeypatch, _full_search, n)
+            reference = _stabilizer_transporters(perms)
+            assert list(carry) == [index[r] for r in reference], n
+            for r, pairs in carry.items():
+                reached = [c[r] for f, c in pairs]
+                assert len(set(reached)) == len(reached), (n, r)
+                assert set(reached) == {index[s] for s in reference[perms[r]]}, (n, r)
+                for f, c in pairs:
+                    assert f[0] == 0 and sorted(f) == list(range(n)), (n, r)
+                    inv = sorted(range(n), key=f.__getitem__)
+                    assert all(
+                        perms[c[e]] == tuple(f[p[inv[x]]] for x in range(n))
+                        for e, p in enumerate(perms)
+                    ), (n, r)
 
 
 class TestDedupe:

@@ -206,32 +206,43 @@ class TestVerify:
 
     def test_braid_check_runs_once(self, capsys, golden4_file, monkeypatch):
         calls = []
-        real = cycleset_module.validate_solution
+        real = cycleset_module._check_solution
 
-        def counting(lam, rho):
-            calls.append(len(lam))
-            return real(lam, rho)
+        def counting(sol):
+            calls.append(sol.n)
+            return real(sol)
 
-        monkeypatch.setattr(cycleset_module, "validate_solution", counting)
-        monkeypatch.setattr(cli_module, "validate_solution", counting, raising=False)
+        for module in (cycleset_module, cli_module):
+            monkeypatch.setattr(module, "_check_solution", counting, raising=False)
         scans = count_scans(monkeypatch)
         code, payload, _ = run_json(capsys, "verify", "-i", golden4_file)
         assert code == 0 and payload["solution_checks"] is True
-        assert calls == [4]
-        # the load's axiom check and the braid criterion, no witness scan
-        assert scans == {"find_violations": 2, "_braid_witness": 0}
+        assert calls == []
+        # the load's axiom check decides the braid identity, by Rump's
+        # criterion, so the solution's checks make no second pass
+        assert scans == {"find_violations": 1, "_braid_witness": 0}
+
+    def test_verify_reports_a_faulty_solution(self, capsys, golden4_file,
+                                              monkeypatch):
+        # involutive, but of another table; and of this table, not involutive
+        shift = to_solution(trivial_cycle_set(4))
+        golden = to_solution(CycleSet(GOLDEN4_TABLE))
+        for faulty in (shift, cycleset_module.Solution(golden.lam, shift.rho)):
+            monkeypatch.setattr(cli_module, "to_solution", lambda X, sol=faulty: sol)
+            code, payload, _ = run_json(capsys, "verify", "-i", golden4_file)
+            assert code == 0 and payload["solution_checks"] is False
 
     def test_invert_runs_braid_check_once(self, capsys, golden4_file, tmp_path,
                                           monkeypatch):
         calls = []
-        real = cycleset_module.validate_solution
+        real = cycleset_module._check_solution
 
-        def counting(lam, rho):
-            calls.append(len(lam))
-            return real(lam, rho)
+        def counting(sol):
+            calls.append(sol.n)
+            return real(sol)
 
         for module in (cycleset_module, jsonio_module, cli_module):
-            monkeypatch.setattr(module, "validate_solution", counting, raising=False)
+            monkeypatch.setattr(module, "_check_solution", counting, raising=False)
         code, out, _ = run(capsys, "solution", "-i", golden4_file)
         assert code == 0
         sol_path = tmp_path / "sol.json"
