@@ -90,16 +90,22 @@ class ClassificationReport:
 
 
 class _Budget:
-    __slots__ = ("limit", "used")
+    # ``task`` names the search and its driver keeps ``where`` at the phase
+    # running, so the one raise in tick says what ran out, and where
+    __slots__ = ("limit", "used", "task", "where")
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int, task: str = "search"):
         self.limit = limit
         self.used = 0
+        self.task = task
+        self.where = ""
 
     def tick(self) -> None:
         self.used += 1
         if self.used > self.limit:
-            raise BudgetExceeded(f"search budget of {self.limit} expansions exceeded")
+            raise BudgetExceeded(
+                f"{self.task} used up its budget of {self.limit} expansions{self.where}"
+            )
 
 
 def group_type_of(group: PermGroup) -> str:
@@ -273,7 +279,10 @@ def enumerate_specs(
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be at least 1")
-    budget = _Budget((config or SearchConfig()).max_candidates)
+    budget = _Budget(
+        (config or SearchConfig()).max_candidates,
+        f"spec enumeration at (p, k) = ({p}, {k})",
+    )
     lifts: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
 
     def admissible(exps: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
@@ -281,18 +290,12 @@ def enumerate_specs(
             return [()]
         if exps not in lifts:
             tails = admissible(exps[1:])
-            try:
-                lifts[exps] = sorted(
-                    (f1,) + tail
-                    for tail in tails
-                    for f1 in _lift_digit_function(p, exps, tail, budget)
-                )
-            except BudgetExceeded:
-                raise BudgetExceeded(
-                    f"spec enumeration at (p, k) = ({p}, {k}) used up its budget "
-                    f"of {budget.limit} expansions while lifting exponent chain "
-                    f"{exps} at size {p}^{exps[0]}"
-                ) from None
+            budget.where = f" while lifting exponent chain {exps} at size {p}^{exps[0]}"
+            lifts[exps] = sorted(
+                (f1,) + tail
+                for tail in tails
+                for f1 in _lift_digit_function(p, exps, tail, budget)
+            )
         return lifts[exps]
 
     out: list[CyclicBuildSpec] = []
@@ -650,26 +653,18 @@ def brute_force_enumerate(
         raise ValueError(f"full mode supports n <= {FULL_MODE_MAX}")
     if not full and n > RESTRICTED_MODE_MAX:
         raise ValueError(f"restricted mode supports n <= {RESTRICTED_MODE_MAX}")
-    budget = _Budget(cfg.max_candidates)
-    template = None
-    try:
-        if full:
-            tables = _full_search(n, budget)  # free of repeats
-        else:
-            # the identity table lies in every template, so tables can repeat
-            tables = set()
-            for template, parts in abelian_templates(n):
-                earlier = budget.used
-                tables.update(_template_search(parts, budget))
-    except BudgetExceeded:
-        where = "" if template is None else (
-            f" in template {template}, after {earlier} expansions in "
-            "earlier templates"
-        )
-        raise BudgetExceeded(
-            f"{cfg.mode} search at n = {n} used up its budget of "
-            f"{budget.limit} expansions{where}"
-        ) from None
+    budget = _Budget(cfg.max_candidates, f"{cfg.mode} search at n = {n}")
+    if full:
+        tables = _full_search(n, budget)  # free of repeats
+    else:
+        # the identity table lies in every template, so tables can repeat
+        tables = set()
+        for template, parts in abelian_templates(n):
+            budget.where = (
+                f" in template {template}, after {budget.used} expansions in "
+                "earlier templates"
+            )
+            tables.update(_template_search(parts, budget))
     return [CycleSet._trusted(t) for t in sorted(tables)]
 
 

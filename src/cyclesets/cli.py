@@ -47,7 +47,8 @@ from .perm import Permutation, format_cycles
 #: lemma2 prints p - 1 tables of length p (about 59 MB of RSS at 1009)
 LEMMA2_MAX_P = 1009
 
-#: build prints an n x n table (about 65 MB of RSS at 1024, 230 MB at 2048)
+#: build prints an n x n table (about 65 MB of RSS at 1024, 230 MB at 2048);
+#: the loaders of verify, retract, solution and iso read no larger table
 BUILD_MAX_N = 1024
 
 #: classify at n = 169 (p = q = 13, or p^k = 13^2) takes about 1 s and 26 MB
@@ -115,6 +116,13 @@ def _read_json(path: str):
     return jsonio.load(_read_text(path))
 
 
+def _read_cycleset(command: str, path: str):
+    # the row count is capped before validate's cubic axiom check
+    table = jsonio.table_from_dict(_read_json(path))
+    _check_size(command, BUILD_MAX_N, len(table))
+    return jsonio.validate(table)
+
+
 def _require_input(args) -> str:
     if not args.input:
         raise FormatError("this subcommand requires --input/-i (path or '-')")
@@ -132,7 +140,7 @@ def _violations_payload(violations) -> list[dict]:
 
 
 def _cmd_verify(args):
-    X = jsonio.cycleset_from_dict(_read_json(_require_input(args)))
+    X = _read_cycleset("verify", _require_input(args))
     # the load has checked the axiom, so by Rump's criterion the solution
     # braids once it is involutive with lambda^-1 rows equal to the table
     sol = to_solution(X)
@@ -185,7 +193,7 @@ def _cmd_build(args):
 
 
 def _cmd_retract(args):
-    X = jsonio.cycleset_from_dict(_read_json(_require_input(args)))
+    X = _read_cycleset("retract", _require_input(args))
     steps = _retraction_steps(X)
     payload = {
         "sizes": [X.n] + [step.quotient.n for step in steps],
@@ -202,19 +210,19 @@ def _cmd_retract(args):
 
 
 def _cmd_solution(args):
-    data = _read_json(_require_input(args))
     if args.invert:
-        sol = Solution(*jsonio.solution_tables_from_dict(data))
-        return jsonio.cycleset_to_dict(from_solution(sol)), 0
-    X = jsonio.cycleset_from_dict(data)
+        lam, rho = jsonio.solution_tables_from_dict(_read_json(_require_input(args)))
+        _check_size("solution", BUILD_MAX_N, max(len(lam), len(rho)))
+        return jsonio.cycleset_to_dict(from_solution(Solution(lam, rho))), 0
+    X = _read_cycleset("solution", _require_input(args))
     return jsonio.solution_to_dict(to_solution(X)), 0
 
 
 def _cmd_iso(args):
     if args.left == args.right == "-":
         raise FormatError("only one of the two tables can come from standard input")
-    left = jsonio.cycleset_from_dict(_read_json(args.left))
-    right = jsonio.cycleset_from_dict(_read_json(args.right))
+    left = _read_cycleset("iso", args.left)
+    right = _read_cycleset("iso", args.right)
     witness = are_isomorphic(left, right)
     if witness is None:
         return {"isomorphic": False}, 1

@@ -2,7 +2,7 @@ from math import isqrt
 
 import pytest
 
-from cyclesets.arith import is_prime
+from cyclesets.arith import factorize, ilog, is_prime
 
 
 def trial_division(n):
@@ -26,3 +26,10 @@ def test_is_prime_equals_trial_division():
 ])
 def test_is_prime_large(n, prime):
     assert is_prime(n) is prime
+
+
+def test_factorize_and_ilog_reject_bad_input():
+    with pytest.raises(ValueError):
+        factorize(0)
+    with pytest.raises(ValueError):
+        ilog(12, 2)

@@ -163,6 +163,10 @@ class TestEnumerateSpecs:
         with pytest.raises(ValueError):
             enumerate_specs(4, 2)
 
+    def test_rejects_k_below_one(self):
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            enumerate_specs(2, 0)
+
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             enumerate_specs(3, 2, config=SearchConfig(max_candidates=2))
@@ -522,6 +526,8 @@ class TestFullBruteForce:
             brute_force_enumerate(10, SearchConfig(mode="full-bruteforce"))
         with pytest.raises(ValueError):
             brute_force_enumerate(26, SearchConfig())
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            brute_force_enumerate(0)
 
 
 def _automorphism_transporters(
@@ -1081,6 +1087,15 @@ class TestClassifyPq:
         with pytest.raises(ValueError):
             classify_pq(4, 3)
 
+    def test_cross_check_size_limit(self, monkeypatch):
+        # refused before the oracle runs
+        def no_search(*args):
+            raise AssertionError("the oracle ran past its size limit")
+
+        monkeypatch.setattr(classify_module, "brute_force_enumerate", no_search)
+        with pytest.raises(ValueError, match="^oracle cross-check supports sizes up to 25$"):
+            classify_pq(2, 13, cross_check=True)
+
     def test_determinism(self):
         a = json.dumps(report_to_dict(classify_pq(2, 2)))
         b = json.dumps(report_to_dict(classify_pq(2, 2)))
@@ -1134,6 +1149,34 @@ class TestGroupTypeOf:
         for X in tables:
             group = permutation_group(X)
             assert _group_order_type(X) == (group.order, group_type_of(group))
+
+
+class TestBudgetMessages:
+    # each driver's budget names the search and the phase it ran out in,
+    # and raises that message once, over no other exception
+    @pytest.mark.parametrize("call,message", [
+        (lambda: classify_cyclic_prime_power(2, 5, SearchConfig(max_candidates=100)),
+         "spec enumeration at (p, k) = (2, 5) used up its budget of 100 expansions "
+         "while lifting exponent chain (5, 2, 0) at size 2^5"),
+        (lambda: classify_pq(3, 3, SearchConfig(max_candidates=20), cross_check=True),
+         "regular-abelian-restricted search at n = 9 used up its budget of 20 "
+         "expansions in template Z/9, after 0 expansions in earlier templates"),
+        (lambda: brute_force_enumerate(
+            8, SearchConfig(max_candidates=3, mode="spec-parameterized")),
+         "spec enumeration at (p, k) = (2, 3) used up its budget of 3 expansions "
+         "while lifting exponent chain (3, 2, 0) at size 2^3"),
+        (lambda: brute_force_enumerate(8, SearchConfig(max_candidates=1)),
+         "regular-abelian-restricted search at n = 8 used up its budget of 1 "
+         "expansions in template Z/8, after 0 expansions in earlier templates"),
+        (lambda: brute_force_enumerate(
+            4, SearchConfig(max_candidates=5, mode="full-bruteforce")),
+         "full-bruteforce search at n = 4 used up its budget of 5 expansions"),
+    ], ids=["cyclic-prime-power", "pq", "spec-mode", "restricted-mode", "full-mode"])
+    def test_message_is_raised_once(self, call, message):
+        with pytest.raises(BudgetExceeded) as err:
+            call()
+        assert str(err.value) == message
+        assert err.value.__context__ is None
 
 
 class TestSearchConfig:

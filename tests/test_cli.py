@@ -129,6 +129,14 @@ class TestBuild:
     def test_missing_parameters_are_usage_errors(self, capsys):
         code, _, err = run(capsys, "build", "--family", "trivial")
         assert code == 2 and "requires" in err
+        for argv, message in [
+            ((), "build needs --family or an --input spec file"),
+            (("--family", "p2-level2", "--p", "3"),
+             "build --family p2-level2 requires --p and --t"),
+            (("--family", "elementary-abelian"),
+             "build --family elementary-abelian requires --p"),
+        ]:
+            assert run(capsys, "build", *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ("--family", "trivial", "--m", str(cli_module.BUILD_MAX_N + 1)),
@@ -190,6 +198,15 @@ class TestVerify:
         assert code == 1
         assert payload["valid"] is False
         assert any(v["kind"] == "axiom" for v in payload["violations"])
+
+    def test_violations_list_rows_then_triples(self, capsys, tmp_path):
+        path = write_json(tmp_path / "bad.json", {"n": 2, "table": [[0, 0], [1, 0]]})
+        assert run(capsys, "verify", "-i", path) == (
+            1,
+            '{"valid":false,"violations":[{"kind":"row","x":0},'
+            '{"kind":"axiom","x":0,"y":1,"z":1},{"kind":"axiom","x":1,"y":0,"z":1}]}\n',
+            "",
+        )
 
     def test_build_verify_roundtrip_for_every_family(self, capsys, tmp_path):
         builds = [
@@ -391,6 +408,55 @@ class TestIso:
         assert payload == {"isomorphic": True, "witness": list(range(1000))}
 
 
+LOADERS = [
+    ("verify", "-i", "PAYLOAD"),
+    ("retract", "-i", "PAYLOAD"),
+    ("solution", "-i", "PAYLOAD"),
+    ("solution", "--invert", "-i", "PAYLOAD"),
+    ("iso", "PAYLOAD", "PAYLOAD"),
+]
+LOADER_IDS = ["verify", "retract", "solution", "solution-invert", "iso"]
+
+
+class TestLoaderSizeCap:
+    # the cap reads the row count only, so short rows stand in for full ones
+    def argv_with_payload(self, tmp_path, argv, n):
+        rows = [[0]] * n
+        payload = {"lambda": rows, "rho": rows} if "--invert" in argv else {"table": rows}
+        path = write_json(tmp_path / "big.json", payload)
+        return [path if a == "PAYLOAD" else a for a in argv]
+
+    @pytest.mark.parametrize("argv", LOADERS, ids=LOADER_IDS)
+    def test_over_the_cap_is_a_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        # rejected before any validation: no axiom check, no bijectivity check
+        def no_work(*args):
+            raise AssertionError("a loader ran past its size cap")
+
+        monkeypatch.setattr(jsonio_module, "validate", no_work)
+        monkeypatch.setattr(cli_module, "Solution", no_work)
+        argv = self.argv_with_payload(tmp_path, argv, cli_module.BUILD_MAX_N + 1)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {argv[0]} is limited to tables of at most "
+            f"{cli_module.BUILD_MAX_N} points\n"
+        )
+
+    @pytest.mark.parametrize("argv", LOADERS, ids=LOADER_IDS)
+    def test_cap_admits_its_bound(self, monkeypatch, tmp_path, argv):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached(len(args[0]))
+
+        monkeypatch.setattr(jsonio_module, "validate", reached)
+        monkeypatch.setattr(cli_module, "Solution", reached)
+        with pytest.raises(Reached) as err:
+            main(self.argv_with_payload(tmp_path, argv, cli_module.BUILD_MAX_N))
+        assert err.value.args == (cli_module.BUILD_MAX_N,)
+
+
 class TestClassifyAndEnumerate:
     @pytest.mark.parametrize("flag,p,v,digest", [
         ("--q", 3, 3, "b6fd70d2e3db5eb11ad2b2cf5b2c6369d832ed4548590dcd2d1ca2f6dfccf846"),
@@ -485,6 +551,15 @@ class TestClassifyAndEnumerate:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "must be a positive integer" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--p", "3", "--k", "2", "--budget", "x"),
+        ("lemma2", "--p", "x"),
+    ])
+    def test_non_integer_arguments_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "invalid integer: 'x'" in err
 
     def test_enumerate_full(self, capsys):
         code, payload, _ = run_json(capsys, "enumerate", "2", "--mode", "full")

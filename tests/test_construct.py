@@ -233,6 +233,8 @@ class TestSpecValidation:
             validate_spec(CyclicBuildSpec(2, 2, 2, (2, 1, 0), ((0, 2),)))  # out of range
         with pytest.raises(SpecError):
             validate_spec(CyclicBuildSpec(2, 2, 2, (2, 1, 0), ((0, 1, 0),)))  # wrong length
+        with pytest.raises(SpecError, match="^need level - 1 digit functions: 1$"):
+            build_prime_power(CyclicBuildSpec(2, 3, 3, (3, 2, 1, 0), ((0, 1, 2, 3),)))
 
     def test_all_zero_digit_function_fails_injectivity_not_symmetry(self):
         spec = CyclicBuildSpec(3, 2, 2, (2, 1, 0), ((0, 0, 0),))

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from cyclesets import (
     CycleSet,
+    HypothesesError,
     InvalidCycleSet,
     Permutation,
     RetractionError,
@@ -648,6 +649,10 @@ class TestIsomorphism:
 
     def test_size_mismatch(self, golden4, golden8):
         assert are_isomorphic(golden4, golden8) is None
+
+    def test_relabel_needs_a_bijection_of_the_points(self):
+        with pytest.raises(HypothesesError):
+            relabel(trivial_cycle_set(3), (1, 0))
 
     def test_decomposable_fallback(self):
         # two decomposable tables differing by a relabeling

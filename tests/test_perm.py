@@ -124,6 +124,9 @@ class TestParsing:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_permutation("nonsense")
+        for text, degree in (("[1, 0]", 3), ("id", None), ("(0 5)", 3)):
+            with pytest.raises(ValueError):
+                parse_permutation(text, degree)
 
 
 class TestGroups:
@@ -155,6 +158,10 @@ class TestGroups:
         with pytest.raises(ValueError):
             generate_group([], degree=0)
         assert generate_group([], degree=3).order == 1
+
+    def test_generators_must_share_a_degree(self):
+        with pytest.raises(ValueError, match="^generator degree 3 != 2$"):
+            generate_group([cyc("(0 1)"), cyc("(0 1 2)")])
 
     def test_closure_cap(self, monkeypatch):
         monkeypatch.setattr(perm, "DEFAULT_MAX_GROUP_ELEMENTS", 10)
