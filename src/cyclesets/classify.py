@@ -377,38 +377,63 @@ def _translation_rows(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     ]
 
 
-def _orbit_walk(gens: list[tuple], points: int, size: int) -> dict[int, list[tuple]]:
-    """Orbits on the elements of the group that ``gens`` generate, with transporters.
+def _orbit_walk(
+    gens: list[tuple], points: int, size: int, side: int = 1
+) -> dict[int, tuple[list[tuple], list[tuple]]]:
+    """Orbits of the group that ``gens`` generate, with transporters and stabilisers.
 
     Each generator is a pair (f, c) as in the ``carry`` of
-    :func:`_group_search`: f relabels the points and c maps the elements.
-    Each orbit is walked breadth-first from its least element r, and the
-    result {r: [(f, c), ...]} lists the identity first, then one product of
-    generators, with c[r] == s, for each other element s of the orbit.
+    :func:`_group_search`: f relabels the points and c maps the elements,
+    and f determines c.  The group acts on the points through f (``side``
+    0) or on the elements through c (``side`` 1).  Each orbit is walked
+    breadth-first from its least member r, and the result maps r to (walk,
+    stab).  walk lists the identity first, then one product u_s of
+    generators, with u_s(r) == s, for each other member s.  When a generator
+    g takes a walked s to a walked t, u_t^-1 o g o u_s fixes r; these
+    Schreier generators generate the stabiliser of r, and stab keeps one
+    per f other than the identity.
     """
-    seen = [False] * size
-    out: dict[int, list[tuple]] = {}
-    for r in range(size):
-        if seen[r]:
+    identity = (tuple(range(points)), tuple(range(size)))
+    at: dict[int, tuple] = {}
+    out = {}
+    for r in range((points, size)[side]):
+        if r in at:
             continue
-        seen[r] = True
-        walk = out[r] = [(tuple(range(points)), tuple(range(size)))]
-        for f, c in walk:  # the loop also visits the pairs appended to walk
-            for g, h in gens:
-                s = h[c[r]]
-                if not seen[s]:
-                    seen[s] = True
-                    walk.append((
-                        tuple(map(g.__getitem__, f)), tuple(map(h.__getitem__, c))
-                    ))
+        at[r] = identity
+        walk, stab = [identity], {}
+        for u in walk:  # the loop also visits the pairs appended to walk
+            s = u[side][r]
+            for g in gens:
+                f, t = tuple(map(g[0].__getitem__, u[0])), g[side][s]
+                if t not in at:
+                    at[t] = (f, tuple(map(g[1].__getitem__, u[1])))
+                    walk.append(at[t])
+                    continue
+                # the Schreier generator u_t^-1 o g o u, one per point map
+                back = sorted(range(points), key=at[t][0].__getitem__)
+                z = tuple(map(back.__getitem__, f))
+                if z != identity[0] and z not in stab:
+                    back = sorted(range(size), key=at[t][1].__getitem__)
+                    stab[z] = (z, tuple(back[g[1][e]] for e in u[1]))
+        out[r] = (walk, list(stab.values()))
     return out
+
+
+def _point_one_walk(stab: list[tuple], points: int, size: int) -> dict:
+    """The orbit walk on the elements of K_r, from generators of Stab(r).
+
+    ``stab`` generates the stabiliser of an element r, as :func:`_orbit_walk`
+    gives it, and K_r is its stabiliser of point 1: the Schreier generators
+    of point 1's orbit walk on the points.
+    """
+    return _orbit_walk(_orbit_walk(stab, points, size, 0)[1][1], points, size)
 
 
 def _group_search(
     act: list[tuple[int, ...]],
     mul: Sequence[Sequence[int]],
     inv: list[int],
-    carry: dict[int, list[tuple[Sequence[int], Sequence[int]]]],
+    carry: dict[int, tuple[list[tuple], list[tuple]]],
     budget: _Budget,
 ) -> list[tuple]:
     """All tables whose rows lie in a group of permutations given by tables.
@@ -431,14 +456,22 @@ def _group_search(
     member list and shifting the moved offsets back; two classes that both
     have values are compared, never merged.
 
-    ``carry`` maps each candidate r for a[0] to pairs (f, c): f relabels
-    the points, fixes 0 and carries solutions to solutions, and c maps
-    elements with act[c[e]] == f o act[e] o f^-1, so a solution a goes to
-    the one with c[a[x]] at f(x).  a[0] ranges only over the keys, and each
-    solution found is carried by every pair of its key.  When the c[r] of
-    each key r list r's orbit once each and the orbits cover the group, that
-    is a bijection onto all the solutions: the output is complete and free
-    of repeats, and the budget counts the expansions of the reduced search.
+    ``carry`` maps each candidate r for a[0] to its (walk, stab) from
+    :func:`_orbit_walk`, over a group of pairs (f, c): f relabels the
+    points, fixes 0 and carries solutions to solutions, and c maps elements
+    with act[c[e]] == f o act[e] o f^-1, so a solution a goes to the one
+    with c[a[x]] at f(x).  a[0] ranges only over the keys.  No pair
+    constraint has run once a[0] is set, so the next branch is at point 1,
+    and a[1] ranges only over the keys of :func:`_point_one_walk`, one per
+    orbit of K_r, the pairs that fix r and point 1; that walk is built when
+    the search enters r's subtree and dropped after it.  Each solution found
+    is carried by every pair of K_r's walk for its a[1], then by every pair
+    of r's walk.  When each walk lists its orbit once and the orbits cover
+    the group, at both levels, that is a bijection onto all the solutions:
+    the output is complete and free of repeats, and the budget counts the
+    expansions of the reduced search.  A stabiliser chain at every branch
+    point cut the expansions further, but its work at each node made it no
+    faster, so the reduction stops at point 1.
     """
     n = len(act[0])  # points; the group has len(act) elements
     root = list(range(n))
@@ -510,12 +543,18 @@ def _group_search(
                 best, size = pt, len(members[r])
         return best, -1
 
+    inner: dict = {}  # the orbit walk of K_r, for a[0] == r
+
     def dfs() -> None:
+        nonlocal inner
         pt, pinned = next_point()
         if pinned >= 0:
             candidates = (pinned,)
-        elif assigned:
+        elif len(assigned) > 1:
             candidates = range(len(act))
+        elif assigned:  # point 1 takes one value per orbit of K_r
+            inner = {}  # drop the last key's walk before building this one
+            candidates = inner = _point_one_walk(carry[assign[0]][1], n, len(act))
         else:  # the root point 0 takes one value per orbit
             candidates = carry
         for e in candidates:
@@ -534,11 +573,16 @@ def _group_search(
             if ok:
                 assigned.append(pt)
                 if len(assigned) == n:
-                    for f, c in carry[assign[0]]:
-                        moved = [0] * n
+                    # carry by K_r's pairs for a[1], then by r's
+                    for f1, c1 in inner[assign[1]][0] if n > 1 else carry[0][0]:
+                        a = [0] * n
                         for x in range(n):
-                            moved[f[x]] = c[assign[x]]
-                        out.append(tuple(act[v] for v in moved))
+                            a[f1[x]] = c1[assign[x]]
+                        for f, c in carry[assign[0]][0]:
+                            moved = [0] * n
+                            for x in range(n):
+                                moved[f[x]] = c[a[x]]
+                            out.append(tuple(act[v] for v in moved))
                 else:
                     dfs()
                 assigned.pop()
@@ -556,10 +600,13 @@ def _template_search(parts: tuple[int, ...], budget: _Budget) -> list[tuple]:
     translation rows are also G's composition table.  An automorphism alpha
     of G relabels a solution a into alpha o a o alpha^-1, whose value at 0 is
     alpha(a[0]), so :func:`_group_search` carries by the pairs (alpha, alpha)
-    of :func:`_orbit_walk`.  Its generators replace y_j by y_j + m y_i mod
-    d_j: for i == j with m + 1 a unit mod d_i, the scalings, and for i != j
-    with m = d_j / gcd(d_i, d_j), the transvections.  Their orbits are those
-    of Aut(G) for every template up to RESTRICTED_MODE_MAX, as tests check.
+    of :func:`_orbit_walk`, and a[1] by the automorphisms that fix a[0] and
+    the point 1; for cyclic G, 1 generates, so only the identity does.  The
+    generators replace y_j by y_j + m y_i mod d_j: for i == j with m + 1 a
+    unit mod d_i, the scalings, and for i != j with m = d_j / gcd(d_i, d_j),
+    the transvections.  Their orbits are those of Aut(G) for every template
+    up to RESTRICTED_MODE_MAX, as tests check, and so are those of each
+    stabiliser of a[0] and point 1.
     """
     act = _translation_rows(parts)
     elems, index = _labelled(parts)
@@ -598,11 +645,12 @@ def _full_search(n: int, budget: _Budget) -> list[tuple]:
     A relabeling f with f(0) = 0 carries a solution T to the solution
     T'[f(x)][f(y)] = f(T[x][y]), whose row 0 is f o sigma_0 o f^-1.  So row 0
     ranges only over the least permutation of each orbit of Stab(0) acting
-    by conjugation (12 of 120 at n = 5), and each solution is carried by the
-    transporters of :func:`_orbit_walk`.  Stab(0) is generated by (1 2) and
-    (1 2 ... n-1), each with its element map e -> f o perms[e] o f^-1 read
-    off the Cayley table of :func:`_sym_table`.  Output rows are the shared
-    tuples of ``perms``.
+    by conjugation (12 of 120 at n = 5), row 1 over one permutation per
+    orbit of the f that fix 0 and 1 and commute with row 0, and
+    :func:`_group_search` carries each solution over both orbits.  Stab(0)
+    is generated by (1 2) and (1 2 ... n-1), each with its element map
+    e -> f o perms[e] o f^-1 read off the Cayley table of :func:`_sym_table`.
+    Output rows are the shared tuples of ``perms``.
     """
     perms, index, mul, inv = _sym_table(n)
     gens = []

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from math import factorial, gcd, prod
@@ -42,6 +43,7 @@ from cyclesets.classify import (
     _full_search,
     _group_order_type,
     _group_search,
+    _point_one_walk,
     _require_matching,
     _spec_family,
     _sym_table,
@@ -50,6 +52,12 @@ from cyclesets.classify import (
 )
 from cyclesets.jsonio import report_to_dict
 from cyclesets.perm import generate_group, Permutation
+
+
+def table_digest(tables) -> str:
+    """sha256 of the entries of the sorted tables, one byte each (n < 256)."""
+    chain = itertools.chain.from_iterable
+    return hashlib.sha256(bytes(chain(chain(sorted(tables))))).hexdigest()
 
 
 def generate_and_test_specs(p, k):
@@ -457,12 +465,24 @@ class TestFullBruteForce:
     def test_reduced_node_counts(self):
         # row 0 ranges over one value per Stab(0)-orbit; unreduced, the
         # row-by-row reference expanded 106 / 9,546 / 4,228,212 nodes.
-        # Pinned: the reduced reference's expansions, then _full_search's
-        for n, row_nodes, nodes in ((3, 82, 58), (4, 2578, 1398), (5, 279431, 83501)):
+        # Pinned: the reduced reference's expansions, then _full_search's,
+        # where row 1 also ranges over one value per orbit of the
+        # stabiliser of row 0 and point 1 (1,398 / 83,501 at n = 4 / 5
+        # with the reduction at row 0 alone)
+        for n, row_nodes, nodes in ((3, 82, 58), (4, 2578, 1205), (5, 279431, 52500)):
             budget, reference_budget = _Budget(10 ** 8), _Budget(10 ** 8)
             tuple_full_search(n, reference_budget)
             _full_search(n, budget)
             assert (reference_budget.used, budget.used) == (row_nodes, nodes), n
+
+    def test_pinned_digest(self):
+        # pinned at n = 5 when only row 0 was keyed on orbits: a tree that is
+        # cut further may drop or repeat no table
+        found = _full_search(5, _Budget(10 ** 8))
+        assert len(set(found)) == len(found)
+        assert table_digest(found) == (
+            "799bbf54be15f651d0996103ad87099300078e9e21732c5121ab30a9970b3c67"
+        )
 
     def test_search_equals_tuple_reference(self):
         # the same tables, each found once
@@ -530,15 +550,10 @@ class TestFullBruteForce:
             brute_force_enumerate(0)
 
 
-def _automorphism_transporters(
-    parts: tuple[int, ...], act: list[tuple[int, ...]]
-) -> dict[int, dict[int, tuple[int, ...]]]:
-    """Orbits of Aut(G) on the template group G, with one transporter each.
+def _automorphisms(parts: tuple[int, ...], act: list[tuple[int, ...]]):
+    """Every automorphism of the template group G, streamed, never listed.
 
-    Returns {r: {s: alpha}} over the orbit representatives r (the least point
-    of each orbit), where alpha is an automorphism with alpha(r) = s, for
-    every s in the orbit of r.  Automorphisms are streamed, never listed:
-    the images of the basis generators range over the elements of order
+    The images of the basis generators range over the elements of order
     exactly d_i, and a choice is kept when the induced map is a bijection,
     which is checked generator by generator to prune early.
     """
@@ -549,23 +564,35 @@ def _automorphism_transporters(
         while act[mult[-1]][g] != 0:
             mult.append(act[mult[-1]][g])
         multiples.append(mult)
-    reach: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
 
-    def extend(i: int, imgs: list[int]) -> None:
+    def extend(i: int, imgs: list[int]):
         # imgs maps the flattened prefix (x_1, ..., x_i) to x_1 g_1 + ... + x_i g_i
         if i == len(parts):
-            alpha = tuple(imgs)
-            for x, s in enumerate(alpha):
-                reach[x].setdefault(s, alpha)
+            yield tuple(imgs)
             return
         for mult in multiples:
             if len(mult) == parts[i]:
                 nxt = [act[u][m] for u in imgs for m in mult]
                 if len(set(nxt)) == len(nxt):
-                    extend(i + 1, nxt)
+                    yield from extend(i + 1, nxt)
 
-    extend(0, [0])
-    return {r: reach[r] for r in range(n) if min(reach[r]) == r}
+    return extend(0, [0])
+
+
+def _automorphism_transporters(
+    parts: tuple[int, ...], act: list[tuple[int, ...]]
+) -> dict[int, dict[int, tuple[int, ...]]]:
+    """Orbits of Aut(G) on the template group G, with one transporter each.
+
+    Returns {r: {s: alpha}} over the orbit representatives r (the least point
+    of each orbit), where alpha is an automorphism with alpha(r) = s, for
+    every s in the orbit of r, the first that :func:`_automorphisms` yields.
+    """
+    reach: list[dict[int, tuple[int, ...]]] = [{} for _ in act]
+    for alpha in _automorphisms(parts, act):
+        for x, s in enumerate(alpha):
+            reach[x].setdefault(s, alpha)
+    return {r: reach[r] for r in range(len(act)) if min(reach[r]) == r}
 
 
 def abelian_template_search(parts, budget):
@@ -761,9 +788,12 @@ class TestRestrictedBruteForce:
         # expansions summed over the templates of each size: any change to
         # the search tree (scheduling, pruning, the Aut(G) reduction) shows.
         # Pinned: the first-free reference's expansions, then _template_search's,
-        # which branches on the largest class without a value
+        # which branches on the largest class without a value and lets
+        # a[1] take one value per orbit of the automorphisms that fix a[0]
+        # and point 1 (2,894 / 1,362 / 11,442 at n = 8 / 9 / 12 before; n = 14
+        # and 15 have only cyclic templates, where only the identity fixes 1)
         for n, first_free_nodes, nodes in (
-            (8, 3109, 2894), (9, 1445, 1362), (12, 17989, 11442),
+            (8, 3109, 2267), (9, 1445, 1021), (12, 17989, 10380),
             (14, 11260, 5313), (15, 20240, 6414),
         ):
             budget, reference_budget = _Budget(10 ** 8), _Budget(10 ** 8)
@@ -771,6 +801,25 @@ class TestRestrictedBruteForce:
                 abelian_template_search(parts, reference_budget)
                 _template_search(parts, budget)
             assert (reference_budget.used, budget.used) == (first_free_nodes, nodes), n
+
+    # sha256 of the sorted tables' entries as bytes, for each template's
+    # search, pinned when only a[0] was keyed on orbits: a tree that is cut
+    # further may drop or repeat no table
+    DIGESTS = {
+        "Z/16": "f0a53c79e823e341a58a3ed82d53d8223949b3a52379f1362f53b4aeb1bb9dc4",
+        "Z/8xZ/2": "722ea46be9e7defc71e2fb037878d6cbce28ca1193d9b56e87816b512ef5cf8e",
+        "Z/4xZ/4": "7d691a9dcea3d84e9c800eaefab936ffe5b73263d35f50264973f5a556250ad2",
+        "Z/4xZ/2xZ/2": "149c12ad418e4983372dc876962b312e546b918ad6b35b75ad82c2ea41a3e3e9",
+        "Z/2xZ/2xZ/2xZ/2": "8c95472e25d177d09241e77878338445e094b0c182bd891dd3b594fba527b503",
+        "Z/25": "29c93dcbb846c0e2c190ca0afc0548d5ef1b2619cf7987600d0ef1c03069ab5e",
+        "Z/5xZ/5": "c95feca125f0457bb4bb928c8d18eda34e7618a3f08e74e8b362d8c40bce0362",
+    }
+
+    def test_pinned_template_digests(self):
+        for name, parts in abelian_templates(16) + abelian_templates(25):
+            found = _template_search(parts, _Budget(10 ** 8))
+            assert len(set(found)) == len(found), name
+            assert table_digest(found) == self.DIGESTS[name], name
 
     def test_search_equals_abelian_reference(self):
         # the same tables, each found once; the trees differ, so the order may
@@ -783,8 +832,9 @@ class TestRestrictedBruteForce:
 
     def test_root_branches_at_point_zero(self):
         # the carry is keyed on a[0], so the first branch must be at point 0:
-        # with one key r and only the identity to carry by, every table found
-        # has row 0 == act[r], and the keys together find every table once
+        # with one key r, only the identity to carry by and no stabiliser
+        # generators, every table found has row 0 == act[r], and the keys
+        # together find every table once
         for n in (4, 8, 9, 12):
             for name, parts in abelian_templates(n):
                 act = _translation_rows(parts)
@@ -792,7 +842,7 @@ class TestRestrictedBruteForce:
                 identity = act[0]
                 found = []
                 for r in range(n):
-                    carry = {r: [(identity, identity)]}
+                    carry = {r: ([(identity, identity)], [])}
                     part = _group_search(act, act, inv, carry, _Budget(10 ** 8))
                     assert all(table[0] == act[r] for table in part), (name, r)
                     found += part
@@ -852,7 +902,9 @@ class TestRestrictedBruteForce:
 class TestOrbitWalk:
     """The carry that each oracle mode builds with ``_orbit_walk`` from its
     own generators, against the reference transporters: the same keys, and
-    each key's c[r] list its orbit once each."""
+    each key's c[r] list its orbit once each.  Then, for each key r, the
+    walk of K_r, the stabiliser of r and point 1, against K_r filtered out
+    of the whole group."""
 
     @staticmethod
     def carry_of(monkeypatch, search, *args):
@@ -865,6 +917,7 @@ class TestOrbitWalk:
 
         monkeypatch.setattr(classify_module, "_group_search", capture)
         search(*args, _Budget(1))
+        monkeypatch.undo()
         return seen[0]
 
     def test_template_orbits_equal_the_automorphism_orbits(self, monkeypatch):
@@ -874,7 +927,7 @@ class TestOrbitWalk:
                 carry = self.carry_of(monkeypatch, _template_search, parts)
                 reference = _automorphism_transporters(parts, act)
                 assert list(carry) == sorted(reference), name
-                for r, pairs in carry.items():
+                for r, (pairs, _) in carry.items():
                     reached = [c[r] for f, c in pairs]
                     assert len(set(reached)) == len(reached), (name, r)
                     assert set(reached) == set(reference[r]), (name, r)
@@ -891,7 +944,7 @@ class TestOrbitWalk:
             carry = self.carry_of(monkeypatch, _full_search, n)
             reference = _stabilizer_transporters(perms)
             assert list(carry) == [index[r] for r in reference], n
-            for r, pairs in carry.items():
+            for r, (pairs, _) in carry.items():
                 reached = [c[r] for f, c in pairs]
                 assert len(set(reached)) == len(reached), (n, r)
                 assert set(reached) == {index[s] for s in reference[perms[r]]}, (n, r)
@@ -902,6 +955,71 @@ class TestOrbitWalk:
                         perms[c[e]] == tuple(f[p[inv[x]]] for x in range(n))
                         for e, p in enumerate(perms)
                     ), (n, r)
+
+    @staticmethod
+    def check_inner(inner, orbit, r, size, where):
+        # each key s is the least of its orbit(s) under the true K_r, its
+        # c[s] list that orbit once each, the orbits cover the elements, and
+        # every transporter fixes point 0, point 1 and element r
+        covered = []
+        for s, (pairs, _) in inner.items():
+            reached = [c[s] for f, c in pairs]
+            assert len(set(reached)) == len(reached), where
+            assert set(reached) == orbit(s) and min(reached) == s, where
+            covered += reached
+            assert all((f[0], f[1], c[r]) == (0, 1, r) for f, c in pairs), where
+        assert sorted(covered) == list(range(size)), where
+
+    def test_template_point_one_orbits_equal_the_stabilizer_orbits(self, monkeypatch):
+        for n in range(2, 26):
+            for name, parts in abelian_templates(n):
+                act = _translation_rows(parts)
+                auts = list(_automorphisms(parts, act))
+                carry = self.carry_of(monkeypatch, _template_search, parts)
+                for r in carry:
+                    k_r = {alpha for alpha in auts if alpha[r] == r and alpha[1] == 1}
+                    inner = _point_one_walk(carry[r][1], n, n)
+                    self.check_inner(
+                        inner, lambda s: {alpha[s] for alpha in k_r}, r, n, (name, r)
+                    )
+                    for pairs, _ in inner.values():
+                        assert all(f == c and f in k_r for f, c in pairs), (name, r)
+
+    def test_sym_point_one_orbits_equal_the_stabilizer_orbits(self, monkeypatch):
+        for n in range(2, 6):
+            perms, index, mul, inv = _sym_table(n)
+            carry = self.carry_of(monkeypatch, _full_search, n)
+            for r in carry:
+                # K_r: the permutations fixing 0 and 1 that commute with perms[r]
+                conj = {
+                    i: tuple(mul[m][inv[i]] for m in mul[i])
+                    for i, f in enumerate(perms)
+                    if f[:2] == (0, 1) and mul[i][r] == mul[r][i]
+                }
+                inner = _point_one_walk(carry[r][1], n, len(perms))
+                self.check_inner(
+                    inner, lambda s: {c[s] for c in conj.values()}, r, len(perms), (n, r)
+                )
+                for pairs, _ in inner.values():
+                    assert all(conj.get(index[f]) == c for f, c in pairs), (n, r)
+
+    def test_point_one_is_the_second_branch(self, monkeypatch):
+        # a[1] is keyed on the orbits of K_r, so the second branch must be at
+        # point 1: with one key r, only the identity to carry it by and r's
+        # stabiliser generators, the tables found are those with row 0 ==
+        # act[r], each once
+        for n in (4, 8, 9, 12):
+            for name, parts in abelian_templates(n):
+                act = _translation_rows(parts)
+                inv = [row.index(0) for row in act]
+                identity = act[0]
+                found = _template_search(parts, _Budget(10 ** 8))
+                carry = self.carry_of(monkeypatch, _template_search, parts)
+                for r, (_, stab) in carry.items():
+                    keyed = {r: ([(identity, identity)], stab)}
+                    part = _group_search(act, act, inv, keyed, _Budget(10 ** 8))
+                    assert len(set(part)) == len(part), (name, r)
+                    assert sorted(part) == sorted(t for t in found if t[0] == act[r])
 
 
 class TestDedupe:
