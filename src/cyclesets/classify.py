@@ -119,21 +119,21 @@ def group_type_of(group: PermGroup) -> str:
 def _group_order_type(X: CycleSet) -> tuple[int, str]:
     """The order and :func:`group_type_of` of the row group of X.
 
-    When the distinct rows commute and act transitively, the group is
-    abelian and transitive, hence regular: its order is n, and it is cyclic
-    iff the lcm of the row orders (its exponent) is n.  Otherwise the group
-    is closed.
+    The group is abelian iff its distinct rows commute, and an abelian group
+    is cyclic iff its exponent, the lcm of the row orders, is its order.  An
+    abelian group that acts transitively is regular, so its order is n; any
+    other group is closed for its order.
     """
     rows = tuple(dict.fromkeys(X.table))
-    if all(
-        tuple(map(r.__getitem__, s)) == tuple(map(s.__getitem__, r))
+    if any(
+        tuple(map(r.__getitem__, s)) != tuple(map(s.__getitem__, r))
         for i, r in enumerate(rows)
         for s in rows[i + 1:]
-    ) and is_indecomposable(X):
-        exponent = lcm(*(Permutation._trusted(r).order() for r in rows))
-        return X.n, "cyclic" if exponent == X.n else "abelian-noncyclic"
-    group = permutation_group(X)
-    return group.order, group_type_of(group)
+    ):
+        return permutation_group(X).order, "nonabelian"
+    order = X.n if is_indecomposable(X) else permutation_group(X).order
+    exponent = lcm(*(Permutation._trusted(r).order() for r in rows))
+    return order, "cyclic" if exponent == order else "abelian-noncyclic"
 
 
 def dedupe_by_isomorphism(
@@ -451,10 +451,12 @@ def _group_search(
     the root every class is one point, so the first branch is at 0.  The
     classes are an offset quick-find: each point stores its root and its
     offset, composed on the right (a[i] == a[root[i]] o off[i]), each root
-    its member list and its value, if known.  A merge relabels the smaller
-    class and is undone on backtracking by truncating the larger class's
-    member list and shifting the moved offsets back; two classes that both
-    have values are compared, never merged.
+    its member list and its value, if known.  A branch sets its class's
+    value for each candidate and clears it after the last one; a forced
+    candidate writes nothing.  A merge relabels the smaller class and is
+    undone on backtracking by truncating the larger class's member list and
+    shifting the moved offsets back, so the undo trail records merges only;
+    two classes that both have values are compared, never merged.
 
     ``carry`` maps each candidate r for a[0] to its (walk, stab) from
     :func:`_orbit_walk`, over a group of pairs (f, c): f relabels the
@@ -479,18 +481,8 @@ def _group_search(
     members = [[i] for i in range(n)]  # members[r], for each root r
     value = [-1] * n  # value[r] == a[r] for a root r, or -1 if unknown
     assign = [-1] * n
-    trail: list[tuple[int, int, int]] = []  # (big, small, d), or (r, -1, 0)
+    trail: list[tuple[int, int, int]] = []  # merges (big, small, d) to undo
     out: list[tuple] = []
-
-    def pin(i: int, e: int) -> bool:
-        # impose a[i] == e
-        r = root[i]
-        v = mul[e][inv[off[i]]]
-        if value[r] >= 0:
-            return value[r] == v
-        value[r] = v
-        trail.append((r, -1, 0))
-        return True
 
     def union(i: int, j: int, delta: int) -> bool:
         # impose a[i] == a[j] o delta, i.e. a[ri] == a[rj] o d
@@ -514,9 +506,6 @@ def _group_search(
     def rollback(mark: int) -> None:
         while len(trail) > mark:
             big, small, d = trail.pop()
-            if small < 0:
-                value[big] = -1
-                continue
             moved = members[small]
             del members[big][-len(moved):]
             back = mul[inv[d]]
@@ -557,20 +546,20 @@ def _group_search(
             candidates = inner = _point_one_walk(carry[assign[0]][1], n, len(act))
         else:  # the root point 0 takes one value per orbit
             candidates = carry
+        r, to_root = root[pt], inv[off[pt]]
         for e in candidates:
             budget.tick()
             mark = len(trail)
             assign[pt] = e
-            ok = pin(pt, e)
-            if ok:
-                row = act[e]
-                for x in assigned:
-                    ax = assign[x]
-                    # a[x . pt] == a[pt . x] o a[pt] o a[x]^-1
-                    if not union(act[ax][pt], row[x], mul[e][inv[ax]]):
-                        ok = False
-                        break
-            if ok:
+            if pinned < 0:  # a branch gives pt's class its value
+                value[r] = mul[e][to_root]
+            row = act[e]
+            for x in assigned:
+                ax = assign[x]
+                # a[x . pt] == a[pt . x] o a[pt] o a[x]^-1
+                if not union(act[ax][pt], row[x], mul[e][inv[ax]]):
+                    break
+            else:
                 assigned.append(pt)
                 if len(assigned) == n:
                     # carry by K_r's pairs for a[1], then by r's
@@ -588,6 +577,8 @@ def _group_search(
                 assigned.pop()
             rollback(mark)
         assign[pt] = -1
+        if pinned < 0:  # only after the last rollback, which may read it
+            value[r] = -1
 
     dfs()
     return out

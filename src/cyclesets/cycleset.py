@@ -122,7 +122,8 @@ def find_violations(table, limit: int = DEFAULT_VIOLATION_LIMIT) -> list[Violati
 
     Non-bijective rows are reported first (ascending x), then failing triples
     in lexicographic (x, y, z) order; at most ``limit`` entries are returned.
-    Raises :class:`TableError` for tables that are ragged or out of range.
+    Raises :class:`TableError` for tables that are ragged or out of range,
+    and ``ValueError`` for a ``limit`` below 1, before any scan.
 
     A triple (x, y, z) fails iff sigma_{x.y} o sigma_x and sigma_{y.x} o
     sigma_y differ at z.  The two composed rows are compared once per
@@ -132,6 +133,8 @@ def find_violations(table, limit: int = DEFAULT_VIOLATION_LIMIT) -> list[Violati
     failing pair, in increasing order, so the witness order is that of the
     plain triple scan.
     """
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, not {limit}")
     rows = _normalize_table(table)
     n = len(rows)
     out: list[Violation] = []
@@ -164,7 +167,8 @@ def validate(table, limit: int = DEFAULT_VIOLATION_LIMIT) -> CycleSet:
     """Check both invariants and return the CycleSet, or raise.
 
     :class:`InvalidCycleSet` carries the (bounded) violation list;
-    :class:`TableError` signals a structurally malformed table.
+    :class:`TableError` signals a structurally malformed table, and
+    ``ValueError`` a ``limit`` below 1.
     """
     violations = find_violations(table, limit)
     if violations:

@@ -43,6 +43,7 @@ from cyclesets.classify import (
     _full_search,
     _group_order_type,
     _group_search,
+    _orbit_walk,
     _point_one_walk,
     _require_matching,
     _spec_family,
@@ -490,6 +491,17 @@ class TestFullBruteForce:
             found = _full_search(n, _Budget(10 ** 8))
             assert len(set(found)) == len(found), n
             assert sorted(found) == sorted(tuple_full_search(n, _Budget(10 ** 8))), n
+
+    def test_search_without_symmetry(self):
+        # the engine on a nonabelian group with no reduction: every element
+        # its own key, carried by the identity alone.  Pinned: its expansions
+        for n, nodes in ((1, 1), (2, 6), (3, 82), (4, 4034), (5, 578832)):
+            perms, _, mul, inv = _sym_table(n)
+            budget, carry = _Budget(10 ** 8), _orbit_walk([], n, len(perms))
+            found = _group_search(perms, mul, inv, carry, budget)
+            assert len(set(found)) == len(found), n
+            assert sorted(found) == sorted(_full_search(n, _Budget(10 ** 8))), n
+            assert budget.used == nodes, n
 
     def test_cayley_table(self):
         for n in range(1, 5):

@@ -79,6 +79,14 @@ class TestValidate:
         broken = [[0, 0, 0], [1, 1, 1], [2, 2, 2]]  # constant rows
         assert len(find_violations(broken, limit=2)) == 2
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    @pytest.mark.parametrize("table", [GOLDEN4_TABLE, [[0, 1], [1, 0]]])
+    def test_limit_below_one_is_rejected(self, table, limit):
+        # an empty list would let validate accept a table that breaks the axiom
+        for check in (find_violations, validate):
+            with pytest.raises(ValueError, match="limit must be at least 1"):
+                check(table, limit)
+
     def test_ragged_table(self):
         with pytest.raises(TableError):
             find_violations([[0, 1], [0]])
