@@ -55,10 +55,11 @@ AUTO_CROSS_CHECK_MAX = 9
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search budget and mode.
+    """Budget and mode of :func:`brute_force_enumerate`.
 
     ``max_candidates`` bounds node expansions; exceeding it raises
-    :class:`BudgetExceeded` rather than returning partial results.
+    :class:`BudgetExceeded` rather than returning partial results.  The
+    other drivers take the bound alone, as their ``max_candidates``.
     """
 
     max_candidates: int = 10 ** 8
@@ -95,6 +96,8 @@ class _Budget:
     __slots__ = ("limit", "used", "task", "where")
 
     def __init__(self, limit: int, task: str = "search"):
+        if limit < 1:
+            raise ValueError("budget must be positive")
         self.limit = limit
         self.used = 0
         self.task = task
@@ -252,9 +255,7 @@ def _lift_digit_function(
 
 
 def enumerate_specs(
-    p: int,
-    k: int,
-    config: Optional[SearchConfig] = None,
+    p: int, k: int, max_candidates: int = SearchConfig.max_candidates
 ) -> list[CyclicBuildSpec]:
     """All admissible prime-power build specs at (p, k), lexicographically.
 
@@ -279,10 +280,7 @@ def enumerate_specs(
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be at least 1")
-    budget = _Budget(
-        (config or SearchConfig()).max_candidates,
-        f"spec enumeration at (p, k) = ({p}, {k})",
-    )
+    budget = _Budget(max_candidates, f"spec enumeration at (p, k) = ({p}, {k})")
     lifts: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
 
     def admissible(exps: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
@@ -309,14 +307,16 @@ def enumerate_specs(
     return out
 
 
-def _spec_family(p: int, k: int, config: Optional[SearchConfig]) -> list[CycleSet]:
+def _spec_family(
+    p: int, k: int, max_candidates: int = SearchConfig.max_candidates
+) -> list[CycleSet]:
     """The trivial shift of size p^k plus one member per admissible spec."""
-    specs = enumerate_specs(p, k, config=config)  # budgeted, so before any table
+    specs = enumerate_specs(p, k, max_candidates)  # budgeted, so before any table
     return [trivial_cycle_set(p ** k)] + [build_prime_power(spec) for spec in specs]
 
 
 def classify_cyclic_prime_power(
-    p: int, k: int, config: Optional[SearchConfig] = None
+    p: int, k: int, max_candidates: int = SearchConfig.max_candidates
 ) -> ClassificationReport:
     """Isomorphism classes at size p^k with cyclic permutation group.
 
@@ -325,7 +325,7 @@ def classify_cyclic_prime_power(
     level 2.
     """
     return dedupe_by_isomorphism(
-        _spec_family(p, k, config),
+        _spec_family(p, k, max_candidates),
         constraint="cyclic-group",
         templates=("parameterized",),
     )
@@ -686,7 +686,7 @@ def brute_force_enumerate(
             raise HypothesesError(
                 "spec-parameterized mode requires a prime-power size"
             )
-        return sorted(_spec_family(*pk, cfg), key=lambda X: X.encoding())
+        return sorted(_spec_family(*pk, cfg.max_candidates), key=lambda X: X.encoding())
     full = cfg.mode == "full-bruteforce"
     if full and n > FULL_MODE_MAX:
         raise ValueError(f"full mode supports n <= {FULL_MODE_MAX}")
@@ -733,7 +733,7 @@ def _require_matching(expected: ClassificationReport, oracle: ClassificationRepo
 def classify_pq(
     p: int,
     q: int,
-    config: Optional[SearchConfig] = None,
+    max_candidates: int = SearchConfig.max_candidates,
     cross_check: Optional[bool] = None,
 ) -> ClassificationReport:
     """Indecomposable cycle sets of size p*q with abelian permutation group.
@@ -767,11 +767,7 @@ def classify_pq(
         raise ValueError(
             f"oracle cross-check supports sizes up to {RESTRICTED_MODE_MAX}"
         )
-    cfg = config or SearchConfig()
-    oracle_cfg = SearchConfig(
-        max_candidates=cfg.max_candidates, mode="regular-abelian-restricted"
-    )
-    raw = brute_force_enumerate(n, oracle_cfg)
+    raw = brute_force_enumerate(n, SearchConfig(max_candidates))
     indecomposable = [X for X in raw if is_indecomposable(X)]
     oracle_report = dedupe_by_isomorphism(
         indecomposable,

@@ -183,12 +183,10 @@ def _cmd_build(args):
             raise FormatError("build --family elementary-abelian requires --p")
         _check_size("build", BUILD_MAX_N, args.p, 2)
         X = build_elementary_abelian(args.p)
-    elif family == "prime-power":
+    else:  # prime-power, the last of argparse's choices
         spec = jsonio.spec_from_dict(_read_json(_require_input(args)))
         _check_size("build", BUILD_MAX_N, spec.p, spec.k)
         X = build_prime_power(spec)
-    else:  # pragma: no cover - argparse restricts choices
-        raise FormatError(f"unknown family {family}")
     return jsonio.cycleset_to_dict(X), 0
 
 
@@ -230,17 +228,16 @@ def _cmd_iso(args):
 
 
 def _cmd_classify(args):
-    config = SearchConfig(max_candidates=args.budget)
     if args.q is not None and args.k is not None:
         raise FormatError("classify takes --q or --k, not both")
     if args.q is not None:
         # a huge factor is over the cap even where a factor below 2 (which
         # is_prime rejects at once) makes the product small
         _check_size("classify", CLASSIFY_MAX_N, max(args.p, args.q, args.p * args.q))
-        report = classify_pq(args.p, args.q, config=config)
+        report = classify_pq(args.p, args.q, args.budget)
     elif args.k is not None:
         _check_size("classify", CLASSIFY_MAX_N, args.p, args.k)
-        report = classify_cyclic_prime_power(args.p, args.k, config=config)
+        report = classify_cyclic_prime_power(args.p, args.k, args.budget)
     else:
         raise FormatError("classify requires --p together with --q or --k")
     return jsonio.report_to_dict(report), 0
@@ -305,7 +302,7 @@ def _emit(payload, args) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    budget = SearchConfig().max_candidates
+    budget = SearchConfig.max_candidates
     # only the subcommands that read one payload take --input
     reads = argparse.ArgumentParser(add_help=False)
     reads.add_argument("--input", "-i", help="input path, or '-' for stdin")
@@ -322,10 +319,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("verify", parents=[reads, common],
-                   help="validate a table and report its invariants")
+                   help="validate a table and report its invariants",
+                   ).set_defaults(run=_cmd_verify)
 
     p_build = sub.add_parser("build", parents=[reads, common],
                              help="build a table from a named family or a spec file")
+    p_build.set_defaults(run=_cmd_build)
     p_build.add_argument("--family",
                          choices=["trivial", "p2-level2", "elementary-abelian",
                                   "prime-power"])
@@ -334,20 +333,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--t", type=int)
 
     sub.add_parser("retract", parents=[reads, common],
-                   help="print the retraction tower of a table")
+                   help="print the retraction tower of a table",
+                   ).set_defaults(run=_cmd_retract)
 
     p_sol = sub.add_parser("solution", parents=[reads, common],
                            help="convert a table to lambda/rho form and back")
+    p_sol.set_defaults(run=_cmd_solution)
     p_sol.add_argument("--invert", action="store_true",
                        help="read a solution payload and emit its table")
 
     p_iso = sub.add_parser("iso", parents=[common],
                            help="test two tables for isomorphism")
+    p_iso.set_defaults(run=_cmd_iso)
     p_iso.add_argument("left", help="first table (path or '-')")
     p_iso.add_argument("right", help="second table (path or '-')")
 
     p_cls = sub.add_parser("classify", parents=[common],
                            help="classification report at size p*q or p^k")
+    p_cls.set_defaults(run=_cmd_classify)
     p_cls.add_argument("--p", type=int, required=True)
     p_cls.add_argument("--q", type=int)
     p_cls.add_argument("--k", type=int)
@@ -355,6 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", parents=[common],
                             help="enumerate cycle sets of a given size")
+    p_enum.set_defaults(run=_cmd_enumerate)
     p_enum.add_argument("n", type=_positive_int)
     p_enum.add_argument("--mode", choices=sorted(_MODES), default="regular-abelian")
     p_enum.add_argument("--budget", type=_positive_int, default=budget)
@@ -363,21 +367,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_lem = sub.add_parser("lemma2", parents=[common],
                            help="list the admissible digit bijections for a prime")
+    p_lem.set_defaults(run=_cmd_lemma2)
     p_lem.add_argument("--p", type=_lemma2_prime, required=True)
 
     return parser
-
-
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "build": _cmd_build,
-    "retract": _cmd_retract,
-    "solution": _cmd_solution,
-    "iso": _cmd_iso,
-    "classify": _cmd_classify,
-    "enumerate": _cmd_enumerate,
-    "lemma2": _cmd_lemma2,
-}
 
 
 def main(argv=None) -> int:
@@ -387,7 +380,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload, code = _HANDLERS[args.command](args)
+        payload, code = args.run(args)
     except (FormatError, OSError) as exc:
         return _io_error(exc)
     except InvalidCycleSet as exc:

@@ -150,19 +150,17 @@ class TestEnumerateSpecs:
         # count; generate-and-test tested 65,691 / 117,649 candidates at
         # (3, 3) / (7, 2) and could not start at (2, 5)
         for p, k, expansions in ((3, 3, 296), (7, 2, 218), (2, 5, 618)):
-            enumerate_specs(p, k, config=SearchConfig(max_candidates=expansions))
+            enumerate_specs(p, k, max_candidates=expansions)
             with pytest.raises(BudgetExceeded):
-                enumerate_specs(
-                    p, k, config=SearchConfig(max_candidates=expansions - 1)
-                )
+                enumerate_specs(p, k, max_candidates=expansions - 1)
 
     def test_budget_trips_at_size_32(self):
         with pytest.raises(BudgetExceeded, match=r"at \(p, k\) = \(2, 5\)"):
-            enumerate_specs(2, 5, config=SearchConfig(max_candidates=100))
+            enumerate_specs(2, 5, max_candidates=100)
 
     def test_budget_message_names_the_chain(self):
         with pytest.raises(BudgetExceeded) as err:
-            enumerate_specs(2, 5, config=SearchConfig(max_candidates=300))
+            enumerate_specs(2, 5, max_candidates=300)
         message = str(err.value)
         assert "budget of 300 expansions" in message
         # (4, 1, 0) is the tail of the level-3 chain (5, 4, 1, 0)
@@ -178,7 +176,7 @@ class TestEnumerateSpecs:
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            enumerate_specs(3, 2, config=SearchConfig(max_candidates=2))
+            enumerate_specs(3, 2, max_candidates=2)
 
 
 class TestClassifyCyclicPrimePower:
@@ -1102,7 +1100,7 @@ class TestDedupe:
         elif kind == "restricted":
             tables = brute_force_enumerate(arg)
         else:
-            tables = _spec_family(*arg, None)
+            tables = _spec_family(*arg)
         got = json.dumps(report_to_dict(dedupe_by_isomorphism(tables)))
         assert got == json.dumps(report_to_dict(pairwise_dedupe(tables)))
 
@@ -1194,14 +1192,17 @@ class TestClassifyPq:
 
     def test_p_equals_five_matches_the_oracle(self, monkeypatch):
         # the oracle at RESTRICTED_MODE_MAX: both templates of order 25
-        raw = []
+        raw, budget = [], 10 ** 7
 
         def recording(n, config=None):
+            assert (config.mode, config.max_candidates) == (
+                "regular-abelian-restricted", budget
+            )
             raw.extend(brute_force_enumerate(n, config))
             return raw
 
         monkeypatch.setattr(classify_module, "brute_force_enumerate", recording)
-        report = classify_pq(5, 5, cross_check=True)
+        report = classify_pq(5, 5, budget, cross_check=True)
         assert report.templates_searched == ("Z/25", "Z/5xZ/5")
         assert [(e.mpl, e.group_type, e.raw_count) for e in report.classes] == [
             (2, "abelian-noncyclic", 480), (1, "cyclic", 20),
@@ -1285,10 +1286,10 @@ class TestBudgetMessages:
     # each driver's budget names the search and the phase it ran out in,
     # and raises that message once, over no other exception
     @pytest.mark.parametrize("call,message", [
-        (lambda: classify_cyclic_prime_power(2, 5, SearchConfig(max_candidates=100)),
+        (lambda: classify_cyclic_prime_power(2, 5, max_candidates=100),
          "spec enumeration at (p, k) = (2, 5) used up its budget of 100 expansions "
          "while lifting exponent chain (5, 2, 0) at size 2^5"),
-        (lambda: classify_pq(3, 3, SearchConfig(max_candidates=20), cross_check=True),
+        (lambda: classify_pq(3, 3, max_candidates=20, cross_check=True),
          "regular-abelian-restricted search at n = 9 used up its budget of 20 "
          "expansions in template Z/9, after 0 expansions in earlier templates"),
         (lambda: brute_force_enumerate(
@@ -1315,3 +1316,16 @@ class TestSearchConfig:
             SearchConfig(max_candidates=0)
         with pytest.raises(ValueError):
             SearchConfig(mode="nonsense")
+
+    @pytest.mark.parametrize("call", [
+        lambda budget: enumerate_specs(3, 2, max_candidates=budget),
+        lambda budget: classify_cyclic_prime_power(3, 2, max_candidates=budget),
+        lambda budget: classify_pq(3, 3, max_candidates=budget, cross_check=True),
+    ], ids=["specs", "cyclic-prime-power", "pq"])
+    def test_drivers_take_the_bound_alone(self, call):
+        # the same range check as SearchConfig's, and a SearchConfig in
+        # place of the bound fails before any search
+        with pytest.raises(ValueError, match="^budget must be positive$"):
+            call(0)
+        with pytest.raises(TypeError):
+            call(SearchConfig())

@@ -530,7 +530,7 @@ class TestClassifyAndEnumerate:
         calls = []
 
         def record(kind):
-            def classify(p, other, config):
+            def classify(p, other, max_candidates):
                 calls.append((kind, p, other))
                 return ClassificationReport(1, "any", (), ())
             return classify
@@ -752,6 +752,11 @@ class TestOutputModes:
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    def test_missing_subcommand_is_usage_error(self, capsys):
+        code, out, err = run(capsys)
+        assert (code, out) == (2, "")
+        assert "the following arguments are required: command" in err
 
 
 # JSON values of at most 6 rows, with keys that the loaders look for

@@ -385,7 +385,7 @@ class TestExtractSpec:
         rng = random.Random(2019)
         for p, k in ((2, 5), (2, 6), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2),
                      (11, 2), (13, 2)):
-            for X in _spec_family(p, k, None):
+            for X in _spec_family(p, k):
                 tables += [X, relabel(X, tuple(rng.sample(range(X.n), X.n)))]
         assert len(tables) == 4416
         specs = 0
@@ -404,7 +404,7 @@ class TestExtractSpec:
         for p, k in ((2, 3), (3, 2), (3, 3)):
             n = p ** k
             rng = random.Random(n)
-            members = [[row[0] for row in X.table] for X in _spec_family(p, k, None)]
+            members = [[row[0] for row in X.table] for X in _spec_family(p, k)]
             for i in range(5000):
                 if i % 3 == 0:
                     v = [rng.randrange(n) for _ in range(n)]

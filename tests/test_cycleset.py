@@ -370,7 +370,7 @@ def kernel_tables():
     members += [build_p2_level2(p, t) for p in (2, 3, 5, 7) for t in range(1, p)]
     members += [build_elementary_abelian(p) for p in (2, 3, 5, 7)]
     for p, k in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2)):
-        members += _spec_family(p, k, None)[1:]
+        members += _spec_family(p, k)[1:]
     full = SearchConfig(mode="full-bruteforce")
     for n in (2, 3, 4):
         census = brute_force_enumerate(n, full)
@@ -506,7 +506,7 @@ class TestPairKernels:
             assert validate_solution(s.lam, s.rho) == s
 
     def test_valid_solutions_at_64(self):
-        for X in (trivial_cycle_set(64), _spec_family(2, 6, None)[-1]):
+        for X in (trivial_cycle_set(64), _spec_family(2, 6)[-1]):
             s = to_solution(X)
             assert validate_solution(s.lam, s.rho) == reference_validate_solution(s.lam, s.rho)
 
@@ -687,7 +687,7 @@ class TestIsomorphism:
 
     def test_equals_the_reference_on_relabelled_members(self):
         rng = random.Random(1019)
-        families = [_spec_family(p, k, None) for p, k in ((2, 4), (3, 3), (5, 2))]
+        families = [_spec_family(p, k) for p, k in ((2, 4), (3, 3), (5, 2))]
         families.append([CycleSet(t) for t in (
             ALL_IDENTITY_4, IRRETRACTABLE_4, TWO_INVOLUTIONS_10)])
         families.append([build_elementary_abelian(p) for p in (2, 3)])
@@ -759,7 +759,7 @@ class TestCertificate:
         # seeds; several of these members have 2 or 3 seed orbits with
         # different sequences, so the orbit pruning decides the result
         rng = random.Random(100 * p + k)
-        for X in _spec_family(p, k, None):
+        for X in _spec_family(p, k):
             cert = _certificate(X)
             for _ in range(4):
                 f = tuple(rng.sample(range(X.n), X.n))
