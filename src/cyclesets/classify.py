@@ -21,7 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from .arith import factorize, is_prime, partitions, prime_power
 from .construct import (
@@ -150,16 +151,19 @@ def dedupe_by_isomorphism(
     of its tables (see :func:`cyclesets.cycleset._certificate`): isomorphic
     tables have equal certificates, and equal certificates spell the same
     relabelled table.  The inputs are scanned in increasing row-major
-    encoding, so the witness of each class is its least member and classes
-    are created, and listed, in increasing witness encoding: identical
-    inputs produce byte-identical reports.
+    encoding, which is the order of their tables, row by row, at one size,
+    so the witness of each class is its least member and classes are
+    created, and listed, in increasing witness encoding: identical inputs
+    produce byte-identical reports.  The certificates share one cache of
+    row cycle types.
     """
-    xs = sorted(structures, key=lambda X: X.encoding())
+    xs = sorted(structures, key=lambda X: X.table)
     if xs and any(X.n != xs[0].n for X in xs):
         raise ValueError("all structures must have the same size")
     classes: dict[tuple[int, ...], list] = {}
+    types: dict = {}
     for X in xs:
-        classes.setdefault(_certificate(X), [X, 0])[1] += 1
+        classes.setdefault(_certificate(X, types), [X, 0])[1] += 1
     entries = []
     for w, count in classes.values():
         level = _mpl_of_steps(w, _retraction_steps(w))
@@ -377,6 +381,10 @@ def _translation_rows(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     ]
 
 
+def _inverse(f: Sequence[int]) -> list[int]:
+    return sorted(range(len(f)), key=f.__getitem__)
+
+
 def _orbit_walk(
     gens: list[tuple], points: int, size: int, side: int = 1
 ) -> dict[int, tuple[list[tuple], list[tuple]]]:
@@ -410,10 +418,10 @@ def _orbit_walk(
                     walk.append(at[t])
                     continue
                 # the Schreier generator u_t^-1 o g o u, one per point map
-                back = sorted(range(points), key=at[t][0].__getitem__)
+                back = _inverse(at[t][0])
                 z = tuple(map(back.__getitem__, f))
                 if z != identity[0] and z not in stab:
-                    back = sorted(range(size), key=at[t][1].__getitem__)
+                    back = _inverse(at[t][1])
                     stab[z] = (z, tuple(back[g[1][e]] for e in u[1]))
         out[r] = (walk, list(stab.values()))
     return out
@@ -427,6 +435,13 @@ def _point_one_walk(stab: list[tuple], points: int, size: int) -> dict:
     of point 1's orbit walk on the points.
     """
     return _orbit_walk(_orbit_walk(stab, points, size, 0)[1][1], points, size)
+
+
+def _gather(idx: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``itemgetter(*idx)``, which returns a tuple also for one index."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda s, i=idx[0]: (s[i],)
 
 
 def _group_search(
@@ -471,9 +486,13 @@ def _group_search(
     of r's walk.  When each walk lists its orbit once and the orbits cover
     the group, at both levels, that is a bijection onto all the solutions:
     the output is complete and free of repeats, and the budget counts the
-    expansions of the reduced search.  A stabiliser chain at every branch
-    point cut the expansions further, but its work at each node made it no
-    faster, so the reduction stops at point 1.
+    expansions of the reduced search.  A pair (f, c) moves a to the map
+    y -> c[a[f^-1(y)]], so every walk keeps f^-1 as an ``itemgetter``,
+    ``back``, and r's walk also keeps its rows pre-composed, rows_c[e] ==
+    act[c[e]]: a carried table is back(at_a(rows_c)), where at_a gathers at
+    a, two C-level gathers that return act's own row tuples.  A stabiliser
+    chain at every branch point cut the expansions further, but its work at
+    each node made it no faster, so the reduction stops at point 1.
     """
     n = len(act[0])  # points; the group has len(act) elements
     root = list(range(n))
@@ -532,7 +551,13 @@ def _group_search(
                 best, size = pt, len(members[r])
         return best, -1
 
-    inner: dict = {}  # the orbit walk of K_r, for a[0] == r
+    # r's walk as (back, rows_c) pairs, as the docstring says
+    outer = {
+        r: [(_gather(_inverse(f)), tuple(map(act.__getitem__, c))) for f, c in walk]
+        for r, (walk, _) in carry.items()
+    }
+    identity = [(_gather(range(n)), range(len(act)))]  # K_r's walk at n == 1
+    inner: dict = {}  # K_r's walk as (back, c) pairs, for a[0] == r
 
     def dfs() -> None:
         nonlocal inner
@@ -543,7 +568,10 @@ def _group_search(
             candidates = range(len(act))
         elif assigned:  # point 1 takes one value per orbit of K_r
             inner = {}  # drop the last key's walk before building this one
-            candidates = inner = _point_one_walk(carry[assign[0]][1], n, len(act))
+            walks = _point_one_walk(carry[assign[0]][1], n, len(act)).items()
+            candidates = inner = {
+                s: [(_gather(_inverse(f)), c) for f, c in w] for s, (w, _) in walks
+            }
         else:  # the root point 0 takes one value per orbit
             candidates = carry
         r, to_root = root[pt], inv[off[pt]]
@@ -563,15 +591,11 @@ def _group_search(
                 assigned.append(pt)
                 if len(assigned) == n:
                     # carry by K_r's pairs for a[1], then by r's
-                    for f1, c1 in inner[assign[1]][0] if n > 1 else carry[0][0]:
-                        a = [0] * n
-                        for x in range(n):
-                            a[f1[x]] = c1[assign[x]]
-                        for f, c in carry[assign[0]][0]:
-                            moved = [0] * n
-                            for x in range(n):
-                                moved[f[x]] = c[a[x]]
-                            out.append(tuple(act[v] for v in moved))
+                    at = _gather(assign)
+                    for back1, c1 in inner[assign[1]] if n > 1 else identity:
+                        at_a = _gather(back1(at(c1)))
+                        for back, rows_c in outer[assign[0]]:
+                            out.append(back(at_a(rows_c)))
                 else:
                     dfs()
                 assigned.pop()
@@ -686,7 +710,7 @@ def brute_force_enumerate(
             raise HypothesesError(
                 "spec-parameterized mode requires a prime-power size"
             )
-        return sorted(_spec_family(*pk, cfg.max_candidates), key=lambda X: X.encoding())
+        return sorted(_spec_family(*pk, cfg.max_candidates), key=lambda X: X.table)
     full = cfg.mode == "full-bruteforce"
     if full and n > FULL_MODE_MAX:
         raise ValueError(f"full mode supports n <= {FULL_MODE_MAX}")

@@ -205,7 +205,7 @@ def is_indecomposable(X: CycleSet) -> bool:
     The orbit of 0 under the distinct rows is the orbit under the group they
     generate, so no closure is built.
     """
-    rows = tuple(dict.fromkeys(X.table))
+    rows = set(X._table)
     orbit = {0}
     frontier = [0]
     while frontier:
@@ -441,9 +441,17 @@ def from_solution(sol: Solution) -> CycleSet:
     return CycleSet._trusted(_check_solution(sol))
 
 
-def _row_types(X: CycleSet) -> tuple[tuple[int, ...], ...]:
-    """The cycle type of each row, computed once per distinct row."""
-    types = {row: Permutation._trusted(row).cycle_type() for row in set(X._table)}
+def _row_types(
+    X: CycleSet, types: Optional[dict] = None
+) -> tuple[tuple[int, ...], ...]:
+    """The cycle type of each row, computed once per distinct row.
+
+    ``types`` maps rows to their cycle types and gains the rows it lacks, so
+    callers that pass one dict share the work across tables.
+    """
+    types = {} if types is None else types
+    for row in set(X._table).difference(types):
+        types[row] = Permutation._trusted(row).cycle_type()
     return tuple(types[row] for row in X._table)
 
 
@@ -523,7 +531,7 @@ def are_isomorphic(X: CycleSet, Y: CycleSet) -> Optional[tuple[int, ...]]:
     return tuple(fwd)
 
 
-def _certificate(X: CycleSet) -> tuple[int, ...]:
+def _certificate(X: CycleSet, types: Optional[dict] = None) -> tuple[int, ...]:
     """A canonical form of X: equal for two tables iff they are isomorphic.
 
     Seeds label points in turn: a seed takes the next free label, and the
@@ -547,11 +555,12 @@ def _certificate(X: CycleSet) -> tuple[int, ...]:
     points, in a union-find rooted at their least point; a seed there that
     is not its orbit's root has the sequences of that root, which was
     already tried, so it is skipped.  This is individualisation-refinement
-    (McKay and Piperno, "Practical graph isomorphism II", 2014).
+    (McKay and Piperno, "Practical graph isomorphism II", 2014).  ``types``
+    is the cycle-type cache of :func:`_row_types`.
     """
     table = X._table
     n = len(table)
-    types = _row_types(X)
+    types = _row_types(X, types)
     orbits: list[list[int]] = []  # a union-find per open branch point
     label = [-1] * n
     order: list[int] = []

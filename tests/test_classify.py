@@ -4,6 +4,7 @@ import json
 from math import factorial, gcd, prod
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cyclesets import (
     BudgetExceeded,
@@ -419,6 +420,12 @@ def full_census():
     }
 
 
+@pytest.fixture(scope="module")
+def census16():
+    """Restricted-mode output at n = 16, searched once per module."""
+    return brute_force_enumerate(16)
+
+
 class TestFullBruteForce:
     def test_counts(self, full_census):
         counts = {n: len(found) for n, found in full_census.items()}
@@ -780,6 +787,17 @@ class TestRestrictedBruteForce:
         assert abelian_templates(1) == [("Z/1", (1,))]
         assert brute_force_enumerate(1) == [CycleSet([[0]])]
 
+    def test_pinned_output_order(self, census16):
+        # sha256 of the entries, one byte each, in output order: it pins the
+        # merge across templates and the final sort, which the per-template
+        # digests, taken after sorting, do not see
+        chain = itertools.chain.from_iterable
+        digest = hashlib.sha256(bytes(chain(chain(X.table for X in census16))))
+        assert len(census16) == 64384
+        assert digest.hexdigest() == (
+            "f0a6d76e4f148ea8dbe1d47b12d9ba052ef3d9fdf9c116bb8aed9909f6bf9b32"
+        )
+
     # (raw tables, indecomposable tables) for n = 1..15, unchanged by the
     # Aut(G)-orbit reduction of the template search
     CENSUS = (
@@ -1133,6 +1151,23 @@ class TestDedupe:
         assert all(e.group_order == 121 for e in report.classes)
         report = classify_cyclic_prime_power(13, 2)
         assert [e.group_type for e in report.classes] == ["cyclic"] * 13
+
+    @given(st.data())
+    def test_table_order_is_encoding_order(self, data):
+        # the dedupe and spec mode sort by the table, row by row
+        n = data.draw(st.integers(1, 4))
+        table = st.lists(st.permutations(range(n)), min_size=n, max_size=n)
+        xs = [CycleSet(t) for t in data.draw(st.lists(table, max_size=12))]
+        by_table = sorted(xs, key=lambda X: X.table)
+        assert by_table == sorted(xs, key=lambda X: X.encoding())
+
+    def test_shared_row_types_keep_the_certificate(self, full_census, census16):
+        indecomposable = [X for X in census16 if is_indecomposable(X)]
+        assert len(indecomposable) == 960
+        for tables in (*full_census.values(), indecomposable):
+            types = {}
+            for X in tables:
+                assert _certificate(X, types) == _certificate(X), X
 
     def test_witness_is_least_encoding_member(self, golden4):
         from cyclesets import relabel
