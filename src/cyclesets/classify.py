@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .arith import factorize, is_prime, partitions, prime_power
 from .construct import (
@@ -437,13 +437,6 @@ def _point_one_walk(stab: list[tuple], points: int, size: int) -> dict:
     return _orbit_walk(_orbit_walk(stab, points, size, 0)[1][1], points, size)
 
 
-def _gather(idx: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """``itemgetter(*idx)``, which returns a tuple also for one index."""
-    if len(idx) > 1:
-        return itemgetter(*idx)
-    return lambda s, i=idx[0]: (s[i],)
-
-
 def _group_search(
     act: list[tuple[int, ...]],
     mul: Sequence[Sequence[int]],
@@ -454,8 +447,9 @@ def _group_search(
     """All tables whose rows lie in a group of permutations given by tables.
 
     ``act[e]`` is element e as a row on the points, ``mul[e][f]`` the element
-    e o f (f first), ``inv[e]`` that of e^-1, and 0 is the identity.  A table
-    is a map x -> a[x] with row x equal to ``act[a[x]]``, and the pair
+    e o f (f first), ``inv[e]`` that of e^-1, and 0 is the identity.  There
+    are n >= 2 points: :func:`brute_force_enumerate` answers n = 1 itself.
+    A table is a map x -> a[x] with row x equal to ``act[a[x]]``, and the pair
     condition sigma_{x.y} o sigma_x == sigma_{y.x} o sigma_y reads
     a[x.y] == a[y.x] o (a[y] o a[x]^-1).  So the search keeps the points in
     classes of known relations: every pair constraint is merged in as soon
@@ -553,10 +547,9 @@ def _group_search(
 
     # r's walk as (back, rows_c) pairs, as the docstring says
     outer = {
-        r: [(_gather(_inverse(f)), tuple(map(act.__getitem__, c))) for f, c in walk]
+        r: [(itemgetter(*_inverse(f)), tuple(map(act.__getitem__, c))) for f, c in walk]
         for r, (walk, _) in carry.items()
     }
-    identity = [(_gather(range(n)), range(len(act)))]  # K_r's walk at n == 1
     inner: dict = {}  # K_r's walk as (back, c) pairs, for a[0] == r
 
     def dfs() -> None:
@@ -570,7 +563,7 @@ def _group_search(
             inner = {}  # drop the last key's walk before building this one
             walks = _point_one_walk(carry[assign[0]][1], n, len(act)).items()
             candidates = inner = {
-                s: [(_gather(_inverse(f)), c) for f, c in w] for s, (w, _) in walks
+                s: [(itemgetter(*_inverse(f)), c) for f, c in w] for s, (w, _) in walks
             }
         else:  # the root point 0 takes one value per orbit
             candidates = carry
@@ -591,9 +584,9 @@ def _group_search(
                 assigned.append(pt)
                 if len(assigned) == n:
                     # carry by K_r's pairs for a[1], then by r's
-                    at = _gather(assign)
-                    for back1, c1 in inner[assign[1]] if n > 1 else identity:
-                        at_a = _gather(back1(at(c1)))
+                    at = itemgetter(*assign)
+                    for back1, c1 in inner[assign[1]]:
+                        at_a = itemgetter(*back1(at(c1)))
                         for back, rows_c in outer[assign[0]]:
                             out.append(back(at_a(rows_c)))
                 else:
@@ -691,8 +684,9 @@ def brute_force_enumerate(
     spec-parameterized (prime powers only): the trivial shift plus the
     structures built from every admissible spec.
 
-    The full and restricted modes run :func:`_group_search`, over the
-    Cayley table of Sym(n) or over each template group's translations; a
+    Every mode answers n = 1 with the one-point table, without a search.
+    Above it, the full and restricted modes run :func:`_group_search`, over
+    the Cayley table of Sym(n) or over each template group's translations; a
     size above the mode's limit raises ``ValueError`` before any table.
 
     Results are sorted by table encoding, so output is reproducible.  Running
@@ -702,9 +696,9 @@ def brute_force_enumerate(
     if n < 1:
         raise ValueError("n must be at least 1")
     cfg = config or SearchConfig()
+    if n == 1:
+        return [trivial_cycle_set(1)]
     if cfg.mode == "spec-parameterized":
-        if n == 1:
-            return [trivial_cycle_set(1)]
         pk = prime_power(n)
         if pk is None:
             raise HypothesesError(
@@ -768,7 +762,8 @@ def classify_pq(
 
     The result is cross-checked against the restricted brute-force oracle
     (automatically for sizes up to AUTO_CROSS_CHECK_MAX, on request up to
-    RESTRICTED_MODE_MAX); disagreement raises :class:`OracleDisagreement`,
+    RESTRICTED_MODE_MAX, above which the oracle's ``ValueError`` refuses it
+    before any search); disagreement raises :class:`OracleDisagreement`,
     which always indicates an implementation bug.  When the oracle runs, the
     returned report carries its raw counts and searched templates.
     """
@@ -787,10 +782,6 @@ def classify_pq(
     run_oracle = cross_check if cross_check is not None else n <= AUTO_CROSS_CHECK_MAX
     if not run_oracle:
         return report
-    if n > RESTRICTED_MODE_MAX:
-        raise ValueError(
-            f"oracle cross-check supports sizes up to {RESTRICTED_MODE_MAX}"
-        )
     raw = brute_force_enumerate(n, SearchConfig(max_candidates))
     indecomposable = [X for X in raw if is_indecomposable(X)]
     oracle_report = dedupe_by_isomorphism(

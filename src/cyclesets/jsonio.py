@@ -148,7 +148,7 @@ def report_to_dict(report: ClassificationReport) -> dict:
 def load(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, or an integer past Python's digit limit
         raise FormatError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise FormatError("invalid JSON: nested too deeply") from None

@@ -73,17 +73,11 @@ class Permutation:
     def __hash__(self) -> int:
         return hash(self._images)
 
-    def __lt__(self, other: "Permutation") -> bool:
-        return self._images < other._images
-
     def __repr__(self) -> str:
         return f"Permutation({list(self._images)})"
 
     def __str__(self) -> str:
         return format_cycles(self)
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self._images))
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: the result maps i to self(other(i))."""

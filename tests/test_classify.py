@@ -491,8 +491,8 @@ class TestFullBruteForce:
         )
 
     def test_search_equals_tuple_reference(self):
-        # the same tables, each found once
-        for n in range(1, 6):
+        # the same tables, each found once; n = 1 never reaches the search
+        for n in range(2, 6):
             found = _full_search(n, _Budget(10 ** 8))
             assert len(set(found)) == len(found), n
             assert sorted(found) == sorted(tuple_full_search(n, _Budget(10 ** 8))), n
@@ -500,7 +500,7 @@ class TestFullBruteForce:
     def test_search_without_symmetry(self):
         # the engine on a nonabelian group with no reduction: every element
         # its own key, carried by the identity alone.  Pinned: its expansions
-        for n, nodes in ((1, 1), (2, 6), (3, 82), (4, 4034), (5, 578832)):
+        for n, nodes in ((2, 6), (3, 82), (4, 4034), (5, 578832)):
             perms, _, mul, inv = _sym_table(n)
             budget, carry = _Budget(10 ** 8), _orbit_walk([], n, len(perms))
             found = _group_search(perms, mul, inv, carry, budget)
@@ -787,6 +787,16 @@ class TestRestrictedBruteForce:
         assert abelian_templates(1) == [("Z/1", (1,))]
         assert brute_force_enumerate(1) == [CycleSet([[0]])]
 
+    @pytest.mark.parametrize("mode", classify_module.MODES)
+    def test_one_point_needs_no_search(self, monkeypatch, mode):
+        # every mode answers n = 1 before any search, within a budget of 1
+        def no_search(*args):
+            raise AssertionError("n = 1 reached the search")
+
+        monkeypatch.setattr(classify_module, "_group_search", no_search)
+        config = SearchConfig(max_candidates=1, mode=mode)
+        assert brute_force_enumerate(1, config) == [CycleSet([[0]])]
+
     def test_pinned_output_order(self, census16):
         # sha256 of the entries, one byte each, in output order: it pins the
         # merge across templates and the final sort, which the per-template
@@ -850,8 +860,9 @@ class TestRestrictedBruteForce:
             assert table_digest(found) == self.DIGESTS[name], name
 
     def test_search_equals_abelian_reference(self):
-        # the same tables, each found once; the trees differ, so the order may
-        for n in range(1, 13):
+        # the same tables, each found once; the trees differ, so the order may.
+        # n = 1 never reaches the search
+        for n in range(2, 13):
             for name, parts in abelian_templates(n):
                 found = _template_search(parts, _Budget(10 ** 8))
                 assert len(set(found)) == len(found), name
@@ -1254,12 +1265,12 @@ class TestClassifyPq:
             classify_pq(4, 3)
 
     def test_cross_check_size_limit(self, monkeypatch):
-        # refused before the oracle runs
+        # refused by the oracle's own size check, before any search
         def no_search(*args):
             raise AssertionError("the oracle ran past its size limit")
 
-        monkeypatch.setattr(classify_module, "brute_force_enumerate", no_search)
-        with pytest.raises(ValueError, match="^oracle cross-check supports sizes up to 25$"):
+        monkeypatch.setattr(classify_module, "_template_search", no_search)
+        with pytest.raises(ValueError, match="^restricted mode supports n <= 25$"):
             classify_pq(2, 13, cross_check=True)
 
     def test_determinism(self):

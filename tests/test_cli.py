@@ -190,6 +190,20 @@ class TestVerify:
         assert payload["indecomposable"] is True
         assert payload["solution_checks"] is True
 
+    def test_decomposable_table(self, capsys, tmp_path):
+        # 10 disjoint swaps: row x swaps 2(x // 2) and 2(x // 2) + 1.  The
+        # group is intransitive and abelian, so its order takes the closure
+        table = [[y ^ 1 if y // 2 == x // 2 else y for y in range(20)] for x in range(20)]
+        path = write_json(tmp_path / "swaps.json", {"n": 20, "table": table})
+        code, out, err = run(capsys, "verify", "-i", path)
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"valid":true,"n":20,"square_free":false,"nondegenerate":true,'
+            '"indecomposable":false,"group_order":1024,'
+            '"group_type":"abelian-noncyclic","mpl":2,"tower":[20,10,1],'
+            '"solution_checks":true}\n'
+        )
+
     def test_corrupted_table_reports_violation_triple(self, capsys, tmp_path, golden4):
         table = [list(r) for r in golden4.table]
         table[0][0], table[0][1] = table[0][1], table[0][0]  # rows stay bijective
@@ -302,6 +316,29 @@ class TestVerify:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: invalid JSON: nested too deeply\n"
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python has no limit on the digits of an integer",
+    )
+    @pytest.mark.parametrize("argv", [
+        ("verify", "-i", "BIG"),
+        ("retract", "-i", "BIG"),
+        ("solution", "-i", "BIG"),
+        ("solution", "--invert", "-i", "BIG"),
+        ("iso", "BIG", "BIG"),
+        ("build", "-i", "BIG"),
+    ])
+    def test_oversized_integer_is_a_usage_error(self, capsys, tmp_path, argv):
+        # past Python's digit limit, int() raises a plain ValueError
+        digits = sys.get_int_max_str_digits() + 1
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 1, "table": [[' + "1" * digits + "]]}")
+        argv = [str(path) if arg == "BIG" else arg for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: invalid JSON: Exceeds the limit")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("source", ["file", "stdin"])
     @pytest.mark.parametrize("argv", [
@@ -570,6 +607,19 @@ class TestClassifyAndEnumerate:
     def test_enumerate_one_point(self, capsys):
         code, payload, _ = run_json(capsys, "enumerate", "1", "--count")
         assert code == 0 and payload["count"] == 1
+
+    @pytest.mark.parametrize("mode,name", [
+        ("full", "full-bruteforce"),
+        ("regular-abelian", "regular-abelian-restricted"),
+        ("spec", "spec-parameterized"),
+    ])
+    def test_enumerate_one_point_bytes(self, capsys, mode, name):
+        code, out, err = run(capsys, "enumerate", "1", "--mode", mode)
+        assert (code, err) == (0, "")
+        assert out == (
+            f'{{"n":1,"mode":"{name}","count":1,'
+            '"structures":[{"n":1,"table":[[0]]}]}\n'
+        )
 
     def test_enumerate_count_only(self, capsys):
         code, payload, _ = run_json(capsys, "enumerate", "4", "--count")
