@@ -47,16 +47,3 @@ def ilog(n: int, p: int) -> int:
         raise ValueError(f"{n} is not a power of {p}")
     return e
 
-
-def partitions(n: int):
-    """Yield the partitions of n as descending tuples, largest part first."""
-
-    def rec(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - part, part):
-                yield (part,) + rest
-
-    yield from rec(n, n)

@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .arith import factorize, is_prime, partitions, prime_power
+from .arith import factorize, is_prime, prime_power
 from .construct import (
     CyclicBuildSpec,
     build_prime_power,
@@ -338,28 +338,29 @@ def classify_cyclic_prime_power(
 def abelian_templates(n: int) -> list[tuple[str, tuple[int, ...]]]:
     """One regular template per abstract abelian group of order n.
 
-    Each template is named by its invariant factors d_1 | d_2 | ... (largest
-    first) and carries the cyclic factor sizes used to build the regular
-    action.
+    Each is an invariant-factor chain of n, the factors d_1, d_2, ... > 1
+    with product n, each dividing the one before; it names the template and
+    sizes the cyclic factors of its regular action.  Chains are listed in
+    descending order, and n = 1 gives (1,).
     """
-    fact = factorize(n)
-    primes = sorted(fact)
-    per_prime = [list(partitions(fact[p])) for p in primes]
-    templates = []
-    for choice in itertools.product(*per_prime):
-        depth = max((len(part) for part in choice), default=1)
-        invariants = []
-        for i in range(depth):
-            d = 1
-            for p, part in zip(primes, choice):
-                if i < len(part):
-                    d *= p ** part[i]
-            invariants.append(d)
-        parts = tuple(invariants)
-        name = "x".join(f"Z/{d}" for d in parts)
-        templates.append((name, parts))
-    templates.sort(key=lambda item: item[1], reverse=True)
-    return templates
+    divisors = [1]
+    for p, k in factorize(n).items():
+        divisors = [d * p**i for d in divisors for i in range(k + 1)]
+    divisors.sort(reverse=True)
+    below = {d: [e for e in divisors if e > 1 and d % e == 0] for d in divisors}
+
+    def chains(m, cap):
+        if m == 1:
+            yield ()
+        for d in below[cap]:
+            if m % d == 0:
+                for rest in chains(m // d, d):
+                    yield (d,) + rest
+
+    return [
+        ("x".join(f"Z/{d}" for d in parts), parts)
+        for parts in (chain or (1,) for chain in chains(n, n))
+    ]
 
 
 def _labelled(parts: tuple[int, ...]) -> tuple[list[tuple[int, ...]], dict]:
@@ -689,7 +690,7 @@ def brute_force_enumerate(
     the Cayley table of Sym(n) or over each template group's translations; a
     size above the mode's limit raises ``ValueError`` before any table.
 
-    Results are sorted by table encoding, so output is reproducible.  Running
+    Results are sorted by table, so output is reproducible.  Running
     out of budget raises :class:`BudgetExceeded` naming the mode, n and, in
     restricted mode, the template and the expansions of earlier templates.
     """

@@ -102,7 +102,7 @@ class CycleSet:
         return tuple(Permutation._trusted(r) for r in self._table)
 
     def encoding(self) -> tuple[int, ...]:
-        """Row-major flattening, the canonical sort key for tables."""
+        """Row-major flattening; among tables of one size it sorts as ``table``."""
         return tuple(v for row in self._table for v in row)
 
     def __eq__(self, other) -> bool:

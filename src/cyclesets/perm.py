@@ -152,9 +152,10 @@ def parse_permutation(text: str, degree: Optional[int] = None) -> Permutation:
     """
     s = text.strip()
     if s.startswith("["):
-        data = json.loads(s)
-        if not isinstance(data, list):
-            raise ValueError(f"not a one-line permutation: {text!r}")
+        try:
+            data = json.loads(s)
+        except RecursionError:
+            raise ValueError("not a one-line permutation: nested too deeply") from None
         p = Permutation(data)
         if degree is not None and p.degree != degree:
             raise ValueError(f"expected degree {degree}, got {p.degree}")

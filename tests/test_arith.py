@@ -33,3 +33,6 @@ def test_factorize_and_ilog_reject_bad_input():
         factorize(0)
     with pytest.raises(ValueError):
         ilog(12, 2)
+    for n in (0, -8):
+        with pytest.raises(ValueError, match=f"^{n} is not a power of 2$"):
+            ilog(n, 2)

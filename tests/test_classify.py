@@ -38,6 +38,7 @@ from cyclesets import (
 )
 from cyclesets import classify as classify_module
 from cyclesets import cycleset as cycleset_module
+from cyclesets.arith import factorize
 from cyclesets.cycleset import _certificate
 from cyclesets.classify import (
     _Budget,
@@ -88,6 +89,44 @@ def generate_and_test_specs(p, k):
                 ):
                     out.append(spec)
     return out
+
+
+def partitions(n):
+    """Yield the partitions of n as descending tuples, largest part first."""
+
+    def rec(remaining, cap):
+        if remaining == 0:
+            yield ()
+            return
+        for part in range(min(remaining, cap), 0, -1):
+            for rest in rec(remaining - part, part):
+                yield (part,) + rest
+
+    yield from rec(n, n)
+
+
+def reference_abelian_templates(n):
+    """Reference: a partition of each prime's exponent, merged slot by slot
+    into invariant factors, over the Cartesian product of those choices,
+    then sorted in descending order."""
+    fact = factorize(n)
+    primes = sorted(fact)
+    per_prime = [list(partitions(fact[p])) for p in primes]
+    templates = []
+    for choice in itertools.product(*per_prime):
+        depth = max((len(part) for part in choice), default=1)
+        invariants = []
+        for i in range(depth):
+            d = 1
+            for p, part in zip(primes, choice):
+                if i < len(part):
+                    d *= p ** part[i]
+            invariants.append(d)
+        parts = tuple(invariants)
+        name = "x".join(f"Z/{d}" for d in parts)
+        templates.append((name, parts))
+    templates.sort(key=lambda item: item[1], reverse=True)
+    return templates
 
 
 def pairwise_dedupe(structures):
@@ -249,6 +288,18 @@ class TestTemplates:
         assert [name for name, _ in abelian_templates(6)] == ["Z/6"]
         assert [name for name, _ in abelian_templates(9)] == ["Z/9", "Z/3xZ/3"]
         assert [name for name, _ in abelian_templates(12)] == ["Z/12", "Z/6xZ/2"]
+
+    def test_equals_the_partition_reference(self):
+        for n in range(1, 3001):
+            assert abelian_templates(n) == reference_abelian_templates(n), n
+
+    @pytest.mark.parametrize(
+        "n, count",
+        # p(40); p(12) squared; p(20) * p(10)
+        [(2**40, 37338), (10**12, 5929), (2**20 * 3**10, 26334)],
+    )
+    def test_counts_are_products_of_partition_numbers(self, n, count):
+        assert len(abelian_templates(n)) == count
 
     def test_translation_rows_form_a_regular_group(self):
         rows = _translation_rows((2, 2))

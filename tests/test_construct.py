@@ -225,6 +225,16 @@ class TestSpecValidation:
             validate_spec(CyclicBuildSpec(2, 2, 1, (2, 0), ()))
         with pytest.raises(SpecError):
             validate_spec(CyclicBuildSpec(4, 2, 2, (2, 1, 0), ((0, 1),)))
+        with pytest.raises(SpecError, match="^k must be at least 1: 0$"):
+            validate_spec(CyclicBuildSpec(2, 0, 2, (0, 0, 0), ((0,),)))
+        with pytest.raises(
+            SpecError, match=r"^exponent chain must run from k down to 0: \(3, 1, 0\)$"
+        ):
+            validate_spec(CyclicBuildSpec(2, 2, 2, (3, 1, 0), ((0, 1),)))
+        with pytest.raises(
+            SpecError, match=r"^exponent chain must run from k down to 0: \(2, 1, 1\)$"
+        ):
+            validate_spec(CyclicBuildSpec(2, 2, 2, (2, 1, 1), ((0, 1),)))
 
     def test_bad_digit_functions(self):
         with pytest.raises(SpecError):

@@ -284,6 +284,15 @@ class TestSolutionCorrespondence:
         with pytest.raises(TableError):
             Solution([[0, 1], [1, 0]], [[0]])
 
+    def test_solution_hash_repr_and_foreign_equality(self):
+        s = to_solution(trivial_cycle_set(2))
+        assert repr(s) == "Solution(lam=[[1, 0], [1, 0]], rho=[[1, 0], [1, 0]])"
+        assert len({s, Solution(s.lam, s.rho)}) == 1
+        assert s != (s.lam, s.rho)
+        X = trivial_cycle_set(2)
+        assert X != [[1, 0], [1, 0]]
+        assert X.__eq__(X.table) is NotImplemented
+
     def test_corpus_roundtrip(self, corpus):
         for name, X in corpus:
             s = to_solution(X)

@@ -49,6 +49,14 @@ class TestPermutationBasics:
         assert Permutation.identity(4).images == (0, 1, 2, 3)
         assert Permutation.cycle(4).images == (1, 2, 3, 0)
 
+    def test_repr_str_and_foreign_equality(self):
+        p = cyc("(0 1 2)", 4)
+        assert repr(p) == "Permutation([1, 2, 0, 3])"
+        assert str(p) == "(0 1 2)"
+        assert str(Permutation.identity(2)) == "id"
+        assert p != (1, 2, 0, 3)
+        assert p.__eq__([1, 2, 0, 3]) is NotImplemented
+
     def test_compose_identity(self):
         p = cyc("(0 1 2 3)")
         assert p.compose(Permutation.identity(4)) == p
@@ -127,6 +135,11 @@ class TestParsing:
         for text, degree in (("[1, 0]", 3), ("id", None), ("(0 5)", 3)):
             with pytest.raises(ValueError):
                 parse_permutation(text, degree)
+
+    def test_rejects_deep_nesting_without_echoing_it(self):
+        with pytest.raises(ValueError) as err:
+            parse_permutation("[" * 100000 + "]" * 100000)
+        assert str(err.value) == "not a one-line permutation: nested too deeply"
 
 
 class TestGroups:
