@@ -27,6 +27,7 @@ from typing import Iterable, Optional, Sequence
 from .arith import factorize, is_prime, prime_power
 from .construct import (
     CyclicBuildSpec,
+    _offsets,
     build_prime_power,
     build_p2_level2,
     build_elementary_abelian,
@@ -213,11 +214,8 @@ def _lift_digit_function(
     """
     r = p ** exps[1]
     radix = p ** (exps[0] - exps[1])
-    period = p ** exps[2]  # of E', the offset of the tail f_2, f_3, ...
-    e_tail = [
-        sum(p ** j * f[x % p ** j] for j, f in zip(exps[2:], tail))
-        for x in range(period)
-    ]
+    e_tail = _offsets(p, exps[1:], tail)  # E', the offset of f_2, f_3, ...
+    period = len(e_tail)
     buckets: dict[int, list[tuple[int, int, int, int, int]]] = {}
     filed = 0
     f: list[int] = []
@@ -730,20 +728,20 @@ def _require_matching(expected: ClassificationReport, oracle: ClassificationRepo
     """Insist on a class-by-class isomorphism matching, else hard-fail.
 
     Both reports are free of repeats, so they match one to one exactly when
-    every class of their merged dedupe has two members.  The first class
-    that does not is named in the :class:`OracleDisagreement` with the side
-    its witness came from, its invariants and its witness.
+    every certificate of their witnesses occurs twice.  Scanned by witness
+    table, parameterized first on a tie, the first entry whose certificate
+    does not is the least member of the first bad merged class; it is named
+    in the :class:`OracleDisagreement` with its side, invariants and witness.
     """
-    parameterized = {entry.witness for entry in expected.classes}
-    merged = dedupe_by_isomorphism(
-        [entry.witness for entry in expected.classes + oracle.classes]
-    )
-    for entry in merged.classes:
-        if entry.raw_count != 2:
-            side = "parameterized" if entry.witness in parameterized else "oracle"
+    entries = [("parameterized", e) for e in expected.classes]
+    entries += [("oracle", e) for e in oracle.classes]
+    entries.sort(key=lambda side_entry: side_entry[1].witness.table)
+    certs = [_certificate(entry.witness) for _, entry in entries]
+    for (side, entry), cert in zip(entries, certs):
+        if (count := certs.count(cert)) != 2:
             raise OracleDisagreement(
                 f"{side} class at size {expected.size} has no one-to-one match "
-                f"(merged class of {entry.raw_count}, expected 2): mpl={entry.mpl}, "
+                f"(merged class of {count}, expected 2): mpl={entry.mpl}, "
                 f"group {entry.group_type} of order {entry.group_order}, "
                 f"f_invariant={entry.f_invariant}, witness {entry.witness!r}"
             )

@@ -24,6 +24,10 @@ every indecomposable cycle set of prime-power size with cyclic permutation
 group and level >= 2 arises this way; :func:`extract_spec` recovers the
 parameters.
 
+All of these read one table, E on Z/p^{j_1} (:func:`_offsets`): each term
+p^{j_m} f_m is below p^{j_{m-1}}, so phi_m(l) = 1 + (E(l) mod p^{j_{m-1}})
+and K(j, i) == j + 1 + E(i)  (mod p^{j_1}), the only modulus E reads it at.
+
 The size-p^2, level-2 builder :func:`build_p2_level2` is the k = 2 case of
 :func:`build_prime_power`.  The map from a spec to its row exponents lives in
 one place, :func:`sigma_exponents`: the builder reads it forwards, and
@@ -114,16 +118,10 @@ def _structural_check(spec: CyclicBuildSpec) -> None:
                 )
 
 
-def _offset_terms(spec: CyclicBuildSpec) -> list[tuple[int, tuple[int, ...]]]:
-    """(p^{j_m}, f_m table) for m = 1..level-1; f_m is read modulo p^{j_m}."""
-    return [
-        (spec.p ** spec.exponents[m], spec.digit_functions[m - 1])
-        for m in range(1, spec.level)
-    ]
-
-
-def _offset(terms, x: int) -> int:
-    return sum(scale * f[x % scale] for scale, f in terms)
+def _offsets(p: int, exps: tuple[int, ...], fs) -> list[int]:
+    """E(l) = sum_m p^{j_m} f_m(l mod p^{j_m}) for l < p^{j_1}, on chain ``exps``."""
+    scales = [p ** j for j in exps[1:]]
+    return [sum(s * f[l % s] for s, f in zip(scales, fs)) for l in range(scales[0])]
 
 
 def phi_injectivity_check(
@@ -135,12 +133,13 @@ def phi_injectivity_check(
     phi_m(l) == phi_m(l').
     """
     _structural_check(spec)
-    terms = _offset_terms(spec)
+    p, exps = spec.p, spec.exponents
+    etab = _offsets(p, exps, spec.digit_functions)
     for m in range(1, spec.level):
-        dom = spec.p ** spec.exponents[m]
+        mod = p ** exps[m - 1]
         seen: dict[int, int] = {}
-        for l in range(dom):
-            v = 1 + _offset(terms[m - 1:], l)
+        for l in range(p ** exps[m]):
+            v = 1 + etab[l] % mod
             if v in seen:
                 return (m, seen[v], l)
             seen[v] = l
@@ -162,14 +161,12 @@ def exponent_symmetry_check(
     """
     _structural_check(spec)
     size = spec.size
-    terms = _offset_terms(spec)
-    period = spec.p ** spec.exponents[1]
-    etab = [_offset(terms, x) for x in range(period)]
-    # K(j, i) - j, read at i mod p^{j_1}: the partial offset skips the m = 1 term
-    ktab = [1 + _offset(terms[1:], x) for x in range(period)]
+    etab = _offsets(spec.p, spec.exponents, spec.digit_functions)
+    period = len(etab)
 
     def q(j: int, i: int) -> int:
-        return (etab[i] + etab[(j + ktab[i]) % period]) % size
+        # E reads K(j, i) only mod p^{j_1}, where it is j + 1 + E(i)
+        return (etab[i] + etab[(j + 1 + etab[i]) % period]) % size
 
     for i in range(period):
         for j in range(i + 1, period):
@@ -197,8 +194,8 @@ def validate_spec(spec: CyclicBuildSpec) -> CyclicBuildSpec:
 def sigma_exponents(spec: CyclicBuildSpec) -> tuple[int, ...]:
     """The exponent 1 + E(i) of the i-th row, for i = 0..p^k-1."""
     _structural_check(spec)
-    terms = _offset_terms(spec)
-    return tuple(1 + _offset(terms, i) for i in range(spec.size))
+    etab = _offsets(spec.p, spec.exponents, spec.digit_functions)
+    return tuple(1 + etab[i % len(etab)] for i in range(spec.size))
 
 
 def build_prime_power(spec: CyclicBuildSpec) -> CycleSet:
@@ -299,12 +296,10 @@ def build_p2_level2(p: int, t: int) -> CycleSet:
     Indecomposable, multipermutation level 2, cyclic permutation group of
     order p^2; two values of t give non-isomorphic tables.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    fs = compatible_bijections(p)  # raises first on a p that is not prime
     if not 1 <= t <= p - 1:
         raise ValueError(f"t must lie in 1..{p - 1}")
-    f = tuple(i * t % p for i in range(p))
-    return build_prime_power(CyclicBuildSpec(p, 2, 2, (2, 1, 0), (f,)))
+    return build_prime_power(CyclicBuildSpec(p, 2, 2, (2, 1, 0), (fs[t - 1],)))
 
 
 def build_elementary_abelian(p: int) -> CycleSet:

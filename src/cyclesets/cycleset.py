@@ -101,10 +101,6 @@ class CycleSet:
     def rows(self) -> tuple[Permutation, ...]:
         return tuple(Permutation._trusted(r) for r in self._table)
 
-    def encoding(self) -> tuple[int, ...]:
-        """Row-major flattening; among tables of one size it sorts as ``table``."""
-        return tuple(v for row in self._table for v in row)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, CycleSet):
             return self._table == other._table

@@ -209,6 +209,109 @@ def random_spec(rng, p, exps):
     return CyclicBuildSpec(p, exps[0], len(exps) - 1, exps, fs)
 
 
+def reference_offset_terms(spec):
+    """Reference: (p^{j_m}, f_m table) for m = 1..level-1, the per-level
+    terms that the exponent maps used to sum, kept verbatim."""
+    return [
+        (spec.p ** spec.exponents[m], spec.digit_functions[m - 1])
+        for m in range(1, spec.level)
+    ]
+
+
+def reference_offset(terms, x):
+    return sum(scale * f[x % scale] for scale, f in terms)
+
+
+def reference_phi_injectivity_check(spec):
+    """Reference: :func:`phi_injectivity_check` summing the terms from m on
+    at each level."""
+    terms = reference_offset_terms(spec)
+    for m in range(1, spec.level):
+        dom = spec.p ** spec.exponents[m]
+        seen = {}
+        for l in range(dom):
+            v = 1 + reference_offset(terms[m - 1:], l)
+            if v in seen:
+                return (m, seen[v], l)
+            seen[v] = l
+    return None
+
+
+def reference_exponent_symmetry_check(spec):
+    """Reference: :func:`exponent_symmetry_check` with E and K(j, i) - j
+    tabulated from two term lists."""
+    size = spec.size
+    terms = reference_offset_terms(spec)
+    period = spec.p ** spec.exponents[1]
+    etab = [reference_offset(terms, x) for x in range(period)]
+    ktab = [1 + reference_offset(terms[1:], x) for x in range(period)]
+
+    def q(j, i):
+        return (etab[i] + etab[(j + ktab[i]) % period]) % size
+
+    for i in range(period):
+        for j in range(i + 1, period):
+            qij = q(i, j)
+            qji = q(j, i)
+            if qij != qji:
+                return (i, j, qij, qji)
+    return None
+
+
+def reference_sigma_exponents(spec):
+    """Reference: :func:`sigma_exponents` summing every term at every point."""
+    terms = reference_offset_terms(spec)
+    return tuple(1 + reference_offset(terms, i) for i in range(spec.size))
+
+
+def all_chains(k):
+    """Every exponent chain (k, ..., 0) of level at least 2."""
+    return [
+        (k,) + mids + (0,)
+        for lvl in range(2, k + 1)
+        for mids in itertools.combinations(range(k - 1, 0, -1), lvl - 1)
+    ]
+
+
+OFFSET_SIZES = [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2),
+                (5, 3), (7, 2)]
+
+
+class TestOffsetTable:
+    def test_readers_equal_the_term_sums(self):
+        # 300 structurally valid specs at each size, on a chain drawn at
+        # random, inadmissible ones included: the same witnesses and exponents
+        rng = random.Random(8238)
+        outcomes = set()
+        for p, k in OFFSET_SIZES:
+            chains = all_chains(k)
+            for _ in range(300):
+                spec = random_spec(rng, p, rng.choice(chains))
+                phi = phi_injectivity_check(spec)
+                sym = exponent_symmetry_check(spec)
+                assert phi == reference_phi_injectivity_check(spec), spec
+                assert sym == reference_exponent_symmetry_check(spec), spec
+                assert sigma_exponents(spec) == reference_sigma_exponents(spec), spec
+                outcomes.add((phi is None, sym is None))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_partial_offsets_are_residues_of_the_table(self):
+        # E_m(l) = sum_{t >= m} p^{j_t} f_t(l) is E(l) mod p^{j_{m-1}} for
+        # every admissible spec, at every l < p^{j_1}
+        specs = pairs = 0
+        for p, k in OFFSET_SIZES + [(2, 7)]:
+            for spec in enumerate_specs(p, k):
+                specs += 1
+                exps, terms = spec.exponents, reference_offset_terms(spec)
+                etab = construct_module._offsets(p, exps, spec.digit_functions)
+                assert len(etab) == p ** exps[1]
+                for m in range(1, spec.level):
+                    for l, e in enumerate(etab):
+                        assert reference_offset(terms[m - 1:], l) == e % p ** exps[m - 1]
+                        pairs += 1
+        assert (specs, pairs) == (127, 4938)
+
+
 class TestSpecValidation:
     def test_golden_specs_pass(self):
         for spec in (GOLDEN4_SPEC, GOLDEN8_SPEC, GOLDEN32_SPEC):
