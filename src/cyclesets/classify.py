@@ -464,7 +464,11 @@ def _group_search(
     candidate writes nothing.  A merge relabels the smaller class and is
     undone on backtracking by truncating the larger class's member list and
     shifting the moved offsets back, so the undo trail records merges only;
-    two classes that both have values are compared, never merged.
+    two classes that both have values are compared, never merged.  Each
+    candidate's loop over the assigned points merges the pair constraints
+    itself, with no helper call per constraint: a same-class test, then the
+    comparison of two classes with values, then the merge and its trail
+    entry.
 
     ``carry`` maps each candidate r for a[0] to its (walk, stab) from
     :func:`_orbit_walk`, over a group of pairs (f, c): f relabels the
@@ -495,25 +499,6 @@ def _group_search(
     assign = [-1] * n
     trail: list[tuple[int, int, int]] = []  # merges (big, small, d) to undo
     out: list[tuple] = []
-
-    def union(i: int, j: int, delta: int) -> bool:
-        # impose a[i] == a[j] o delta, i.e. a[ri] == a[rj] o d
-        ri, rj = root[i], root[j]
-        d = mul[mul[off[j]][delta]][inv[off[i]]]
-        if ri == rj:
-            return d == 0
-        if value[ri] >= 0 and value[rj] >= 0:
-            return value[ri] == mul[value[rj]][d]
-        if len(members[ri]) > len(members[rj]):
-            ri, rj, d = rj, ri, inv[d]
-        for m in members[ri]:  # relabel the smaller class ri into rj
-            root[m] = rj
-            off[m] = mul[d][off[m]]
-        members[rj].extend(members[ri])
-        if value[ri] >= 0:
-            value[rj] = mul[value[ri]][inv[d]]
-        trail.append((rj, ri, d))
-        return True
 
     def rollback(mark: int) -> None:
         while len(trail) > mark:
@@ -571,14 +556,36 @@ def _group_search(
             budget.tick()
             mark = len(trail)
             assign[pt] = e
+            mul_e = mul[e]
             if pinned < 0:  # a branch gives pt's class its value
-                value[r] = mul[e][to_root]
+                value[r] = mul_e[to_root]
             row = act[e]
             for x in assigned:
                 ax = assign[x]
-                # a[x . pt] == a[pt . x] o a[pt] o a[x]^-1
-                if not union(act[ax][pt], row[x], mul[e][inv[ax]]):
-                    break
+                # a[x . pt] == a[pt . x] o a[pt] o a[x]^-1, that is
+                # a[i] == a[j] o delta, so a[ri] == a[rj] o d for the roots
+                i, j = act[ax][pt], row[x]
+                ri, rj = root[i], root[j]
+                d = mul[mul[off[j]][mul_e[inv[ax]]]][inv[off[i]]]
+                if ri == rj:
+                    if d:
+                        break
+                    continue
+                vi, vj = value[ri], value[rj]
+                if vi >= 0 and vj >= 0:
+                    if vi != mul[vj][d]:
+                        break
+                    continue
+                if len(members[ri]) > len(members[rj]):
+                    ri, rj, d, vi = rj, ri, inv[d], vj
+                mul_d = mul[d]
+                for m in members[ri]:  # relabel the smaller class ri into rj
+                    root[m] = rj
+                    off[m] = mul_d[off[m]]
+                members[rj].extend(members[ri])
+                if vi >= 0:
+                    value[rj] = mul[vi][inv[d]]
+                trail.append((rj, ri, d))
             else:
                 assigned.append(pt)
                 if len(assigned) == n:
@@ -600,8 +607,13 @@ def _group_search(
     return out
 
 
-def _template_search(parts: tuple[int, ...], budget: _Budget) -> list[tuple]:
+def _template_search(
+    parts: tuple[int, ...], budget: _Budget, rows: dict
+) -> list[tuple]:
     """All row assignments from one regular template satisfying the axiom.
+
+    ``rows`` maps each translation row to the one tuple that stands for it,
+    so templates that share it share their equal rows, and so do their tables.
 
     Points are labeled by the elements of G = Z/d_1 x ... x Z/d_k, so the
     translation rows are also G's composition table.  An automorphism alpha
@@ -615,7 +627,7 @@ def _template_search(parts: tuple[int, ...], budget: _Budget) -> list[tuple]:
     up to RESTRICTED_MODE_MAX, as tests check, and so are those of each
     stabiliser of a[0] and point 1.
     """
-    act = _translation_rows(parts)
+    act = [rows.setdefault(row, row) for row in _translation_rows(parts)]
     elems, index = _labelled(parts)
     gens = []
     for i, di in enumerate(parts):
@@ -713,15 +725,19 @@ def brute_force_enumerate(
     if full:
         tables = _full_search(n, budget)  # free of repeats
     else:
-        # the identity table lies in every template, so tables can repeat
-        tables = set()
+        # the identity table lies in every template, so tables can repeat:
+        # the templates share one tuple per distinct row, so equal rows
+        # compare by identity in the one sort, and repeats, adjacent after
+        # it, are dropped
+        tables, rows = [], {}
         for template, parts in abelian_templates(n):
             budget.where = (
                 f" in template {template}, after {budget.used} expansions in "
                 "earlier templates"
             )
-            tables.update(_template_search(parts, budget))
-    return [CycleSet._trusted(t) for t in sorted(tables)]
+            tables += _template_search(parts, budget, rows)
+    tables.sort()
+    return [CycleSet._trusted(t) for t, _ in itertools.groupby(tables)]
 
 
 def _require_matching(expected: ClassificationReport, oracle: ClassificationReport):

@@ -247,7 +247,7 @@ class TestClassifyCyclicPrimePower:
     @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 4)])
     def test_matches_cyclic_template_oracle(self, p, k):
         n = p ** k
-        found = _template_search((n,), _Budget(10 ** 8))
+        found = _template_search((n,), _Budget(10 ** 8), {})
         indecomposable = [CycleSet(t) for t in found if is_indecomposable(CycleSet(t))]
         oracle = dedupe_by_isomorphism(indecomposable)
         # a transitive subgroup of the regular Z/n is all of Z/n
@@ -864,6 +864,33 @@ class TestRestrictedBruteForce:
             "f0a6d76e4f148ea8dbe1d47b12d9ba052ef3d9fdf9c116bb8aed9909f6bf9b32"
         )
 
+    def test_merge_equals_the_sorted_union(self, census16):
+        # the merge across templates, one sort and repeats dropped, gives the
+        # set union of the templates' outputs, sorted, at every size with
+        # more than one template
+        chain = itertools.chain.from_iterable
+        for n in range(2, 21):
+            templates = abelian_templates(n)
+            if len(templates) < 2:
+                continue
+            found = [
+                _template_search(parts, _Budget(10 ** 8), {}) for _, parts in templates
+            ]
+            merged = sorted(set(chain(found)))
+            out = census16 if n == 16 else brute_force_enumerate(n)
+            assert [X.table for X in out] == merged, n
+            if n == 16:
+                assert (sum(map(len, found)), len(merged)) == (81344, 64384)
+
+    def test_output_rows_are_shared(self, census16):
+        # the templates share one tuple per distinct row; templates that each
+        # built their own rows would give 80 row objects for the 48 at n = 16
+        for n, out in ((8, brute_force_enumerate(8)), (12, brute_force_enumerate(12)),
+                       (16, census16)):
+            rows = [row for X in out for row in X.table]
+            assert len({id(row) for row in rows}) == len(set(rows)), n
+        assert len(set(rows)) == 48
+
     # (raw tables, indecomposable tables) for n = 1..15, unchanged by the
     # Aut(G)-orbit reduction of the template search
     CENSUS = (
@@ -893,7 +920,7 @@ class TestRestrictedBruteForce:
             budget, reference_budget = _Budget(10 ** 8), _Budget(10 ** 8)
             for _, parts in abelian_templates(n):
                 abelian_template_search(parts, reference_budget)
-                _template_search(parts, budget)
+                _template_search(parts, budget, {})
             assert (reference_budget.used, budget.used) == (first_free_nodes, nodes), n
 
     # sha256 of the sorted tables' entries as bytes, for each template's
@@ -911,7 +938,7 @@ class TestRestrictedBruteForce:
 
     def test_pinned_template_digests(self):
         for name, parts in abelian_templates(16) + abelian_templates(25):
-            found = _template_search(parts, _Budget(10 ** 8))
+            found = _template_search(parts, _Budget(10 ** 8), {})
             assert len(set(found)) == len(found), name
             assert table_digest(found) == self.DIGESTS[name], name
 
@@ -920,7 +947,7 @@ class TestRestrictedBruteForce:
         # n = 1 never reaches the search
         for n in range(2, 13):
             for name, parts in abelian_templates(n):
-                found = _template_search(parts, _Budget(10 ** 8))
+                found = _template_search(parts, _Budget(10 ** 8), {})
                 assert len(set(found)) == len(found), name
                 reference = abelian_template_search(parts, _Budget(10 ** 8))
                 assert sorted(found) == sorted(reference), name
@@ -941,7 +968,8 @@ class TestRestrictedBruteForce:
                     part = _group_search(act, act, inv, carry, _Budget(10 ** 8))
                     assert all(table[0] == act[r] for table in part), (name, r)
                     found += part
-                assert sorted(found) == sorted(_template_search(parts, _Budget(10 ** 8)))
+                whole = _template_search(parts, _Budget(10 ** 8), {})
+                assert sorted(found) == sorted(whole)
 
     def test_aut_orbits(self):
         orbits = {
@@ -969,7 +997,7 @@ class TestRestrictedBruteForce:
         for n in range(2, 13):
             for _, parts in abelian_templates(n):
                 act = _translation_rows(parts)
-                found = _template_search(parts, _Budget(10 ** 8))
+                found = _template_search(parts, _Budget(10 ** 8), {})
                 assert len(set(found)) == len(found)
                 found = set(found)
                 maps = [
@@ -1002,7 +1030,7 @@ class TestOrbitWalk:
     of the whole group."""
 
     @staticmethod
-    def carry_of(monkeypatch, search, *args):
+    def carry_of(monkeypatch, search, *args, **kwargs):
         # the carry that search hands to _group_search, which is not run
         seen = []
 
@@ -1011,7 +1039,7 @@ class TestOrbitWalk:
             return []
 
         monkeypatch.setattr(classify_module, "_group_search", capture)
-        search(*args, _Budget(1))
+        search(*args, _Budget(1), **kwargs)
         monkeypatch.undo()
         return seen[0]
 
@@ -1019,7 +1047,7 @@ class TestOrbitWalk:
         for n in range(1, 26):
             for name, parts in abelian_templates(n):
                 act = _translation_rows(parts)
-                carry = self.carry_of(monkeypatch, _template_search, parts)
+                carry = self.carry_of(monkeypatch, _template_search, parts, rows={})
                 reference = _automorphism_transporters(parts, act)
                 assert list(carry) == sorted(reference), name
                 for r, (pairs, _) in carry.items():
@@ -1070,7 +1098,7 @@ class TestOrbitWalk:
             for name, parts in abelian_templates(n):
                 act = _translation_rows(parts)
                 auts = list(_automorphisms(parts, act))
-                carry = self.carry_of(monkeypatch, _template_search, parts)
+                carry = self.carry_of(monkeypatch, _template_search, parts, rows={})
                 for r in carry:
                     k_r = {alpha for alpha in auts if alpha[r] == r and alpha[1] == 1}
                     inner = _point_one_walk(carry[r][1], n, n)
@@ -1108,8 +1136,8 @@ class TestOrbitWalk:
                 act = _translation_rows(parts)
                 inv = [row.index(0) for row in act]
                 identity = act[0]
-                found = _template_search(parts, _Budget(10 ** 8))
-                carry = self.carry_of(monkeypatch, _template_search, parts)
+                found = _template_search(parts, _Budget(10 ** 8), {})
+                carry = self.carry_of(monkeypatch, _template_search, parts, rows={})
                 for r, (_, stab) in carry.items():
                     keyed = {r: ([(identity, identity)], stab)}
                     part = _group_search(act, act, inv, keyed, _Budget(10 ** 8))
