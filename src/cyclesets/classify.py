@@ -36,14 +36,13 @@ from .construct import (
 from .cycleset import (
     CycleSet,
     _certificate,
-    _mpl_of_steps,
-    _retraction_steps,
     f_invariant,
     is_indecomposable,
+    mpl,
     permutation_group,
 )
 from .errors import BudgetExceeded, HypothesesError, OracleDisagreement
-from .perm import Permutation, PermGroup, is_abelian, is_cyclic
+from .perm import PermGroup, _commute, _cycles, _inverse, is_abelian, is_cyclic
 
 MODES = ("full-bruteforce", "regular-abelian-restricted", "spec-parameterized")
 
@@ -130,14 +129,10 @@ def _group_order_type(X: CycleSet) -> tuple[int, str]:
     other group is closed for its order.
     """
     rows = tuple(dict.fromkeys(X.table))
-    if any(
-        tuple(map(r.__getitem__, s)) != tuple(map(s.__getitem__, r))
-        for i, r in enumerate(rows)
-        for s in rows[i + 1:]
-    ):
+    if not _commute(rows):
         return permutation_group(X).order, "nonabelian"
     order = X.n if is_indecomposable(X) else permutation_group(X).order
-    exponent = lcm(*(Permutation._trusted(r).order() for r in rows))
+    exponent = lcm(*(len(c) for r in rows for c in _cycles(r)))
     return order, "cyclic" if exponent == order else "abelian-noncyclic"
 
 
@@ -167,7 +162,7 @@ def dedupe_by_isomorphism(
         classes.setdefault(_certificate(X, types), [X, 0])[1] += 1
     entries = []
     for w, count in classes.values():
-        level = _mpl_of_steps(w, _retraction_steps(w))
+        level = mpl(w)
         order, kind = _group_order_type(w)
         entries.append(
             ClassEntry(
@@ -378,10 +373,6 @@ def _translation_rows(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
         tuple(index[tuple((a + b) % d for a, b, d in zip(y, e, parts))] for y in elems)
         for e in elems
     ]
-
-
-def _inverse(f: Sequence[int]) -> list[int]:
-    return sorted(range(len(f)), key=f.__getitem__)
 
 
 def _orbit_walk(
@@ -785,12 +776,10 @@ def classify_pq(
     if not is_prime(p) or not is_prime(q):
         raise ValueError("p and q must be prime")
     n = p * q
+    structures = [trivial_cycle_set(n)]
     if p == q:
-        structures = [trivial_cycle_set(n)]
         structures += [build_p2_level2(p, t) for t in range(1, p)]
         structures.append(build_elementary_abelian(p))
-    else:
-        structures = [trivial_cycle_set(n)]
     report = dedupe_by_isomorphism(
         structures, constraint="abelian-group", templates=("parameterized",)
     )

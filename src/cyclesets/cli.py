@@ -31,7 +31,6 @@ from .construct import (
 from .cycleset import (
     Solution,
     _involution_failure,
-    _inverse_rows,
     _mpl_of_steps,
     _retraction_steps,
     are_isomorphic,
@@ -42,7 +41,7 @@ from .cycleset import (
     to_solution,
 )
 from .errors import CycleSetError, FormatError, InvalidCycleSet
-from .perm import Permutation, format_cycles
+from .perm import Permutation, _inverse, format_cycles
 
 #: lemma2 prints p - 1 tables of length p (about 59 MB of RSS at 1009)
 LEMMA2_MAX_P = 1009
@@ -144,7 +143,9 @@ def _cmd_verify(args):
     # the load has checked the axiom, so by Rump's criterion the solution
     # braids once it is involutive with lambda^-1 rows equal to the table
     sol = to_solution(X)
-    solution_ok = _involution_failure(sol) is None and _inverse_rows(sol.lam) == X.table
+    solution_ok = (
+        _involution_failure(sol) is None and tuple(map(_inverse, sol.lam)) == X.table
+    )
     group_order, group_type = _group_order_type(X)
     steps = _retraction_steps(X)
     payload = {

@@ -44,6 +44,7 @@ from typing import Optional
 from .arith import ilog, is_prime, prime_power
 from .cycleset import CycleSet, retraction_tower_sizes
 from .errors import HypothesesError, SpecError
+from .perm import _cycles
 
 
 def _shift(m: int, e: int) -> tuple[int, ...]:
@@ -235,16 +236,16 @@ def extract_spec(X: CycleSet) -> CyclicBuildSpec:
     # a message: a raised exception held in a local keeps this frame in a gc cycle
     not_cyclic = f"permutation group is not cyclic of order {n}"
 
-    rows = X.rows()
-    base = next((x for x in range(n) if rows[x].order() == n), None)
+    t = X.table
+    # a row of order n = p^k is an n-cycle
+    base = next((x for x in range(n) if len(_cycles(t[x])) == 1), None)
     if base is None:
         raise HypothesesError(not_cyclic)
-    phi = rows[base]
+    phi = t[base]
     labels = [base]
     for _ in range(n - 1):
-        labels.append(phi(labels[-1]))
+        labels.append(phi[labels[-1]])
     pos = {x: i for i, x in enumerate(labels)}
-    t = X.table
     shifts = []
     for i in range(n):
         row = t[labels[i]]

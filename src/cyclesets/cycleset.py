@@ -34,7 +34,7 @@ from .errors import (
     SpecError,
     TableError,
 )
-from .perm import PermGroup, Permutation, generate_group
+from .perm import PermGroup, Permutation, _cycles, _inverse, _orbit, generate_group
 
 DEFAULT_VIOLATION_LIMIT = 100
 
@@ -201,17 +201,7 @@ def is_indecomposable(X: CycleSet) -> bool:
     The orbit of 0 under the distinct rows is the orbit under the group they
     generate, so no closure is built.
     """
-    rows = set(X._table)
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        pt = frontier.pop()
-        for row in rows:
-            img = row[pt]
-            if img not in orbit:
-                orbit.add(img)
-                frontier.append(img)
-    return len(orbit) == X.n
+    return len(_orbit(X._table)) == X.n
 
 
 @dataclass(frozen=True)
@@ -374,14 +364,10 @@ def _check_solution(sol: Solution) -> tuple[tuple[int, ...], ...]:
     pair = _involution_failure(sol)
     if pair is not None:
         raise SolutionError("r is not involutive", pair)
-    rows = _inverse_rows(sol.lam)
+    rows = tuple(map(_inverse, sol.lam))
     if find_violations(rows, limit=1):
         raise SolutionError("braid identity fails", _braid_witness(sol))
     return rows
-
-
-def _inverse_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(Permutation._trusted(row).inverse().images for row in rows)
 
 
 def _braid_witness(sol: Solution) -> tuple[int, int, int]:
@@ -421,7 +407,7 @@ def to_solution(X: CycleSet) -> Solution:
     lambda_x is the inverse of the row sigma_x, and rho_y(x) = lambda_x(y) . x;
     column x of rho is column x of the table gathered at the rows lambda_x.
     """
-    lam = _inverse_rows(X.table)
+    lam = tuple(map(_inverse, X.table))
     rho_cols = [map(col.__getitem__, row) for col, row in zip(zip(*X.table), lam)]
     return Solution(lam, zip(*rho_cols))
 
@@ -447,7 +433,7 @@ def _row_types(
     """
     types = {} if types is None else types
     for row in set(X._table).difference(types):
-        types[row] = Permutation._trusted(row).cycle_type()
+        types[row] = tuple(sorted(map(len, _cycles(row))))
     return tuple(types[row] for row in X._table)
 
 
@@ -670,10 +656,10 @@ def relabel(X: CycleSet, images: tuple[int, ...]) -> CycleSet:
     Row F(x) of the result is the conjugate F o sigma_x o F^-1, so its rows
     are bijective by construction and the result is not re-checked.
     """
-    perm = Permutation(images)
-    if perm.degree != X.n:
+    f = Permutation(images).images
+    if len(f) != X.n:
         raise HypothesesError("relabeling must be a bijection of the points")
-    inv = perm.inverse()
+    inv = _inverse(f)
     return CycleSet._trusted(
-        tuple(perm.compose(X.row(inv(i))).compose(inv).images for i in range(X.n))
+        tuple(tuple(map(f.__getitem__, map(X._table[x].__getitem__, inv))) for x in inv)
     )

@@ -120,8 +120,8 @@ def spec_from_dict(d) -> CyclicBuildSpec:
         p=d["p"],
         k=d["k"],
         level=d["level"],
-        exponents=tuple(d["exponents"]),
-        digit_functions=tuple(tuple(f) for f in d["digit_functions"]),
+        exponents=d["exponents"],
+        digit_functions=d["digit_functions"],
     )
 
 

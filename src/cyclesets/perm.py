@@ -4,6 +4,11 @@ Composition applies the right factor first: ``p.compose(q)`` maps ``i`` to
 ``p(q(i))``.  Every module in this package relies on that single convention;
 in particular the exponent arithmetic of the prime-power constructions would
 silently break under the opposite one.
+
+Inverse, cycles, orbits and commutation have one implementation each, the
+kernel :func:`_inverse`, :func:`_cycles`, :func:`_orbit` and :func:`_commute`
+on image tuples: library code computes on rows through it, and the
+:class:`Permutation` methods and group predicates delegate to it.
 """
 
 from __future__ import annotations
@@ -12,11 +17,60 @@ import json
 import re
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded
 
 DEFAULT_MAX_GROUP_ELEMENTS = 10 ** 6
+
+
+def _inverse(images: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of a bijection given by its images."""
+    inv = [0] * len(images)
+    for i, v in enumerate(images):
+        inv[v] = i
+    return tuple(inv)
+
+
+def _cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
+    """All cycles, fixed points included, each starting at its least element."""
+    seen = [False] * len(images)
+    out = []
+    for i in range(len(images)):
+        if seen[i]:
+            continue
+        cyc = []
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            cyc.append(j)
+            j = images[j]
+        out.append(tuple(cyc))
+    return out
+
+
+def _orbit(rows: Iterable[tuple[int, ...]], start: int = 0) -> set[int]:
+    """The orbit of ``start`` under the image tuples, so under their group."""
+    rows = set(rows)
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        pt = frontier.pop()
+        for row in rows:
+            img = row[pt]
+            if img not in orbit:
+                orbit.add(img)
+                frontier.append(img)
+    return orbit
+
+
+def _commute(rows: Sequence[tuple[int, ...]]) -> bool:
+    """True iff the image tuples commute pairwise."""
+    return all(
+        tuple(map(r.__getitem__, s)) == tuple(map(s.__getitem__, r))
+        for i, r in enumerate(rows)
+        for s in rows[i + 1:]
+    )
 
 
 class Permutation:
@@ -90,47 +144,28 @@ class Permutation:
     __mul__ = compose
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self._images)
-        for i, v in enumerate(self._images):
-            inv[v] = i
-        return Permutation._trusted(tuple(inv))
+        return Permutation._trusted(_inverse(self._images))
 
     def power(self, e: int) -> "Permutation":
         """The e-fold composition; negative e uses the inverse."""
         n = len(self._images)
         out = list(range(n))
-        for cyc in self._orbits():
+        for cyc in _cycles(self._images):
             m = len(cyc)
             for pos, pt in enumerate(cyc):
                 out[pt] = cyc[(pos + e) % m]
         return Permutation._trusted(tuple(out))
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self._orbits()))
-
-    def _orbits(self) -> list[tuple[int, ...]]:
-        """All orbits including fixed points, least element first."""
-        seen = [False] * len(self._images)
-        out = []
-        for i in range(len(self._images)):
-            if seen[i]:
-                continue
-            cyc = []
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = self._images[j]
-            out.append(tuple(cyc))
-        return out
+        return lcm(*map(len, _cycles(self._images)))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Non-trivial cycles, each starting at its least element."""
-        return [c for c in self._orbits() if len(c) > 1]
+        return [c for c in _cycles(self._images) if len(c) > 1]
 
     def cycle_type(self) -> tuple[int, ...]:
         """Sorted lengths of all orbits, fixed points included."""
-        return tuple(sorted(len(c) for c in self._orbits()))
+        return tuple(sorted(map(len, _cycles(self._images))))
 
 
 def format_cycles(p: Permutation) -> str:
@@ -222,48 +257,32 @@ def generate_group(
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
-    ident = Permutation.identity(degree)
-    seen: dict[tuple[int, ...], Permutation] = {ident.images: ident}
-    frontier = [ident]
-    while frontier:
-        new: list[Permutation] = []
-        for f in frontier:
-            for g in gens:
-                h = g.compose(f)
-                if h.images not in seen:
-                    if len(seen) >= DEFAULT_MAX_GROUP_ELEMENTS:
-                        raise BudgetExceeded(
-                            f"group closure exceeds {DEFAULT_MAX_GROUP_ELEMENTS} elements"
-                        )
-                    seen[h.images] = h
-                    new.append(h)
-        frontier = new
-    elements = tuple(sorted(seen.values(), key=lambda p: p.images))
+    images = [g.images for g in gens]
+    ident = tuple(range(degree))
+    seen = {ident}
+    elements = [ident]
+    for f in elements:  # the loop also visits the elements appended to the list
+        for g in images:
+            h = tuple(map(g.__getitem__, f))
+            if h not in seen:
+                if len(seen) >= DEFAULT_MAX_GROUP_ELEMENTS:
+                    raise BudgetExceeded(
+                        f"group closure exceeds {DEFAULT_MAX_GROUP_ELEMENTS} elements"
+                    )
+                seen.add(h)
+                elements.append(h)
+    elements = tuple(map(Permutation._trusted, sorted(elements)))
     return PermGroup(degree=degree, generators=gens, elements=elements)
 
 
 def is_transitive(group: PermGroup) -> bool:
     """True iff the orbit of the point 0 is the whole domain."""
     gens = group.generators or group.elements
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for pt in frontier:
-            for g in gens:
-                img = g(pt)
-                if img not in orbit:
-                    orbit.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return len(orbit) == group.degree
+    return len(_orbit(g.images for g in gens)) == group.degree
 
 
 def is_abelian(group: PermGroup) -> bool:
-    gens = group.generators or group.elements
-    return all(
-        g.compose(h) == h.compose(g) for i, g in enumerate(gens) for h in gens[i + 1:]
-    )
+    return _commute([g.images for g in group.generators or group.elements])
 
 
 def is_cyclic(group: PermGroup) -> Optional[Permutation]:

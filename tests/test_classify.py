@@ -54,7 +54,7 @@ from cyclesets.classify import (
     _translation_rows,
 )
 from cyclesets.jsonio import report_to_dict
-from cyclesets.perm import generate_group, Permutation
+from cyclesets.perm import _cycles, generate_group, Permutation
 
 
 def table_digest(tables) -> str:
@@ -348,7 +348,7 @@ def _stabilizer_transporters(
     reps: dict[tuple, tuple[tuple[int, ...], list[int]]] = {}
     out: dict[tuple, dict[tuple, tuple[int, ...]]] = {}
     for s in perms:
-        first, *rest = Permutation._trusted(s)._orbits()
+        first, *rest = _cycles(s)
         rest.sort(key=len, reverse=True)
         key = (len(first), tuple(map(len, rest)))
         seq = [x for cycle in (first, *rest) for x in cycle]
@@ -1187,13 +1187,13 @@ class TestDedupe:
         indec = [X for X in brute_force_enumerate(8) if is_indecomposable(X)]
         assert len(indec) == 48
         calls = []
-        cycle_type = Permutation.cycle_type
+        cycles = cycleset_module._cycles
 
-        def counting(perm):
-            calls.append(perm)
-            return cycle_type(perm)
+        def counting(row):
+            calls.append(row)
+            return cycles(row)
 
-        monkeypatch.setattr(Permutation, "cycle_type", counting)
+        monkeypatch.setattr(cycleset_module, "_cycles", counting)
         dedupe_by_isomorphism(indec)
         assert 0 < len(calls) <= sum(len(set(X.table)) for X in indec)
         # the certificate reads nothing but the table: relabeled copies share it

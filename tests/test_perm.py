@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -266,3 +268,129 @@ def test_derived_permutations_equal_checked_ones(p, data):
 @given(permutations())
 def test_power_at_order_is_identity(p):
     assert p.power(p.order()) == Permutation.identity(p.degree)
+
+
+# References for the kernel on image tuples: the code it replaced where the
+# kernel changed it, and an independent cycle walk where it kept the code.
+def ref_inverse(f):
+    return tuple(sorted(range(len(f)), key=f.__getitem__))
+
+
+def ref_cycles(f):
+    """Each cycle walked from every point, kept from its least element."""
+    out = []
+    for i in range(len(f)):
+        cyc = [i]
+        while f[cyc[-1]] != i:
+            cyc.append(f[cyc[-1]])
+        if min(cyc) == i:
+            out.append(tuple(cyc))
+    return out
+
+
+def ref_orbit(gens, start):
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for pt in frontier:
+            for g in gens:
+                img = g[pt]
+                if img not in orbit:
+                    orbit.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return orbit
+
+
+def ref_commute(gens):
+    ps = [Permutation(g) for g in gens]
+    return all(
+        g.compose(h) == h.compose(g) for i, g in enumerate(ps) for h in ps[i + 1:]
+    )
+
+
+def ref_closure(gens, degree):
+    """Breadth-first by frontiers; the sorted image tuples of the elements."""
+    gens = [Permutation(g) for g in gens]
+    ident = Permutation.identity(degree)
+    seen = {ident.images: ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for f in frontier:
+            for g in gens:
+                h = g.compose(f)
+                if h.images not in seen:
+                    if len(seen) >= perm.DEFAULT_MAX_GROUP_ELEMENTS:
+                        raise BudgetExceeded("closure cap")
+                    seen[h.images] = h
+                    new.append(h)
+        frontier = new
+    return sorted(seen)
+
+
+def random_images(rng, n):
+    return tuple(rng.sample(range(n), n))
+
+
+def random_generator_sets(seed):
+    """Sets of 0 to 3 image tuples on n = 1..8 points, with their degree;
+    the sets of three stay on at most 6 points, so Sym(n) stays small."""
+    rng = random.Random(seed)
+    for n in range(1, 9):
+        for size in (0, 1, 2, 2, 3) if n <= 6 else (0, 1, 2):
+            yield [random_images(rng, n) for _ in range(size)], n
+
+
+class TestKernelAgainstReferences:
+    def test_inverse_and_cycles(self):
+        rng = random.Random(9431)
+        for n in range(1, 9):
+            for _ in range(30):
+                f = random_images(rng, n)
+                assert perm._inverse(f) == ref_inverse(f)
+                assert perm._cycles(f) == ref_cycles(f)
+
+    def test_orbit(self):
+        for gens, n in random_generator_sets(5120):
+            for start in range(n):
+                assert perm._orbit(gens, start) == ref_orbit(gens, start)
+
+    def test_commute(self):
+        rng = random.Random(2261)
+        for gens, n in random_generator_sets(2261):
+            assert perm._commute(gens) == ref_commute(gens)
+            # powers of one permutation always commute
+            p = Permutation(random_images(rng, n))
+            powers = [p.power(e).images for e in range(4)]
+            assert perm._commute(powers) and ref_commute(powers)
+
+    def test_closure(self):
+        for gens, n in random_generator_sets(7784):
+            g = generate_group([Permutation(f) for f in gens], degree=n)
+            assert [p.images for p in g.elements] == ref_closure(gens, n)
+            assert is_transitive(g) == (ref_orbit(gens, 0) == set(range(n)))
+            assert is_abelian(g) == ref_commute(gens or [p.images for p in g.elements])
+
+    def test_closure_cap_matches_the_reference(self, monkeypatch):
+        cases = [
+            (gens, n, len(ref_closure(gens, n)))
+            for gens, n in random_generator_sets(3307) if n <= 5
+        ]
+
+        def capped(closure):
+            try:
+                closure()
+            except BudgetExceeded:
+                return True
+            return False
+
+        for gens, n, order in cases:
+            for cap in range(1, order + 1):
+                monkeypatch.setattr(perm, "DEFAULT_MAX_GROUP_ELEMENTS", cap)
+                # both stop at the first element past the cap, and only there
+                assert capped(
+                    lambda: generate_group([Permutation(f) for f in gens], degree=n)
+                ) == (cap < order), (gens, cap)
+                assert capped(lambda: ref_closure(gens, n)) == (cap < order)
