@@ -42,7 +42,7 @@ from .cycleset import (
     permutation_group,
 )
 from .errors import BudgetExceeded, HypothesesError, OracleDisagreement
-from .perm import PermGroup, _commute, _cycles, _inverse, is_abelian, is_cyclic
+from .perm import PermGroup, _commute, _cycles, _inverse, _orbit, is_abelian, is_cyclic
 
 MODES = ("full-bruteforce", "regular-abelian-restricted", "spec-parameterized")
 
@@ -433,8 +433,9 @@ def _group_search(
     inv: list[int],
     carry: dict[int, tuple[list[tuple], list[tuple]]],
     budget: _Budget,
-) -> list[tuple]:
-    """All tables whose rows lie in a group of permutations given by tables.
+) -> tuple[list[tuple], list[tuple]]:
+    """All tables whose rows lie in a group of permutations given by tables,
+    and those of them whose row group is transitive.
 
     ``act[e]`` is element e as a row on the points, ``mul[e][f]`` the element
     e o f (f first), ``inv[e]`` that of e^-1, and 0 is the identity.  There
@@ -481,6 +482,11 @@ def _group_search(
     a, two C-level gathers that return act's own row tuples.  A stabiliser
     chain at every branch point cut the expansions further, but its work at
     each node made it no faster, so the reduction stops at point 1.
+
+    A relabelling keeps the row group transitive or not, so each leaf's
+    rows are walked once, by :func:`cyclesets.perm._orbit`, and the second
+    list holds the same tuple objects as the first for the tables carried
+    from transitive leaves, in output order.
     """
     n = len(act[0])  # points; the group has len(act) elements
     root = list(range(n))
@@ -490,6 +496,7 @@ def _group_search(
     assign = [-1] * n
     trail: list[tuple[int, int, int]] = []  # merges (big, small, d) to undo
     out: list[tuple] = []
+    transitive: list[tuple] = []
 
     def rollback(mark: int) -> None:
         while len(trail) > mark:
@@ -582,10 +589,13 @@ def _group_search(
                 if len(assigned) == n:
                     # carry by K_r's pairs for a[1], then by r's
                     at = itemgetter(*assign)
+                    start = len(out)
                     for back1, c1 in inner[assign[1]]:
                         at_a = itemgetter(*back1(at(c1)))
                         for back, rows_c in outer[assign[0]]:
                             out.append(back(at_a(rows_c)))
+                    if len(_orbit(at(act))) == n:
+                        transitive.extend(out[start:])
                 else:
                     dfs()
                 assigned.pop()
@@ -595,13 +605,14 @@ def _group_search(
             value[r] = -1
 
     dfs()
-    return out
+    return out, transitive
 
 
 def _template_search(
     parts: tuple[int, ...], budget: _Budget, rows: dict
-) -> list[tuple]:
-    """All row assignments from one regular template satisfying the axiom.
+) -> tuple[list[tuple], list[tuple]]:
+    """All row assignments from one regular template satisfying the axiom,
+    and the transitive ones, as :func:`_group_search` gives them.
 
     ``rows`` maps each translation row to the one tuple that stands for it,
     so templates that share it share their equal rows, and so do their tables.
@@ -649,8 +660,9 @@ def _sym_table(n: int) -> tuple[list, dict, list[list[int]], list[int]]:
     return perms, index, mul, [row.index(0) for row in mul]
 
 
-def _full_search(n: int, budget: _Budget) -> list[tuple]:
-    """Every cycle-set table on n points: :func:`_group_search` over Sym(n).
+def _full_search(n: int, budget: _Budget) -> tuple[list[tuple], list[tuple]]:
+    """Every cycle-set table on n points, and the transitive ones:
+    :func:`_group_search` over Sym(n).
 
     A relabeling f with f(0) = 0 carries a solution T to the solution
     T'[f(x)][f(y)] = f(T[x][y]), whose row 0 is f o sigma_0 o f^-1.  So row 0
@@ -691,7 +703,9 @@ def brute_force_enumerate(
     the Cayley table of Sym(n) or over each template group's translations; a
     size above the mode's limit raises ``ValueError`` before any table.
 
-    Results are sorted by table, so output is reproducible.  Running
+    Results are sorted by table, so output is reproducible.  Full and
+    restricted tables carry the transitivity verdict of their search leaf,
+    which :func:`is_indecomposable` returns without a walk.  Running
     out of budget raises :class:`BudgetExceeded` naming the mode, n and, in
     restricted mode, the template and the expansions of earlier templates.
     """
@@ -714,21 +728,26 @@ def brute_force_enumerate(
         raise ValueError(f"restricted mode supports n <= {RESTRICTED_MODE_MAX}")
     budget = _Budget(cfg.max_candidates, f"{cfg.mode} search at n = {n}")
     if full:
-        tables = _full_search(n, budget)  # free of repeats
+        tables, transitive = _full_search(n, budget)  # free of repeats
     else:
         # the identity table lies in every template, so tables can repeat:
         # the templates share one tuple per distinct row, so equal rows
         # compare by identity in the one sort, and repeats, adjacent after
         # it, are dropped
-        tables, rows = [], {}
+        tables, transitive, rows = [], [], {}
         for template, parts in abelian_templates(n):
             budget.where = (
                 f" in template {template}, after {budget.used} expansions in "
                 "earlier templates"
             )
-            tables += _template_search(parts, budget, rows)
+            found, found_transitive = _template_search(parts, budget, rows)
+            tables += found
+            transitive += found_transitive
     tables.sort()
-    return [CycleSet._trusted(t) for t, _ in itertools.groupby(tables)]
+    # the verdict is a function of the table, so whichever equal copy the
+    # groupby keeps, it came from a transitive leaf iff any copy did
+    ids = set(map(id, transitive))
+    return [CycleSet._trusted(t, id(t) in ids) for t, _ in itertools.groupby(tables)]
 
 
 def _require_matching(expected: ClassificationReport, oracle: ClassificationReport):

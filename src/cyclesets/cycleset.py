@@ -67,10 +67,11 @@ class CycleSet:
 
     Construction checks shape, entry range and row bijectivity; the cubic
     axiom check lives in :func:`validate`, which is the entry point for
-    untrusted tables.
+    untrusted tables.  ``_transitive`` keeps the verdict of
+    :func:`is_indecomposable` once known, and is not part of equality.
     """
 
-    __slots__ = ("_table",)
+    __slots__ = ("_table", "_transitive")
 
     def __init__(self, table):
         rows = _normalize_table(table)
@@ -78,13 +79,17 @@ class CycleSet:
             if len(set(row)) != len(row):
                 raise TableError(f"row {x} is not a bijection")
         self._table = rows
+        self._transitive = None
 
     @classmethod
-    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "CycleSet":
+    def _trusted(
+        cls, rows: tuple[tuple[int, ...], ...], transitive: Optional[bool] = None
+    ) -> "CycleSet":
         """Wrap a tuple of bijective row tuples the library built itself,
-        without checks."""
+        without checks, with the row group's transitivity if known."""
         X = object.__new__(cls)
         X._table = rows
+        X._transitive = transitive
         return X
 
     @property
@@ -199,9 +204,12 @@ def is_indecomposable(X: CycleSet) -> bool:
     """True iff the row group acts transitively on the points.
 
     The orbit of 0 under the distinct rows is the orbit under the group they
-    generate, so no closure is built.
+    generate, so no closure is built.  The verdict is kept on X; oracle
+    tables come with the verdict of the search leaf they were carried from.
     """
-    return len(_orbit(X._table)) == X.n
+    if X._transitive is None:
+        X._transitive = len(_orbit(X._table)) == X.n
+    return X._transitive
 
 
 @dataclass(frozen=True)

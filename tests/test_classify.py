@@ -54,7 +54,7 @@ from cyclesets.classify import (
     _translation_rows,
 )
 from cyclesets.jsonio import report_to_dict
-from cyclesets.perm import _cycles, generate_group, Permutation
+from cyclesets.perm import _cycles, _orbit, generate_group, Permutation
 
 
 def table_digest(tables) -> str:
@@ -247,7 +247,7 @@ class TestClassifyCyclicPrimePower:
     @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 4)])
     def test_matches_cyclic_template_oracle(self, p, k):
         n = p ** k
-        found = _template_search((n,), _Budget(10 ** 8), {})
+        found, _ = _template_search((n,), _Budget(10 ** 8), {})
         indecomposable = [CycleSet(t) for t in found if is_indecomposable(CycleSet(t))]
         oracle = dedupe_by_isomorphism(indecomposable)
         # a transitive subgroup of the regular Z/n is all of Z/n
@@ -540,7 +540,7 @@ class TestFullBruteForce:
     def test_pinned_digest(self):
         # pinned at n = 5 when only row 0 was keyed on orbits: a tree that is
         # cut further may drop or repeat no table
-        found = _full_search(5, _Budget(10 ** 8))
+        found, _ = _full_search(5, _Budget(10 ** 8))
         assert len(set(found)) == len(found)
         assert table_digest(found) == (
             "799bbf54be15f651d0996103ad87099300078e9e21732c5121ab30a9970b3c67"
@@ -549,7 +549,7 @@ class TestFullBruteForce:
     def test_search_equals_tuple_reference(self):
         # the same tables, each found once; n = 1 never reaches the search
         for n in range(2, 6):
-            found = _full_search(n, _Budget(10 ** 8))
+            found, _ = _full_search(n, _Budget(10 ** 8))
             assert len(set(found)) == len(found), n
             assert sorted(found) == sorted(tuple_full_search(n, _Budget(10 ** 8))), n
 
@@ -559,9 +559,9 @@ class TestFullBruteForce:
         for n, nodes in ((2, 6), (3, 82), (4, 4034), (5, 578832)):
             perms, _, mul, inv = _sym_table(n)
             budget, carry = _Budget(10 ** 8), _orbit_walk([], n, len(perms))
-            found = _group_search(perms, mul, inv, carry, budget)
+            found, _ = _group_search(perms, mul, inv, carry, budget)
             assert len(set(found)) == len(found), n
-            assert sorted(found) == sorted(_full_search(n, _Budget(10 ** 8))), n
+            assert sorted(found) == sorted(_full_search(n, _Budget(10 ** 8))[0]), n
             assert budget.used == nodes, n
 
     def test_cayley_table(self):
@@ -874,7 +874,8 @@ class TestRestrictedBruteForce:
             if len(templates) < 2:
                 continue
             found = [
-                _template_search(parts, _Budget(10 ** 8), {}) for _, parts in templates
+                _template_search(parts, _Budget(10 ** 8), {})[0]
+                for _, parts in templates
             ]
             merged = sorted(set(chain(found)))
             out = census16 if n == 16 else brute_force_enumerate(n)
@@ -938,7 +939,7 @@ class TestRestrictedBruteForce:
 
     def test_pinned_template_digests(self):
         for name, parts in abelian_templates(16) + abelian_templates(25):
-            found = _template_search(parts, _Budget(10 ** 8), {})
+            found, _ = _template_search(parts, _Budget(10 ** 8), {})
             assert len(set(found)) == len(found), name
             assert table_digest(found) == self.DIGESTS[name], name
 
@@ -947,7 +948,7 @@ class TestRestrictedBruteForce:
         # n = 1 never reaches the search
         for n in range(2, 13):
             for name, parts in abelian_templates(n):
-                found = _template_search(parts, _Budget(10 ** 8), {})
+                found, _ = _template_search(parts, _Budget(10 ** 8), {})
                 assert len(set(found)) == len(found), name
                 reference = abelian_template_search(parts, _Budget(10 ** 8))
                 assert sorted(found) == sorted(reference), name
@@ -965,10 +966,10 @@ class TestRestrictedBruteForce:
                 found = []
                 for r in range(n):
                     carry = {r: ([(identity, identity)], [])}
-                    part = _group_search(act, act, inv, carry, _Budget(10 ** 8))
+                    part, _ = _group_search(act, act, inv, carry, _Budget(10 ** 8))
                     assert all(table[0] == act[r] for table in part), (name, r)
                     found += part
-                whole = _template_search(parts, _Budget(10 ** 8), {})
+                whole, _ = _template_search(parts, _Budget(10 ** 8), {})
                 assert sorted(found) == sorted(whole)
 
     def test_aut_orbits(self):
@@ -997,7 +998,7 @@ class TestRestrictedBruteForce:
         for n in range(2, 13):
             for _, parts in abelian_templates(n):
                 act = _translation_rows(parts)
-                found = _template_search(parts, _Budget(10 ** 8), {})
+                found, _ = _template_search(parts, _Budget(10 ** 8), {})
                 assert len(set(found)) == len(found)
                 found = set(found)
                 maps = [
@@ -1022,6 +1023,37 @@ class TestRestrictedBruteForce:
         assert len(brute_force_enumerate(1, SearchConfig(mode="spec-parameterized"))) == 1
 
 
+def transitive_by_walk(table) -> bool:
+    return len(_orbit(table)) == len(table)
+
+
+class TestLeafVerdict:
+    """Each search walks the rows of its leaves, not of every table it
+    carries from them: the verdict it hands on must be the orbit walk's
+    verdict on each table itself."""
+
+    def test_oracle_tables_carry_the_walk_verdict(self, full_census, census16):
+        for n in range(2, 17):
+            out = census16 if n == 16 else brute_force_enumerate(n)
+            assert all(X._transitive is transitive_by_walk(X.table) for X in out), n
+        for n in range(2, 6):
+            out = full_census[n]
+            assert all(X._transitive is transitive_by_walk(X.table) for X in out), n
+
+    @staticmethod
+    def check(tables, transitive, where):
+        # the same tuple objects, in output order
+        expected = [t for t in tables if transitive_by_walk(t)]
+        assert list(map(id, transitive)) == list(map(id, expected)), where
+
+    def test_searches_list_their_transitive_tables(self):
+        for n in range(2, 17):
+            for name, parts in abelian_templates(n):
+                self.check(*_template_search(parts, _Budget(10 ** 8), {}), name)
+        for n in range(2, 6):
+            self.check(*_full_search(n, _Budget(10 ** 8)), n)
+
+
 class TestOrbitWalk:
     """The carry that each oracle mode builds with ``_orbit_walk`` from its
     own generators, against the reference transporters: the same keys, and
@@ -1036,7 +1068,7 @@ class TestOrbitWalk:
 
         def capture(act, mul, inv, carry, budget):
             seen.append(carry)
-            return []
+            return [], []
 
         monkeypatch.setattr(classify_module, "_group_search", capture)
         search(*args, _Budget(1), **kwargs)
@@ -1136,11 +1168,11 @@ class TestOrbitWalk:
                 act = _translation_rows(parts)
                 inv = [row.index(0) for row in act]
                 identity = act[0]
-                found = _template_search(parts, _Budget(10 ** 8), {})
+                found, _ = _template_search(parts, _Budget(10 ** 8), {})
                 carry = self.carry_of(monkeypatch, _template_search, parts, rows={})
                 for r, (_, stab) in carry.items():
                     keyed = {r: ([(identity, identity)], stab)}
-                    part = _group_search(act, act, inv, keyed, _Budget(10 ** 8))
+                    part, _ = _group_search(act, act, inv, keyed, _Budget(10 ** 8))
                     assert len(set(part)) == len(part), (name, r)
                     assert sorted(part) == sorted(t for t in found if t[0] == act[r])
 

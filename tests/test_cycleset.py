@@ -42,6 +42,7 @@ from cyclesets import (
 from cyclesets import cycleset as cycleset_module
 from cyclesets.classify import _spec_family
 from cyclesets.cycleset import _certificate, _normalize_table, _row_types
+from cyclesets.perm import _orbit
 from conftest import GOLDEN4_TABLE
 
 ALL_IDENTITY_4 = [[0, 1, 2, 3]] * 4
@@ -159,6 +160,56 @@ class TestPermutationGroup:
         for _, X in corpus:
             assert X.rows() == tuple(Permutation(r) for r in X.table)
             assert X.row(X.n - 1) == Permutation(X.table[-1])
+
+
+def walked(X):
+    """The transitivity verdict by a fresh orbit walk on X's rows."""
+    return len(_orbit(X.table)) == X.n
+
+
+class TestTransitivityVerdict:
+    """Oracle tables carry the verdict of their search leaf; every other
+    table starts without one and keeps it after its first
+    is_indecomposable call.  The verdict is no part of a table's identity."""
+
+    ORACLE = ((8, SearchConfig()), (9, SearchConfig()),
+              (4, SearchConfig(mode="full-bruteforce")))
+
+    def test_oracle_tables_equal_unchecked_copies(self):
+        for n, config in self.ORACLE:
+            for X in brute_force_enumerate(n, config):
+                Y = CycleSet(X.table)
+                assert X._transitive is walked(X) and Y._transitive is None
+                assert X == Y and hash(X) == hash(Y) and len({X, Y}) == 1
+                assert is_indecomposable(Y) is is_indecomposable(X)
+                assert Y._transitive is X._transitive
+
+    def test_other_tables_fill_the_slot_on_first_call(self):
+        def made_from(X):
+            f = tuple(range(1, X.n)) + (0,)
+            yield relabel(X, f)
+            yield validate(X.table)
+            yield from_solution(to_solution(X))
+            yield retract(X).quotient
+
+        def check(Y):
+            assert Y._transitive is None
+            assert is_indecomposable(Y) is walked(Y)
+            assert Y._transitive is walked(Y)
+            assert is_indecomposable(Y) is Y._transitive
+
+        for n, config in self.ORACLE:
+            for X in brute_force_enumerate(n, config):
+                for Y in made_from(X):
+                    check(Y)
+                    if Y.n == X.n:  # isomorphic to X, or X itself
+                        assert Y._transitive is X._transitive
+        constructions = _spec_family(2, 3) + _spec_family(3, 2) + [
+            build_p2_level2(5, 2), build_elementary_abelian(3), trivial_cycle_set(1),
+            CycleSet(ALL_IDENTITY_4), CycleSet(TWO_INVOLUTIONS_10),
+        ]
+        for Y in constructions:
+            check(Y)
 
 
 def reference_retract(X):
