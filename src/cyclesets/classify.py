@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .arith import factorize, is_prime, prime_power
@@ -35,6 +35,7 @@ from .construct import (
 )
 from .cycleset import (
     CycleSet,
+    _Leaf,
     _certificate,
     f_invariant,
     is_indecomposable,
@@ -151,15 +152,24 @@ def dedupe_by_isomorphism(
     so the witness of each class is its least member and classes are
     created, and listed, in increasing witness encoding: identical inputs
     produce byte-identical reports.  The certificates share one cache of
-    row cycle types.
+    row cycle types.  Tables that share a search leaf are relabellings of
+    one another, so only the leaf's first table is certified, and the
+    others are filed in its class; tables without a leaf are certified one
+    by one.
     """
     xs = sorted(structures, key=lambda X: X.table)
     if xs and any(X.n != xs[0].n for X in xs):
         raise ValueError("all structures must have the same size")
     classes: dict[tuple[int, ...], list] = {}
     types: dict = {}
+    filed: dict = {}  # leaf -> the [witness, count] record of its class
     for X in xs:
-        classes.setdefault(_certificate(X, types), [X, 0])[1] += 1
+        entry = filed.get(X._leaf)  # None for a table without a leaf
+        if entry is None:
+            entry = classes.setdefault(_certificate(X, types), [X, 0])
+            if X._leaf is not None:
+                filed[X._leaf] = entry
+        entry[1] += 1
     entries = []
     for w, count in classes.values():
         level = mpl(w)
@@ -433,9 +443,8 @@ def _group_search(
     inv: list[int],
     carry: dict[int, tuple[list[tuple], list[tuple]]],
     budget: _Budget,
-) -> tuple[list[tuple], list[tuple]]:
-    """All tables whose rows lie in a group of permutations given by tables,
-    and those of them whose row group is transitive.
+) -> list[CycleSet]:
+    """All tables whose rows lie in a group of permutations given by tables.
 
     ``act[e]`` is element e as a row on the points, ``mul[e][f]`` the element
     e o f (f first), ``inv[e]`` that of e^-1, and 0 is the identity.  There
@@ -483,10 +492,10 @@ def _group_search(
     chain at every branch point cut the expansions further, but its work at
     each node made it no faster, so the reduction stops at point 1.
 
-    A relabelling keeps the row group transitive or not, so each leaf's
-    rows are walked once, by :func:`cyclesets.perm._orbit`, and the second
-    list holds the same tuple objects as the first for the tables carried
-    from transitive leaves, in output order.
+    Each table is wrapped with the :class:`cyclesets.cycleset._Leaf` of
+    the leaf it was carried from.  A relabelling keeps the row group
+    transitive or not, so each leaf's rows are walked once, by
+    :func:`cyclesets.perm._orbit`, for the verdict that its tables share.
     """
     n = len(act[0])  # points; the group has len(act) elements
     root = list(range(n))
@@ -495,8 +504,8 @@ def _group_search(
     value = [-1] * n  # value[r] == a[r] for a root r, or -1 if unknown
     assign = [-1] * n
     trail: list[tuple[int, int, int]] = []  # merges (big, small, d) to undo
-    out: list[tuple] = []
-    transitive: list[tuple] = []
+    out: list[CycleSet] = []
+    wrap = CycleSet._trusted
 
     def rollback(mark: int) -> None:
         while len(trail) > mark:
@@ -589,13 +598,11 @@ def _group_search(
                 if len(assigned) == n:
                     # carry by K_r's pairs for a[1], then by r's
                     at = itemgetter(*assign)
-                    start = len(out)
+                    leaf = _Leaf(len(_orbit(at(act))) == n)
                     for back1, c1 in inner[assign[1]]:
                         at_a = itemgetter(*back1(at(c1)))
                         for back, rows_c in outer[assign[0]]:
-                            out.append(back(at_a(rows_c)))
-                    if len(_orbit(at(act))) == n:
-                        transitive.extend(out[start:])
+                            out.append(wrap(back(at_a(rows_c)), leaf))
                 else:
                     dfs()
                 assigned.pop()
@@ -605,14 +612,14 @@ def _group_search(
             value[r] = -1
 
     dfs()
-    return out, transitive
+    return out
 
 
 def _template_search(
     parts: tuple[int, ...], budget: _Budget, rows: dict
-) -> tuple[list[tuple], list[tuple]]:
+) -> list[CycleSet]:
     """All row assignments from one regular template satisfying the axiom,
-    and the transitive ones, as :func:`_group_search` gives them.
+    each wrapped with its search leaf by :func:`_group_search`.
 
     ``rows`` maps each translation row to the one tuple that stands for it,
     so templates that share it share their equal rows, and so do their tables.
@@ -660,8 +667,8 @@ def _sym_table(n: int) -> tuple[list, dict, list[list[int]], list[int]]:
     return perms, index, mul, [row.index(0) for row in mul]
 
 
-def _full_search(n: int, budget: _Budget) -> tuple[list[tuple], list[tuple]]:
-    """Every cycle-set table on n points, and the transitive ones:
+def _full_search(n: int, budget: _Budget) -> list[CycleSet]:
+    """Every cycle-set table on n points, wrapped with its search leaf:
     :func:`_group_search` over Sym(n).
 
     A relabeling f with f(0) = 0 carries a solution T to the solution
@@ -704,8 +711,9 @@ def brute_force_enumerate(
     size above the mode's limit raises ``ValueError`` before any table.
 
     Results are sorted by table, so output is reproducible.  Full and
-    restricted tables carry the transitivity verdict of their search leaf,
-    which :func:`is_indecomposable` returns without a walk.  Running
+    restricted tables carry the leaf of the search they were carried from,
+    whose verdict :func:`is_indecomposable` returns without a walk and whose
+    one certificate :func:`dedupe_by_isomorphism` computes once.  Running
     out of budget raises :class:`BudgetExceeded` naming the mode, n and, in
     restricted mode, the template and the expansions of earlier templates.
     """
@@ -728,26 +736,24 @@ def brute_force_enumerate(
         raise ValueError(f"restricted mode supports n <= {RESTRICTED_MODE_MAX}")
     budget = _Budget(cfg.max_candidates, f"{cfg.mode} search at n = {n}")
     if full:
-        tables, transitive = _full_search(n, budget)  # free of repeats
+        tables = _full_search(n, budget)  # free of repeats
     else:
         # the identity table lies in every template, so tables can repeat:
         # the templates share one tuple per distinct row, so equal rows
         # compare by identity in the one sort, and repeats, adjacent after
         # it, are dropped
-        tables, transitive, rows = [], [], {}
+        tables, rows = [], {}
         for template, parts in abelian_templates(n):
             budget.where = (
                 f" in template {template}, after {budget.used} expansions in "
                 "earlier templates"
             )
-            found, found_transitive = _template_search(parts, budget, rows)
-            tables += found
-            transitive += found_transitive
-    tables.sort()
-    # the verdict is a function of the table, so whichever equal copy the
-    # groupby keeps, it came from a transitive leaf iff any copy did
-    ids = set(map(id, transitive))
-    return [CycleSet._trusted(t, id(t) in ids) for t, _ in itertools.groupby(tables)]
+            tables += _template_search(parts, budget, rows)
+    table_of = attrgetter("_table")
+    tables.sort(key=table_of)
+    # equal tables are isomorphic, so the leaf of whichever copy the groupby
+    # keeps holds for the table
+    return [next(copies) for _, copies in itertools.groupby(tables, table_of)]
 
 
 def _require_matching(expected: ClassificationReport, oracle: ClassificationReport):

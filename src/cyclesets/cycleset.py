@@ -62,16 +62,32 @@ def _normalize_table(table) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
+class _Leaf:
+    """The search leaf that oracle tables were carried from, or the record
+    that :func:`is_indecomposable` makes for a table of its own.
+
+    Every table that shares one is a relabelling of the others, so they
+    share its ``transitive`` verdict and one isomorphism class.  It is
+    hashed by identity.
+    """
+
+    __slots__ = ("transitive",)
+
+    def __init__(self, transitive: bool):
+        self.transitive = transitive
+
+
 class CycleSet:
     """An n x n multiplication table with bijective rows.
 
     Construction checks shape, entry range and row bijectivity; the cubic
     axiom check lives in :func:`validate`, which is the entry point for
-    untrusted tables.  ``_transitive`` keeps the verdict of
-    :func:`is_indecomposable` once known, and is not part of equality.
+    untrusted tables.  ``_leaf`` is the :class:`_Leaf` an oracle table was
+    carried from, or one that :func:`is_indecomposable` makes to keep its
+    verdict, else None, and is not part of equality.
     """
 
-    __slots__ = ("_table", "_transitive")
+    __slots__ = ("_table", "_leaf")
 
     def __init__(self, table):
         rows = _normalize_table(table)
@@ -79,17 +95,17 @@ class CycleSet:
             if len(set(row)) != len(row):
                 raise TableError(f"row {x} is not a bijection")
         self._table = rows
-        self._transitive = None
+        self._leaf = None
 
     @classmethod
     def _trusted(
-        cls, rows: tuple[tuple[int, ...], ...], transitive: Optional[bool] = None
+        cls, rows: tuple[tuple[int, ...], ...], leaf: Optional[_Leaf] = None
     ) -> "CycleSet":
         """Wrap a tuple of bijective row tuples the library built itself,
-        without checks, with the row group's transitivity if known."""
+        without checks, with the search leaf it was carried from, if any."""
         X = object.__new__(cls)
         X._table = rows
-        X._transitive = transitive
+        X._leaf = leaf
         return X
 
     @property
@@ -204,12 +220,13 @@ def is_indecomposable(X: CycleSet) -> bool:
     """True iff the row group acts transitively on the points.
 
     The orbit of 0 under the distinct rows is the orbit under the group they
-    generate, so no closure is built.  The verdict is kept on X; oracle
-    tables come with the verdict of the search leaf they were carried from.
+    generate, so no closure is built.  Oracle tables return the verdict of
+    the search leaf they were carried from; any other table keeps its
+    verdict in a leaf of its own.
     """
-    if X._transitive is None:
-        X._transitive = len(_orbit(X._table)) == X.n
-    return X._transitive
+    if X._leaf is None:
+        X._leaf = _Leaf(len(_orbit(X._table)) == X.n)
+    return X._leaf.transitive
 
 
 @dataclass(frozen=True)

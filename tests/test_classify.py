@@ -57,6 +57,11 @@ from cyclesets.jsonio import report_to_dict
 from cyclesets.perm import _cycles, _orbit, generate_group, Permutation
 
 
+def tables_of(found) -> list[tuple]:
+    """The tables of a search's output, without the leaves they carry."""
+    return [X.table for X in found]
+
+
 def table_digest(tables) -> str:
     """sha256 of the entries of the sorted tables, one byte each (n < 256)."""
     chain = itertools.chain.from_iterable
@@ -247,7 +252,7 @@ class TestClassifyCyclicPrimePower:
     @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 4)])
     def test_matches_cyclic_template_oracle(self, p, k):
         n = p ** k
-        found, _ = _template_search((n,), _Budget(10 ** 8), {})
+        found = tables_of(_template_search((n,), _Budget(10 ** 8), {}))
         indecomposable = [CycleSet(t) for t in found if is_indecomposable(CycleSet(t))]
         oracle = dedupe_by_isomorphism(indecomposable)
         # a transitive subgroup of the regular Z/n is all of Z/n
@@ -540,7 +545,7 @@ class TestFullBruteForce:
     def test_pinned_digest(self):
         # pinned at n = 5 when only row 0 was keyed on orbits: a tree that is
         # cut further may drop or repeat no table
-        found, _ = _full_search(5, _Budget(10 ** 8))
+        found = tables_of(_full_search(5, _Budget(10 ** 8)))
         assert len(set(found)) == len(found)
         assert table_digest(found) == (
             "799bbf54be15f651d0996103ad87099300078e9e21732c5121ab30a9970b3c67"
@@ -549,7 +554,7 @@ class TestFullBruteForce:
     def test_search_equals_tuple_reference(self):
         # the same tables, each found once; n = 1 never reaches the search
         for n in range(2, 6):
-            found, _ = _full_search(n, _Budget(10 ** 8))
+            found = tables_of(_full_search(n, _Budget(10 ** 8)))
             assert len(set(found)) == len(found), n
             assert sorted(found) == sorted(tuple_full_search(n, _Budget(10 ** 8))), n
 
@@ -559,9 +564,10 @@ class TestFullBruteForce:
         for n, nodes in ((2, 6), (3, 82), (4, 4034), (5, 578832)):
             perms, _, mul, inv = _sym_table(n)
             budget, carry = _Budget(10 ** 8), _orbit_walk([], n, len(perms))
-            found, _ = _group_search(perms, mul, inv, carry, budget)
+            found = tables_of(_group_search(perms, mul, inv, carry, budget))
             assert len(set(found)) == len(found), n
-            assert sorted(found) == sorted(_full_search(n, _Budget(10 ** 8))[0]), n
+            expected = tables_of(_full_search(n, _Budget(10 ** 8)))
+            assert sorted(found) == sorted(expected), n
             assert budget.used == nodes, n
 
     def test_cayley_table(self):
@@ -874,7 +880,7 @@ class TestRestrictedBruteForce:
             if len(templates) < 2:
                 continue
             found = [
-                _template_search(parts, _Budget(10 ** 8), {})[0]
+                tables_of(_template_search(parts, _Budget(10 ** 8), {}))
                 for _, parts in templates
             ]
             merged = sorted(set(chain(found)))
@@ -939,7 +945,7 @@ class TestRestrictedBruteForce:
 
     def test_pinned_template_digests(self):
         for name, parts in abelian_templates(16) + abelian_templates(25):
-            found, _ = _template_search(parts, _Budget(10 ** 8), {})
+            found = tables_of(_template_search(parts, _Budget(10 ** 8), {}))
             assert len(set(found)) == len(found), name
             assert table_digest(found) == self.DIGESTS[name], name
 
@@ -948,7 +954,7 @@ class TestRestrictedBruteForce:
         # n = 1 never reaches the search
         for n in range(2, 13):
             for name, parts in abelian_templates(n):
-                found, _ = _template_search(parts, _Budget(10 ** 8), {})
+                found = tables_of(_template_search(parts, _Budget(10 ** 8), {}))
                 assert len(set(found)) == len(found), name
                 reference = abelian_template_search(parts, _Budget(10 ** 8))
                 assert sorted(found) == sorted(reference), name
@@ -966,10 +972,11 @@ class TestRestrictedBruteForce:
                 found = []
                 for r in range(n):
                     carry = {r: ([(identity, identity)], [])}
-                    part, _ = _group_search(act, act, inv, carry, _Budget(10 ** 8))
+                    part = _group_search(act, act, inv, carry, _Budget(10 ** 8))
+                    part = tables_of(part)
                     assert all(table[0] == act[r] for table in part), (name, r)
                     found += part
-                whole, _ = _template_search(parts, _Budget(10 ** 8), {})
+                whole = tables_of(_template_search(parts, _Budget(10 ** 8), {}))
                 assert sorted(found) == sorted(whole)
 
     def test_aut_orbits(self):
@@ -998,7 +1005,7 @@ class TestRestrictedBruteForce:
         for n in range(2, 13):
             for _, parts in abelian_templates(n):
                 act = _translation_rows(parts)
-                found, _ = _template_search(parts, _Budget(10 ** 8), {})
+                found = tables_of(_template_search(parts, _Budget(10 ** 8), {}))
                 assert len(set(found)) == len(found)
                 found = set(found)
                 maps = [
@@ -1035,23 +1042,83 @@ class TestLeafVerdict:
     def test_oracle_tables_carry_the_walk_verdict(self, full_census, census16):
         for n in range(2, 17):
             out = census16 if n == 16 else brute_force_enumerate(n)
-            assert all(X._transitive is transitive_by_walk(X.table) for X in out), n
+            assert all(X._leaf.transitive is transitive_by_walk(X.table) for X in out), n
         for n in range(2, 6):
             out = full_census[n]
-            assert all(X._transitive is transitive_by_walk(X.table) for X in out), n
+            assert all(X._leaf.transitive is transitive_by_walk(X.table) for X in out), n
 
     @staticmethod
-    def check(tables, transitive, where):
-        # the same tuple objects, in output order
-        expected = [t for t in tables if transitive_by_walk(t)]
-        assert list(map(id, transitive)) == list(map(id, expected)), where
+    def check(found, where):
+        # every table the search hands out, with its leaf's verdict
+        verdicts = [X._leaf.transitive is transitive_by_walk(X.table) for X in found]
+        assert all(verdicts), where
 
     def test_searches_list_their_transitive_tables(self):
         for n in range(2, 17):
             for name, parts in abelian_templates(n):
-                self.check(*_template_search(parts, _Budget(10 ** 8), {}), name)
+                self.check(_template_search(parts, _Budget(10 ** 8), {}), name)
         for n in range(2, 6):
-            self.check(*_full_search(n, _Budget(10 ** 8)), n)
+            self.check(_full_search(n, _Budget(10 ** 8)), n)
+
+
+class TestLeafRecord:
+    """The tables carried from one search leaf share one record, and the
+    dedupe certifies each record once.  That is sound only if the tables
+    that share a record are isomorphic: their leafless copies must have one
+    certificate and one orbit verdict, and the dedupe must give the report
+    of their leafless copies, which it certifies one by one."""
+
+    @staticmethod
+    def searches():
+        for n in range(2, 6):
+            yield n, _full_search(n, _Budget(10 ** 8))
+        for n in range(2, 13):
+            for name, parts in abelian_templates(n):
+                yield name, _template_search(parts, _Budget(10 ** 8), {})
+
+    def test_tables_of_one_leaf_are_isomorphic(self):
+        for where, found in self.searches():
+            leaves: dict = {}
+            for X in found:
+                leaves.setdefault(X._leaf, []).append(CycleSet(X.table))
+            assert None not in leaves, where
+            for copies in leaves.values():
+                assert len({_certificate(Y) for Y in copies}) == 1, where
+                assert len({transitive_by_walk(Y.table) for Y in copies}) == 1, where
+
+    def test_dedupe_equals_the_dedupe_of_leafless_copies(self, full_census, census16):
+        indecomposable = [X for X in census16 if is_indecomposable(X)]
+        for tables in (*full_census.values(), indecomposable):
+            report = dedupe_by_isomorphism(tables)
+            expected = dedupe_by_isomorphism([CycleSet(X.table) for X in tables])
+            assert report == expected
+            assert report_to_dict(report) == report_to_dict(expected)
+
+    @staticmethod
+    def certificates(monkeypatch, tables) -> int:
+        """The certificates one dedupe of ``tables`` computes."""
+        calls = []
+
+        def counting(X, types=None):
+            calls.append(X)
+            return _certificate(X, types)
+
+        monkeypatch.setattr(classify_module, "_certificate", counting)
+        dedupe_by_isomorphism(tables)
+        return len(calls)
+
+    def test_one_certificate_per_leaf(self, monkeypatch, full_census, census16):
+        # pinned: the certificates of the dedupe, one per leaf, then those
+        # of the leafless copies, one per table
+        for tables, leaves, copies in (
+            (full_census[5], 529, 2640),
+            ([X for X in census16 if is_indecomposable(X)], 67, 960),
+            ([X for X in brute_force_enumerate(9) if is_indecomposable(X)], 4, 66),
+        ):
+            assert len(tables) == copies and len({X._leaf for X in tables}) == leaves
+            assert self.certificates(monkeypatch, tables) == leaves
+            leafless = [CycleSet(X.table) for X in tables]
+            assert self.certificates(monkeypatch, leafless) == copies
 
 
 class TestOrbitWalk:
@@ -1068,7 +1135,7 @@ class TestOrbitWalk:
 
         def capture(act, mul, inv, carry, budget):
             seen.append(carry)
-            return [], []
+            return []
 
         monkeypatch.setattr(classify_module, "_group_search", capture)
         search(*args, _Budget(1), **kwargs)
@@ -1168,11 +1235,12 @@ class TestOrbitWalk:
                 act = _translation_rows(parts)
                 inv = [row.index(0) for row in act]
                 identity = act[0]
-                found, _ = _template_search(parts, _Budget(10 ** 8), {})
+                found = tables_of(_template_search(parts, _Budget(10 ** 8), {}))
                 carry = self.carry_of(monkeypatch, _template_search, parts, rows={})
                 for r, (_, stab) in carry.items():
                     keyed = {r: ([(identity, identity)], stab)}
-                    part, _ = _group_search(act, act, inv, keyed, _Budget(10 ** 8))
+                    part = _group_search(act, act, inv, keyed, _Budget(10 ** 8))
+                    part = tables_of(part)
                     assert len(set(part)) == len(part), (name, r)
                     assert sorted(part) == sorted(t for t in found if t[0] == act[r])
 

@@ -168,9 +168,10 @@ def walked(X):
 
 
 class TestTransitivityVerdict:
-    """Oracle tables carry the verdict of their search leaf; every other
-    table starts without one and keeps it after its first
-    is_indecomposable call.  The verdict is no part of a table's identity."""
+    """Oracle tables carry the leaf record of their search leaf, with its
+    verdict; every other table starts without one and keeps the verdict in
+    a record of its own after its first is_indecomposable call.  The record
+    is no part of a table's identity."""
 
     ORACLE = ((8, SearchConfig()), (9, SearchConfig()),
               (4, SearchConfig(mode="full-bruteforce")))
@@ -179,10 +180,10 @@ class TestTransitivityVerdict:
         for n, config in self.ORACLE:
             for X in brute_force_enumerate(n, config):
                 Y = CycleSet(X.table)
-                assert X._transitive is walked(X) and Y._transitive is None
+                assert X._leaf.transitive is walked(X) and Y._leaf is None
                 assert X == Y and hash(X) == hash(Y) and len({X, Y}) == 1
                 assert is_indecomposable(Y) is is_indecomposable(X)
-                assert Y._transitive is X._transitive
+                assert Y._leaf.transitive is X._leaf.transitive
 
     def test_other_tables_fill_the_slot_on_first_call(self):
         def made_from(X):
@@ -193,17 +194,17 @@ class TestTransitivityVerdict:
             yield retract(X).quotient
 
         def check(Y):
-            assert Y._transitive is None
+            assert Y._leaf is None
             assert is_indecomposable(Y) is walked(Y)
-            assert Y._transitive is walked(Y)
-            assert is_indecomposable(Y) is Y._transitive
+            assert Y._leaf.transitive is walked(Y)
+            assert is_indecomposable(Y) is Y._leaf.transitive
 
         for n, config in self.ORACLE:
             for X in brute_force_enumerate(n, config):
                 for Y in made_from(X):
                     check(Y)
                     if Y.n == X.n:  # isomorphic to X, or X itself
-                        assert Y._transitive is X._transitive
+                        assert Y._leaf.transitive is X._leaf.transitive
         constructions = _spec_family(2, 3) + _spec_family(3, 2) + [
             build_p2_level2(5, 2), build_elementary_abelian(3), trivial_cycle_set(1),
             CycleSet(ALL_IDENTITY_4), CycleSet(TWO_INVOLUTIONS_10),
