@@ -471,6 +471,14 @@ def _group_search(
     comparison of two classes with values, then the merge and its trail
     entry.
 
+    Every finite cycle set is non-degenerate (Rump, Adv. Math. 193, 2005):
+    its squares x.x == act[a[x]][x] are distinct.  So ``taken`` flags the
+    squares of the assigned points, set when a point joins ``assigned`` and
+    cleared when it leaves, and a candidate e for pt is dropped, before it
+    counts against the budget, when act[e][pt] is taken.  Every candidate
+    passes that one test: branch and forced ones, and the keys at points 0
+    and 1.  A relabelling keeps the squares distinct, so no table is lost.
+
     ``carry`` maps each candidate r for a[0] to its (walk, stab) from
     :func:`_orbit_walk`, over a group of pairs (f, c): f relabels the
     points, fixes 0 and carries solutions to solutions, and c maps elements
@@ -503,6 +511,7 @@ def _group_search(
     members = [[i] for i in range(n)]  # members[r], for each root r
     value = [-1] * n  # value[r] == a[r] for a root r, or -1 if unknown
     assign = [-1] * n
+    taken = [False] * n  # taken[s]: s is the square of an assigned point
     trail: list[tuple[int, int, int]] = []  # merges (big, small, d) to undo
     out: list[CycleSet] = []
     wrap = CycleSet._trusted
@@ -560,6 +569,9 @@ def _group_search(
             candidates = carry
         r, to_root = root[pt], inv[off[pt]]
         for e in candidates:
+            square = act[e][pt]
+            if taken[square]:
+                continue
             budget.tick()
             mark = len(trail)
             assign[pt] = e
@@ -595,6 +607,7 @@ def _group_search(
                 trail.append((rj, ri, d))
             else:
                 assigned.append(pt)
+                taken[square] = True
                 if len(assigned) == n:
                     # carry by K_r's pairs for a[1], then by r's
                     at = itemgetter(*assign)
@@ -605,6 +618,7 @@ def _group_search(
                             out.append(wrap(back(at_a(rows_c)), leaf))
                 else:
                     dfs()
+                taken[square] = False
                 assigned.pop()
             rollback(mark)
         assign[pt] = -1
@@ -654,16 +668,22 @@ def _template_search(
     return _group_search(act, act, [row.index(0) for row in act], carry, budget)
 
 
-def _sym_table(n: int) -> tuple[list, dict, list[list[int]], list[int]]:
+def _sym_table(n: int) -> tuple[list, dict, list[tuple[int, ...]], list[int]]:
     """(perms, index, mul, inv): Sym(n) in lexicographic order, numbered.
 
     ``index`` inverts ``perms``; ``mul[i][j]`` is the index of perms[i] o
     perms[j] (perms[j] first, as in :meth:`Permutation.compose`) and
-    ``inv[i]`` that of perms[i]^-1.  Index 0 is the identity.
+    ``inv[i]`` that of perms[i]^-1.  Index 0 is the identity.  Column j is
+    built by C-level gathers, p o q being ``itemgetter(*q)(p)``.
     """
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    mul = [[index[tuple(map(p.__getitem__, q))] for q in perms] for p in perms]
+    # itemgetter of one index returns a scalar; at n = 1, q is the identity
+    cols = (
+        map(index.__getitem__, map(itemgetter(*q), perms) if n > 1 else perms)
+        for q in perms
+    )
+    mul = list(zip(*cols))
     return perms, index, mul, [row.index(0) for row in mul]
 
 

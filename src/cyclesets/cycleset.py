@@ -201,7 +201,9 @@ def squaring_map(X: CycleSet) -> tuple[int, ...]:
 def is_nondegenerate(X: CycleSet) -> bool:
     """True iff the squaring map is a bijection.
 
-    Always true for finite cycle sets; kept as a cheap sanity invariant.
+    Always true for finite cycle sets (Rump, Adv. Math. 193, 2005), and the
+    premise of the brute-force oracle, which drops every candidate row that
+    would give its point a square another assigned point already holds.
     """
     return len(set(squaring_map(X))) == X.n
 
