@@ -21,7 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import attrgetter, itemgetter
+from functools import reduce
+from operator import and_, attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .arith import factorize, is_prime, prime_power
@@ -442,6 +443,7 @@ def _group_search(
     mul: Sequence[Sequence[int]],
     inv: list[int],
     carry: dict[int, tuple[list[tuple], list[tuple]]],
+    trans: list[tuple],
     budget: _Budget,
 ) -> list[CycleSet]:
     """All tables whose rows lie in a group of permutations given by tables.
@@ -475,9 +477,10 @@ def _group_search(
     its squares x.x == act[a[x]][x] are distinct.  So ``taken`` flags the
     squares of the assigned points, set when a point joins ``assigned`` and
     cleared when it leaves, and a candidate e for pt is dropped, before it
-    counts against the budget, when act[e][pt] is taken.  Every candidate
-    passes that one test: branch and forced ones, and the keys at points 0
-    and 1.  A relabelling keeps the squares distinct, so no table is lost.
+    counts against the budget, when act[e][pt] is taken, or when its pair
+    ranks below a[0]'s, as below.  Every candidate passes those two tests:
+    branch and forced ones, and the keys at points 0 and 1.  A relabelling
+    keeps the squares distinct, so no table is lost.
 
     ``carry`` maps each candidate r for a[0] to its (walk, stab) from
     :func:`_orbit_walk`, over a group of pairs (f, c): f relabels the
@@ -500,12 +503,33 @@ def _group_search(
     chain at every branch point cut the expansions further, but its work at
     each node made it no faster, so the reduction stops at point 1.
 
+    ``trans`` is a transversal: pairs t_c == (g, c) like those of the
+    carry, with g(0) == c (t_0 the identity), which with the carry's pairs,
+    all fixing 0, make up the whole relabelling group.  Each element is
+    ranked by its orbit among the keys, in increasing order with the
+    identity's last, and the pair (x, e) of a table by the rank of
+    c^-1[e], the element that t_x^-1 moves to 0 along with x.  So a
+    relabelling moves each pair with its rank; a point past the end of the
+    transversal, which it never moves to 0, gets a rank above all.  Once
+    a[0] == r, a candidate whose pair ranks below r's is dropped, and the
+    search finds the tables whose least pair rank is at point 0.  Under the
+    identity's key every pair must be the identity's own, which leaves the
+    identity table alone, so its point 1 is keyed on every element, with no
+    orbit walk of its K_r.  At a leaf, let Y be the points of a[0]'s rank.
+    A table that the walks carry there, by a point map f, is carried on by
+    each t_c with c the least point of t_c(f(Y)): by the c whose bit is set
+    in the mask of every point of f(Y), where mask[y] holds the c with
+    t_c(y) >= c.  So every table comes out once, from the table that t_c^-1
+    gives it for the least c among its points of least rank.  r's walk is
+    composed with the transversal when the search enters r's subtree, so
+    each t_c o w has its own back and rows_c.
+
     Each table is wrapped with the :class:`cyclesets.cycleset._Leaf` of
     the leaf it was carried from.  A relabelling keeps the row group
     transitive or not, so each leaf's rows are walked once, by
     :func:`cyclesets.perm._orbit`, for the verdict that its tables share.
     """
-    n = len(act[0])  # points; the group has len(act) elements
+    n, order = len(act[0]), len(act)  # points, elements
     root = list(range(n))
     off = [0] * n  # a[i] == a[root[i]] o off[i]
     members = [[i] for i in range(n)]  # members[r], for each root r
@@ -545,32 +569,51 @@ def _group_search(
                 best, size = pt, len(members[r])
         return best, -1
 
-    # r's walk as (back, rows_c) pairs, as the docstring says
-    outer = {
-        r: [(itemgetter(*_inverse(f)), tuple(map(act.__getitem__, c))) for f, c in walk]
-        for r, (walk, _) in carry.items()
-    }
-    inner: dict = {}  # K_r's walk as (back, c) pairs, for a[0] == r
+    # rank[e]: the place of e's orbit among the keys, the identity's last;
+    # ranks[x][e]: that of the pair (x, e), read at 0 through t_x^-1, or a
+    # rank above all at a point outside the transversal's reach
+    rank = [len(carry)] * order
+    for i, r in enumerate(sorted(carry, key=lambda r: (not r, r))):
+        for _, c in carry[r][0]:
+            rank[c[r]] = i
+    ranks = [tuple(map(rank.__getitem__, _inverse(c))) for _, c in trans]
+    ranks += [(len(carry),) * order] * (n - len(trans))
+    # mask[y]: the bits c with t_c(y) >= c, every bit at y == 0
+    mask = [sum(1 << c for c, t in enumerate(trans) if t[0][y] >= c) for y in range(n)]
+    # each t_c as its point map g and its rows pre-composed, act[c[e]]
+    lift = [(g, tuple(map(act.__getitem__, c))) for g, c in trans]
+    inner: dict = {}  # K_r's walk as (f, back, c) triples, for a[0] == r
+    outer: list = []  # r's walk as (f, [(back, rows_c) for each t_c]) pairs
 
     def dfs() -> None:
-        nonlocal inner
+        nonlocal inner, outer
         pt, pinned = next_point()
+        low = rank[assign[0]] if assigned else 0
         if pinned >= 0:
             candidates = (pinned,)
         elif len(assigned) > 1:
-            candidates = range(len(act))
+            candidates = range(order)
         elif assigned:  # point 1 takes one value per orbit of K_r
-            inner = {}  # drop the last key's walk before building this one
-            walks = _point_one_walk(carry[assign[0]][1], n, len(act)).items()
+            inner, outer = {}, []  # drop the last key's walks before these
+            r = assign[0]
+            walks = _point_one_walk(carry[r][1] if r else [], n, order).items()
             candidates = inner = {
-                s: [(itemgetter(*_inverse(f)), c) for f, c in w] for s, (w, _) in walks
+                s: [(f, itemgetter(*_inverse(f)), c) for f, c in w] for s, (w, _) in walks
             }
+            outer = [
+                (f, [
+                    (itemgetter(*_inverse(tuple(map(g.__getitem__, f)))),
+                     tuple(map(rows.__getitem__, c)))
+                    for g, rows in lift
+                ])
+                for f, c in carry[r][0]
+            ]
         else:  # the root point 0 takes one value per orbit
             candidates = carry
-        r, to_root = root[pt], inv[off[pt]]
+        r, to_root, pair_rank = root[pt], inv[off[pt]], ranks[pt]
         for e in candidates:
             square = act[e][pt]
-            if taken[square]:
+            if taken[square] or pair_rank[e] < low:
                 continue
             budget.tick()
             mark = len(trail)
@@ -609,13 +652,23 @@ def _group_search(
                 assigned.append(pt)
                 taken[square] = True
                 if len(assigned) == n:
-                    # carry by K_r's pairs for a[1], then by r's
+                    # carry by K_r's pairs for a[1], then by r's, then by
+                    # the t_c that the least points of the least rank accept
                     at = itemgetter(*assign)
                     leaf = _Leaf(len(_orbit(at(act))) == n)
-                    for back1, c1 in inner[assign[1]]:
+                    least = [x for x in range(n) if ranks[x][assign[x]] == low]
+                    for f1, back1, c1 in inner[assign[1]]:
                         at_a = itemgetter(*back1(at(c1)))
-                        for back, rows_c in outer[assign[0]]:
-                            out.append(wrap(back(at_a(rows_c)), leaf))
+                        ys = [f1[y] for y in least]
+                        for f, pairs in outer:
+                            bits = reduce(
+                                and_, map(mask.__getitem__, map(f.__getitem__, ys))
+                            )
+                            while bits:
+                                c = (bits & -bits).bit_length() - 1
+                                bits &= bits - 1
+                                back, rows_c = pairs[c]
+                                out.append(wrap(back(at_a(rows_c)), leaf))
                 else:
                     dfs()
                 taken[square] = False
@@ -649,6 +702,13 @@ def _template_search(
     the transvections.  Their orbits are those of Aut(G) for every template
     up to RESTRICTED_MODE_MAX, as tests check, and so are those of each
     stabiliser of a[0] and point 1.
+
+    The translation t_c: y -> y + c, the row ``act[c]``, relabels a solution
+    a into y -> a[y - c]: G is abelian, so it fixes every translation row
+    and its element map is the identity.  The translations complete Aut(G)
+    to the affine group of G, and :func:`_group_search` takes them as its
+    transversal: the search keeps the tables whose least pair rank is at
+    point 0, and carries each by the t_c it accepts.
     """
     act = [rows.setdefault(row, row) for row in _translation_rows(parts)]
     elems, index = _labelled(parts)
@@ -665,7 +725,8 @@ def _template_search(
                 )
                 gens.append((alpha, alpha))
     carry = _orbit_walk(gens, len(act), len(act))
-    return _group_search(act, act, [row.index(0) for row in act], carry, budget)
+    trans = [(row, act[0]) for row in act]  # t_c, the identity on elements
+    return _group_search(act, act, [row.index(0) for row in act], carry, trans, budget)
 
 
 def _sym_table(n: int) -> tuple[list, dict, list[tuple[int, ...]], list[int]]:
@@ -699,14 +760,24 @@ def _full_search(n: int, budget: _Budget) -> list[CycleSet]:
     :func:`_group_search` carries each solution over both orbits.  Stab(0)
     is generated by (1 2) and (1 2 ... n-1), each with its element map
     e -> f o perms[e] o f^-1 read off the Cayley table of :func:`_sym_table`.
-    Output rows are the shared tuples of ``perms``.
+    The transpositions t_c == (0 c), with t_0 the identity, complete Stab(0)
+    to Sym(n): the search keeps the tables whose least pair rank is at point
+    0, and :func:`_group_search` carries each by the t_c it accepts (140
+    leaves for the 2,640 tables at n = 5).  Output rows are the shared
+    tuples of ``perms``.
     """
     perms, index, mul, inv = _sym_table(n)
-    gens = []
-    for f in ((0, 2, 1) + perms[0][3:], (0,) + perms[0][2:] + (1,)) if n > 2 else ():
+
+    def pair(f: tuple[int, ...]) -> tuple:  # f, and e -> f o perms[e] o f^-1
         i = index[f]
-        gens.append((f, [mul[g][inv[i]] for g in mul[i]]))
-    return _group_search(perms, mul, inv, _orbit_walk(gens, n, len(perms)), budget)
+        return f, [mul[g][inv[i]] for g in mul[i]]
+
+    one = perms[0]
+    stab = ((0, 2, 1) + one[3:], (0,) + one[2:] + (1,)) if n > 2 else ()
+    carry = _orbit_walk(list(map(pair, stab)), n, len(perms))
+    swaps = [one] + [(c,) + one[1:c] + (0,) + one[c + 1:] for c in range(1, n)]
+    trans = list(map(pair, swaps))
+    return _group_search(perms, mul, inv, carry, trans, budget)
 
 
 def brute_force_enumerate(
@@ -727,8 +798,10 @@ def brute_force_enumerate(
 
     Every mode answers n = 1 with the one-point table, without a search.
     Above it, the full and restricted modes run :func:`_group_search`, over
-    the Cayley table of Sym(n) or over each template group's translations; a
-    size above the mode's limit raises ``ValueError`` before any table.
+    the Cayley table of Sym(n) or over each template group's translations,
+    and cut the search by the mode's whole relabelling group, Sym(n) or the
+    template's affine group; a size above the mode's limit raises
+    ``ValueError`` before any table.
 
     Results are sorted by table, so output is reproducible.  Full and
     restricted tables carry the leaf of the search they were carried from,

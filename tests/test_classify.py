@@ -54,7 +54,7 @@ from cyclesets.classify import (
     _translation_rows,
 )
 from cyclesets.jsonio import report_to_dict
-from cyclesets.perm import _cycles, _orbit, generate_group, Permutation
+from cyclesets.perm import _cycles, _inverse, _orbit, generate_group, Permutation
 
 
 def tables_of(found) -> list[tuple]:
@@ -537,8 +537,9 @@ class TestFullBruteForce:
         # stabiliser of row 0 and point 1 (1,398 / 83,501 at n = 4 / 5
         # with the reduction at row 0 alone), and a candidate whose square
         # x.x an assigned point already holds is dropped before it counts
-        # (58 / 1,205 / 52,500 without that)
-        for n, row_nodes, nodes in ((3, 82, 31), (4, 2578, 505), (5, 279431, 20965)):
+        # (58 / 1,205 / 52,500 without that), and, once row 0 is set, one
+        # whose pair ranks below row 0's (31 / 505 / 20,965 without that)
+        for n, row_nodes, nodes in ((3, 82, 20), (4, 2578, 224), (5, 279431, 7870)):
             budget, reference_budget = _Budget(10 ** 8), _Budget(10 ** 8)
             tuple_full_search(n, reference_budget)
             _full_search(n, budget)
@@ -562,12 +563,15 @@ class TestFullBruteForce:
 
     def test_search_without_symmetry(self):
         # the engine on a nonabelian group with no reduction: every element
-        # its own key, carried by the identity alone.  Pinned: its expansions
-        # (6 / 82 / 4,034 / 578,832 before squares were kept distinct)
+        # its own key, carried by the identity alone, and a transversal of
+        # the identity alone, so no pair rank bounds another.  Pinned: its
+        # expansions (6 / 82 / 4,034 / 578,832 before squares were kept
+        # distinct)
         for n, nodes in ((2, 4), (3, 46), (4, 1836), (5, 264644)):
             perms, _, mul, inv = _sym_table(n)
             budget, carry = _Budget(10 ** 8), _orbit_walk([], n, len(perms))
-            found = tables_of(_group_search(perms, mul, inv, carry, budget))
+            trans = [(perms[0], tuple(range(len(perms))))]
+            found = tables_of(_group_search(perms, mul, inv, carry, trans, budget))
             assert len(set(found)) == len(found), n
             expected = tables_of(_full_search(n, _Budget(10 ** 8)))
             assert sorted(found) == sorted(expected), n
@@ -847,13 +851,13 @@ class TestRestrictedBruteForce:
             brute_force_enumerate(4, SearchConfig(max_candidates=3))
 
     def test_budget_message_names_the_template(self):
-        # Z/4 takes 27 expansions and Z/2xZ/2 18, so the 30th falls in the
+        # Z/4 takes 20 expansions and Z/2xZ/2 13, so the 30th falls in the
         # second template
         with pytest.raises(BudgetExceeded) as err:
             brute_force_enumerate(4, SearchConfig(max_candidates=30))
         assert str(err.value) == (
             "regular-abelian-restricted search at n = 4 used up its budget of "
-            "30 expansions in template Z/2xZ/2, after 27 expansions in earlier "
+            "30 expansions in template Z/2xZ/2, after 20 expansions in earlier "
             "templates"
         )
 
@@ -932,11 +936,13 @@ class TestRestrictedBruteForce:
         # a[1] take one value per orbit of the automorphisms that fix a[0]
         # and point 1 (2,894 / 1,362 / 11,442 at n = 8 / 9 / 12 before; n = 14
         # and 15 have only cyclic templates, where only the identity fixes 1),
-        # and drops a candidate whose square x.x an assigned point already
-        # holds (2,267 / 1,021 / 10,380 / 5,313 / 6,414 without that)
+        # drops a candidate whose square x.x an assigned point already holds
+        # (2,267 / 1,021 / 10,380 / 5,313 / 6,414 without that), and, once
+        # a[0] is set, one whose pair ranks below a[0]'s (1,172 / 531 /
+        # 5,175 / 2,601 / 3,553 without that)
         for n, first_free_nodes, nodes in (
-            (8, 3109, 1172), (9, 1445, 531), (12, 17989, 5175),
-            (14, 11260, 2601), (15, 20240, 3553),
+            (8, 3109, 523), (9, 1445, 225), (12, 17989, 1871),
+            (14, 11260, 941), (15, 20240, 1213),
         ):
             budget, reference_budget = _Budget(10 ** 8), _Budget(10 ** 8)
             for _, parts in abelian_templates(n):
@@ -975,9 +981,10 @@ class TestRestrictedBruteForce:
 
     def test_root_branches_at_point_zero(self):
         # the carry is keyed on a[0], so the first branch must be at point 0:
-        # with one key r, only the identity to carry by and no stabiliser
-        # generators, every table found has row 0 == act[r], and the keys
-        # together find every table once
+        # with one key r, only the identity to carry by, no stabiliser
+        # generators and a transversal of the identity alone, every table
+        # found has row 0 == act[r], and the keys together find every table
+        # once
         for n in (4, 8, 9, 12):
             for name, parts in abelian_templates(n):
                 act = _translation_rows(parts)
@@ -986,7 +993,8 @@ class TestRestrictedBruteForce:
                 found = []
                 for r in range(n):
                     carry = {r: ([(identity, identity)], [])}
-                    part = _group_search(act, act, inv, carry, _Budget(10 ** 8))
+                    trans = [(identity, identity)]
+                    part = _group_search(act, act, inv, carry, trans, _Budget(10 ** 8))
                     part = tables_of(part)
                     assert all(table[0] == act[r] for table in part), (name, r)
                     found += part
@@ -1125,8 +1133,8 @@ class TestLeafRecord:
         # pinned: the certificates of the dedupe, one per leaf, then those
         # of the leafless copies, one per table
         for tables, leaves, copies in (
-            (full_census[5], 529, 2640),
-            ([X for X in census16 if is_indecomposable(X)], 67, 960),
+            (full_census[5], 140, 2640),
+            ([X for X in census16 if is_indecomposable(X)], 61, 960),
             ([X for X in brute_force_enumerate(9) if is_indecomposable(X)], 4, 66),
         ):
             assert len(tables) == copies and len({X._leaf for X in tables}) == leaves
@@ -1147,7 +1155,7 @@ class TestOrbitWalk:
         # the carry that search hands to _group_search, which is not run
         seen = []
 
-        def capture(act, mul, inv, carry, budget):
+        def capture(act, mul, inv, carry, trans, budget):
             seen.append(carry)
             return []
 
@@ -1241,9 +1249,9 @@ class TestOrbitWalk:
 
     def test_point_one_is_the_second_branch(self, monkeypatch):
         # a[1] is keyed on the orbits of K_r, so the second branch must be at
-        # point 1: with one key r, only the identity to carry it by and r's
-        # stabiliser generators, the tables found are those with row 0 ==
-        # act[r], each once
+        # point 1: with one key r, only the identity to carry it by, r's
+        # stabiliser generators and a transversal of the identity alone, the
+        # tables found are those with row 0 == act[r], each once
         for n in (4, 8, 9, 12):
             for name, parts in abelian_templates(n):
                 act = _translation_rows(parts)
@@ -1253,10 +1261,84 @@ class TestOrbitWalk:
                 carry = self.carry_of(monkeypatch, _template_search, parts, rows={})
                 for r, (_, stab) in carry.items():
                     keyed = {r: ([(identity, identity)], stab)}
-                    part = _group_search(act, act, inv, keyed, _Budget(10 ** 8))
+                    trans = [(identity, identity)]
+                    part = _group_search(act, act, inv, keyed, trans, _Budget(10 ** 8))
                     part = tables_of(part)
                     assert len(set(part)) == len(part), (name, r)
                     assert sorted(part) == sorted(t for t in found if t[0] == act[r])
+
+
+class TestTransversal:
+    """Both searches carry each table they find by the t_c, t_c(0) == c,
+    that the points of its least pair rank accept: t_c is the transposition
+    (0 c) in full mode and the translation y -> y + c in a template.
+    Checked here by brute force on every table a search hands out, each
+    once, with each row's rank read off the reference transporters' orbits,
+    the identity's last, and the rank of the pair (x, row) read at 0 through
+    t_x^-1: the t_c^-1 that put a least-ranked pair at point 0 are those with
+    c among the least points Y, and the rule, c is the least of t_c(Y) for
+    the Y of t_c^-1 of the table, accepts exactly one of them, the least
+    point of Y."""
+
+    @staticmethod
+    def ranks_of(orbits):
+        # {s: its orbit's key} -> {s: rank}, the identity's orbit last
+        keys = sorted(set(orbits.values()), key=lambda r: (r == min(orbits), r))
+        return {s: keys.index(r) for s, r in orbits.items()}
+
+    @staticmethod
+    def check(tables, trans, pair_rank, where):
+        n = len(trans)
+        found = set(tables)
+        assert len(found) == len(tables), where
+        for table in tables:
+            ranks = [pair_rank(table, x) for x in range(n)]
+            least = [x for x in range(n) if ranks[x] == min(ranks)]
+            accepted = []
+            for c, t in enumerate(trans):
+                moved = relabel(CycleSet(table), _inverse(t)).table
+                assert moved in found, where
+                moved_ranks = [pair_rank(moved, x) for x in range(n)]
+                assert sorted(moved_ranks) == sorted(ranks), where
+                at_zero = moved_ranks[0] == min(moved_ranks)
+                assert at_zero == (c in least), (where, table, c)
+                ys = [y for y in range(n) if moved_ranks[y] == moved_ranks[0]]
+                if at_zero and min(t[y] for y in ys) == c:
+                    accepted.append(c)
+            assert accepted == least[:1], (where, table)
+
+    def test_full_census(self):
+        for n in range(2, 5):
+            perms = list(itertools.permutations(range(n)))
+            rank = self.ranks_of({
+                s: r for r, by in _stabilizer_transporters(perms).items() for s in by
+            })
+            trans = []
+            for c in range(n):
+                t = list(range(n))
+                t[0], t[c] = c, 0
+                trans.append(tuple(t))
+
+            def pair_rank(table, x):
+                t = trans[x]
+                return rank[tuple(t[table[x][t[y]]] for y in range(n))]
+
+            found = tables_of(_full_search(n, _Budget(10 ** 8)))
+            self.check(found, trans, pair_rank, n)
+
+    def test_templates(self):
+        for n in range(2, 10):
+            for name, parts in abelian_templates(n):
+                act = _translation_rows(parts)
+                rank = self.ranks_of({
+                    s: r
+                    for r, by in _automorphism_transporters(parts, act).items()
+                    for s in by
+                })
+                found = tables_of(_template_search(parts, _Budget(10 ** 8), {}))
+                # row x is the translation by row[0], and t_x maps rows to
+                # themselves
+                self.check(found, act, lambda table, x: rank[table[x][0]], name)
 
 
 class TestDedupe:
