@@ -486,22 +486,13 @@ def _group_search(
     :func:`_orbit_walk`, over a group of pairs (f, c): f relabels the
     points, fixes 0 and carries solutions to solutions, and c maps elements
     with act[c[e]] == f o act[e] o f^-1, so a solution a goes to the one
-    with c[a[x]] at f(x).  a[0] ranges only over the keys.  No pair
-    constraint has run once a[0] is set, so the next branch is at point 1,
-    and a[1] ranges only over the keys of :func:`_point_one_walk`, one per
-    orbit of K_r, the pairs that fix r and point 1; that walk is built when
-    the search enters r's subtree and dropped after it.  Each solution found
-    is carried by every pair of K_r's walk for its a[1], then by every pair
-    of r's walk.  When each walk lists its orbit once and the orbits cover
-    the group, at both levels, that is a bijection onto all the solutions:
-    the output is complete and free of repeats, and the budget counts the
-    expansions of the reduced search.  A pair (f, c) moves a to the map
-    y -> c[a[f^-1(y)]], so every walk keeps f^-1 as an ``itemgetter``,
-    ``back``, and r's walk also keeps its rows pre-composed, rows_c[e] ==
-    act[c[e]]: a carried table is back(at_a(rows_c)), where at_a gathers at
-    a, two C-level gathers that return act's own row tuples.  A stabiliser
-    chain at every branch point cut the expansions further, but its work at
-    each node made it no faster, so the reduction stops at point 1.
+    with c[a[x]] at f(x).  A loop runs one search per key r, with a[0] == r.
+    No pair constraint has run once a[0] is set, so the next branch is at
+    point 1, and a[1] ranges only over the keys of K_r's walk, which the
+    loop builds first, by :func:`_point_one_walk`: one per orbit of K_r, the
+    pairs that fix r and point 1.  A stabiliser chain at every branch point
+    cut the expansions further, but its work at each node made it no faster,
+    so the reduction stops at point 1.
 
     ``trans`` is a transversal: pairs t_c == (g, c) like those of the
     carry, with g(0) == c (t_0 the identity), which with the carry's pairs,
@@ -515,18 +506,27 @@ def _group_search(
     search finds the tables whose least pair rank is at point 0.  Under the
     identity's key every pair must be the identity's own, which leaves the
     identity table alone, so its point 1 is keyed on every element, with no
-    orbit walk of its K_r.  At a leaf, let Y be the points of a[0]'s rank.
-    A table that the walks carry there, by a point map f, is carried on by
-    each t_c with c the least point of t_c(f(Y)): by the c whose bit is set
-    in the mask of every point of f(Y), where mask[y] holds the c with
-    t_c(y) >= c.  So every table comes out once, from the table that t_c^-1
-    gives it for the least c among its points of least rank.  r's walk is
-    composed with the transversal when the search enters r's subtree, so
-    each t_c o w has its own back and rows_c.
+    orbit walk of its K_r.
 
-    Each table is wrapped with the :class:`cyclesets.cycleset._Leaf` of
-    the leaf it was carried from.  A relabelling keeps the row group
-    transitive or not, so each leaf's rows are walked once, by
+    The search records only each leaf's assignment a, which the loop then
+    carries by every pair of K_r's walk for its a[1], then by every pair of
+    r's walk.  When each walk lists its orbit once and the orbits cover the
+    group, at both levels, that is a bijection onto all the solutions: the
+    output is complete and free of repeats, and the budget counts the
+    expansions of the reduced search.  A pair (f, c) moves a to the map
+    y -> c[a[f^-1(y)]], so every walk keeps f^-1 as an ``itemgetter``,
+    ``back``, and r's walk, composed with the transversal, keeps each
+    t_c o w's rows pre-composed, rows_c[e] == act[c[e]]: a carried table is
+    back(at_a(rows_c)), where at_a gathers at a, two C-level gathers that
+    return act's own row tuples.  Let Y be the points of a leaf whose pairs
+    have r's rank.  A table that the walks carry, by a point map f, is
+    carried on by each t_c with c the least point of t_c(f(Y)): by the c
+    whose bit is set in the mask of every point of f(Y), where mask[y] holds
+    the c with t_c(y) >= c.  So every table comes out once, from the table
+    that t_c^-1 gives it for the least c among its points of least rank.
+    Each table is wrapped with the :class:`cyclesets.cycleset._Leaf` of the
+    leaf it was carried from.  A relabelling keeps the row group transitive
+    or not, so each leaf's rows are walked once, by
     :func:`cyclesets.perm._orbit`, for the verdict that its tables share.
     """
     n, order = len(act[0]), len(act)  # points, elements
@@ -537,8 +537,7 @@ def _group_search(
     assign = [-1] * n
     taken = [False] * n  # taken[s]: s is the square of an assigned point
     trail: list[tuple[int, int, int]] = []  # merges (big, small, d) to undo
-    out: list[CycleSet] = []
-    wrap = CycleSet._trusted
+    keys: list = [range(order)] * n  # unforced candidates per depth; 0 and 1 per key
 
     def rollback(mark: int) -> None:
         while len(trail) > mark:
@@ -578,38 +577,10 @@ def _group_search(
             rank[c[r]] = i
     ranks = [tuple(map(rank.__getitem__, _inverse(c))) for _, c in trans]
     ranks += [(len(carry),) * order] * (n - len(trans))
-    # mask[y]: the bits c with t_c(y) >= c, every bit at y == 0
-    mask = [sum(1 << c for c, t in enumerate(trans) if t[0][y] >= c) for y in range(n)]
-    # each t_c as its point map g and its rows pre-composed, act[c[e]]
-    lift = [(g, tuple(map(act.__getitem__, c))) for g, c in trans]
-    inner: dict = {}  # K_r's walk as (f, back, c) triples, for a[0] == r
-    outer: list = []  # r's walk as (f, [(back, rows_c) for each t_c]) pairs
 
-    def dfs() -> None:
-        nonlocal inner, outer
+    def dfs(low: int) -> None:  # low: the rank of a[0]'s pair
         pt, pinned = next_point()
-        low = rank[assign[0]] if assigned else 0
-        if pinned >= 0:
-            candidates = (pinned,)
-        elif len(assigned) > 1:
-            candidates = range(order)
-        elif assigned:  # point 1 takes one value per orbit of K_r
-            inner, outer = {}, []  # drop the last key's walks before these
-            r = assign[0]
-            walks = _point_one_walk(carry[r][1] if r else [], n, order).items()
-            candidates = inner = {
-                s: [(f, itemgetter(*_inverse(f)), c) for f, c in w] for s, (w, _) in walks
-            }
-            outer = [
-                (f, [
-                    (itemgetter(*_inverse(tuple(map(g.__getitem__, f)))),
-                     tuple(map(rows.__getitem__, c)))
-                    for g, rows in lift
-                ])
-                for f, c in carry[r][0]
-            ]
-        else:  # the root point 0 takes one value per orbit
-            candidates = carry
+        candidates = keys[len(assigned)] if pinned < 0 else (pinned,)
         r, to_root, pair_rank = root[pt], inv[off[pt]], ranks[pt]
         for e in candidates:
             square = act[e][pt]
@@ -652,25 +623,9 @@ def _group_search(
                 assigned.append(pt)
                 taken[square] = True
                 if len(assigned) == n:
-                    # carry by K_r's pairs for a[1], then by r's, then by
-                    # the t_c that the least points of the least rank accept
-                    at = itemgetter(*assign)
-                    leaf = _Leaf(len(_orbit(at(act))) == n)
-                    least = [x for x in range(n) if ranks[x][assign[x]] == low]
-                    for f1, back1, c1 in inner[assign[1]]:
-                        at_a = itemgetter(*back1(at(c1)))
-                        ys = [f1[y] for y in least]
-                        for f, pairs in outer:
-                            bits = reduce(
-                                and_, map(mask.__getitem__, map(f.__getitem__, ys))
-                            )
-                            while bits:
-                                c = (bits & -bits).bit_length() - 1
-                                bits &= bits - 1
-                                back, rows_c = pairs[c]
-                                out.append(wrap(back(at_a(rows_c)), leaf))
+                    leaves.append(tuple(assign))
                 else:
-                    dfs()
+                    dfs(low)
                 taken[square] = False
                 assigned.pop()
             rollback(mark)
@@ -678,7 +633,45 @@ def _group_search(
         if pinned < 0:  # only after the last rollback, which may read it
             value[r] = -1
 
-    dfs()
+    # mask[y]: the bits c with t_c(y) >= c, every bit at y == 0
+    mask = [sum(1 << c for c, t in enumerate(trans) if t[0][y] >= c) for y in range(n)]
+    # each t_c as its point map g and its rows pre-composed, act[c[e]]
+    lift = [(g, tuple(map(act.__getitem__, c))) for g, c in trans]
+    out: list[CycleSet] = []
+    wrap = CycleSet._trusted
+    for r, (walk, stab) in carry.items():
+        leaves: list[tuple[int, ...]] = []  # the assignments of r's leaves
+        keys[0], keys[1] = (r,), _point_one_walk(stab if r else [], n, order)
+        low = rank[r]
+        dfs(low)
+        # carry by K_r's pairs for a[1], then by r's, then by the t_c that
+        # the least points of the least rank accept
+        inner = {
+            s: [(f, itemgetter(*_inverse(f)), c) for f, c in w]
+            for s, (w, _) in keys[1].items()
+        }
+        outer = [
+            (f, [
+                (itemgetter(*_inverse(tuple(map(g.__getitem__, f)))),
+                 tuple(map(rows.__getitem__, c)))
+                for g, rows in lift
+            ])
+            for f, c in walk
+        ]
+        for a in leaves:
+            at = itemgetter(*a)
+            leaf = _Leaf(len(_orbit(at(act))) == n)
+            least = [x for x in range(n) if ranks[x][a[x]] == low]
+            for f1, back1, c1 in inner[a[1]]:
+                at_a = itemgetter(*back1(at(c1)))
+                ys = [f1[y] for y in least]
+                for f, pairs in outer:
+                    bits = reduce(and_, map(mask.__getitem__, map(f.__getitem__, ys)))
+                    while bits:
+                        c = (bits & -bits).bit_length() - 1
+                        bits &= bits - 1
+                        back, rows_c = pairs[c]
+                        out.append(wrap(back(at_a(rows_c)), leaf))
     return out
 
 

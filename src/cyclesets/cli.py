@@ -56,8 +56,8 @@ BUILD_MAX_N = 1024
 CLASSIFY_MAX_N = 169
 
 #: each enumerate mode with its size cap; spec mode does the work of
-#: classify --k, and full mode at n = 6 takes about 9 s and 4.3 * 10^6 of
-#: the default budget, while n = 7 would need a Cayley table of (7!)^2 entries
+#: classify --k, and full mode at n = 6 takes about 5 s and 525,398
+#: expansions, while n = 7 would need a Cayley table of (7!)^2 entries
 _MODES = {
     "full": ("full-bruteforce", FULL_MODE_MAX),
     "regular-abelian": ("regular-abelian-restricted", RESTRICTED_MODE_MAX),

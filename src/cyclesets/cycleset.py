@@ -187,10 +187,12 @@ def validate(table, limit: int = DEFAULT_VIOLATION_LIMIT) -> CycleSet:
     :class:`TableError` signals a structurally malformed table, and
     ``ValueError`` a ``limit`` below 1.
     """
-    violations = find_violations(table, limit)
+    # read once, as the table may be one-shot, and only once the limit is valid
+    rows = tuple(map(tuple, table)) if limit >= 1 else ()
+    violations = find_violations(rows, limit)
     if violations:
         raise InvalidCycleSet(violations)
-    return CycleSet(table)
+    return CycleSet._trusted(rows)
 
 
 def squaring_map(X: CycleSet) -> tuple[int, ...]:

@@ -963,11 +963,23 @@ class TestRestrictedBruteForce:
         "Z/5xZ/5": "c95feca125f0457bb4bb928c8d18eda34e7618a3f08e74e8b362d8c40bce0362",
     }
 
+    # each template's expansions and distinct search leaves, pinned at the
+    # whole-group tie break: a search that regroups the leaves or expands
+    # other nodes fails here
+    WORK = {
+        "Z/16": (2438, 277), "Z/8xZ/2": (6797, 902), "Z/4xZ/4": (3171, 515),
+        "Z/4xZ/2xZ/2": (9147, 1297), "Z/2xZ/2xZ/2xZ/2": (10363, 1529),
+        "Z/25": (11757, 631), "Z/5xZ/5": (5139, 627),
+    }
+
     def test_pinned_template_digests(self):
         for name, parts in abelian_templates(16) + abelian_templates(25):
-            found = tables_of(_template_search(parts, _Budget(10 ** 8), {}))
+            budget = _Budget(10 ** 8)
+            out = _template_search(parts, budget, {})
+            found = tables_of(out)
             assert len(set(found)) == len(found), name
             assert table_digest(found) == self.DIGESTS[name], name
+            assert (budget.used, len({X._leaf for X in out})) == self.WORK[name], name
 
     def test_search_equals_abelian_reference(self):
         # the same tables, each found once; the trees differ, so the order may.

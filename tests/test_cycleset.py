@@ -81,12 +81,32 @@ class TestValidate:
         assert len(find_violations(broken, limit=2)) == 2
 
     @pytest.mark.parametrize("limit", [0, -1])
-    @pytest.mark.parametrize("table", [GOLDEN4_TABLE, [[0, 1], [1, 0]]])
+    @pytest.mark.parametrize("table", [GOLDEN4_TABLE, [[0, 1], [1, 0]], None])
     def test_limit_below_one_is_rejected(self, table, limit):
-        # an empty list would let validate accept a table that breaks the axiom
+        # an empty list would let validate accept a table that breaks the
+        # axiom; the limit is refused before the table is read
         for check in (find_violations, validate):
             with pytest.raises(ValueError, match="limit must be at least 1"):
                 check(table, limit)
+
+    @pytest.mark.parametrize("limit", [1, 0])
+    @pytest.mark.parametrize("table", [
+        GOLDEN4_TABLE, [[1, 0], [1, 0]], [[0, 1], [1, 0]], [[0, 0], [1, 0]],
+        [[0, 1], [0]], [[0, 2], [1, 0]], [],
+    ])
+    def test_one_shot_iterables_validate_like_lists(self, table, limit):
+        # the table is read once, so generators of generators give the same
+        # table, or the same exception, as lists; a limit below 1 comes first
+        def outcome(t):
+            try:
+                return validate(t, limit).table
+            except ValueError as e:
+                return type(e), str(e), getattr(e, "violations", None)
+
+        expected = outcome(table)
+        assert outcome(iter(table)) == expected
+        assert outcome([iter(row) for row in table]) == expected
+        assert outcome(iter(row) for row in table) == expected
 
     def test_ragged_table(self):
         with pytest.raises(TableError):
