@@ -519,11 +519,11 @@ def _group_search(
     t_c o w's rows pre-composed, rows_c[e] == act[c[e]]: a carried table is
     back(at_a(rows_c)), where at_a gathers at a, two C-level gathers that
     return act's own row tuples.  Let Y be the points of a leaf whose pairs
-    have r's rank.  A table that the walks carry, by a point map f, is
-    carried on by each t_c with c the least point of t_c(f(Y)): by the c
-    whose bit is set in the mask of every point of f(Y), where mask[y] holds
-    the c with t_c(y) >= c.  So every table comes out once, from the table
-    that t_c^-1 gives it for the least c among its points of least rank.
+    have r's rank.  A table carried by K_r's f1, then by f, goes on by each
+    t_c with c the least point of t_c(f(ys)), ys == f1(Y): the c set in
+    mask[y] (the c with t_c(y) >= c) at every y of f(ys).  Each key lists
+    per set ys the pairs (back, rows_c) it accepts over r's walk, so every
+    table comes out once, from the least c among its least-rank points.
     Each table is wrapped with the :class:`cyclesets.cycleset._Leaf` of the
     leaf it was carried from.  A relabelling keeps the row group transitive
     or not, so each leaf's rows are walked once, by
@@ -658,6 +658,7 @@ def _group_search(
             ])
             for f, c in walk
         ]
+        accept: dict[int, list[tuple]] = {}  # set ys, as bits -> the pairs it accepts
         for a in leaves:
             at = itemgetter(*a)
             leaf = _Leaf(len(_orbit(at(act))) == n)
@@ -665,13 +666,14 @@ def _group_search(
             for f1, back1, c1 in inner[a[1]]:
                 at_a = itemgetter(*back1(at(c1)))
                 ys = [f1[y] for y in least]
-                for f, pairs in outer:
-                    bits = reduce(and_, map(mask.__getitem__, map(f.__getitem__, ys)))
-                    while bits:
-                        c = (bits & -bits).bit_length() - 1
-                        bits &= bits - 1
-                        back, rows_c = pairs[c]
-                        out.append(wrap(back(at_a(rows_c)), leaf))
+                key = sum(1 << y for y in ys)
+                emit = accept.get(key)
+                if emit is None:
+                    emit = accept[key] = []
+                    for f, pairs in outer:
+                        bits = reduce(and_, [mask[f[y]] for y in ys])
+                        emit += [p for c, p in enumerate(pairs) if bits >> c & 1]
+                out += [wrap(back(at_a(rows_c)), leaf) for back, rows_c in emit]
     return out
 
 

@@ -29,6 +29,7 @@ from cyclesets import (
     find_violations,
     group_type_of,
     is_indecomposable,
+    is_square_free,
     mpl,
     permutation_group,
     phi_injectivity_check,
@@ -54,7 +55,7 @@ from cyclesets.classify import (
     _translation_rows,
 )
 from cyclesets.jsonio import report_to_dict
-from cyclesets.perm import _cycles, _inverse, _orbit, generate_group, Permutation
+from cyclesets.perm import _commute, _cycles, _inverse, _orbit, generate_group, Permutation
 
 
 def tables_of(found) -> list[tuple]:
@@ -64,8 +65,10 @@ def tables_of(found) -> list[tuple]:
 
 def table_digest(tables) -> str:
     """sha256 of the entries of the sorted tables, one byte each (n < 256)."""
-    chain = itertools.chain.from_iterable
-    return hashlib.sha256(bytes(chain(chain(sorted(tables))))).hexdigest()
+    digest = hashlib.sha256()
+    for table in sorted(tables):
+        digest.update(b"".join(map(bytes, table)))
+    return digest.hexdigest()
 
 
 def generate_and_test_specs(p, k):
@@ -833,6 +836,38 @@ def abelian_template_search(parts, budget):
     return out
 
 
+class TestPublishedTheorems:
+    """Published theorems on every finite cycle set, checked on the
+    censuses that the oracle finds."""
+
+    def test_square_free_tables_decompose(self, full_census, census16):
+        # Rump (Adv. Math. 193, 2005): a finite square-free cycle set with
+        # more than one point is decomposable
+        tables = [X for found in full_census.values() for X in found] + census16
+        square_free = [X for X in tables if X.n > 1 and is_square_free(X)]
+        assert len(square_free) == 432
+        assert not any(map(is_indecomposable, square_free))
+
+    def test_prime_sizes_have_only_the_shift(self, full_census):
+        # Etingof, Schedler and Soloviev (Duke Math. J. 100, 1999): an
+        # indecomposable cycle set of prime size p is the shift
+        for p in (2, 3, 5):
+            indecomposable = [X for X in full_census[p] if is_indecomposable(X)]
+            shift = trivial_cycle_set(p)
+            assert indecomposable, p
+            assert all(are_isomorphic(X, shift) is not None for X in indecomposable), p
+
+    def test_abelian_row_groups_are_multipermutation(self, full_census, census16):
+        # Cedo, Jespers and Okninski (Adv. Math. 224, 2010): a cycle set
+        # whose row group is abelian has a multipermutation level.  At
+        # n = 16, one table per search leaf: the rest are its relabellings
+        tables = [X for found in full_census.values() for X in found]
+        tables += {X._leaf: X for X in census16}.values()
+        abelian = [X for X in tables if _commute(list(dict.fromkeys(X.table)))]
+        assert len(tables) - len(abelian) == 684  # the converse fails at n = 4
+        assert all(mpl(X) is not None for X in abelian)
+
+
 class TestRestrictedBruteForce:
     def test_size_four_census(self):
         raw = brute_force_enumerate(4, SearchConfig())
@@ -980,6 +1015,18 @@ class TestRestrictedBruteForce:
             assert len(set(found)) == len(found), name
             assert table_digest(found) == self.DIGESTS[name], name
             assert (budget.used, len({X._leaf for X in out})) == self.WORK[name], name
+
+    def test_carry_bound_template(self):
+        # (Z/3)^3 at n = 27, above the cap: few expansions, many tables to
+        # carry from each leaf, pinned before the carry read one acceptance
+        # list per set of least-rank points
+        out = _template_search((3, 3, 3), _Budget(47526), {})
+        found = sorted(tables_of(out))
+        assert (len(found), len({X._leaf for X in out})) == (348219, 7525)
+        assert all(map(tuple.__ne__, found, found[1:]))  # no repeats
+        assert table_digest(found) == (
+            "1c6753a50a01b19c54efd1ea55c16f8f0989ac44d1a0361b261071a8eeb33f6c"
+        )
 
     def test_search_equals_abelian_reference(self):
         # the same tables, each found once; the trees differ, so the order may.
