@@ -22,8 +22,8 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
 from functools import reduce
-from operator import and_, attrgetter, itemgetter
-from typing import Iterable, Optional, Sequence
+from operator import and_, itemgetter
+from typing import Container, Iterable, Optional, Sequence
 
 from .arith import factorize, is_prime, prime_power
 from .construct import (
@@ -386,8 +386,20 @@ def _translation_rows(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     ]
 
 
+def _row_code(rows: Iterable[tuple[int, ...]]) -> dict:
+    """Each distinct row -> (the one tuple that stands for it, its code).
+
+    The code is the row's rank in sorted order, as big-endian bytes of one
+    width that holds every rank, so a table's key, the codes of its rows
+    joined, sorts and equates as the table does.
+    """
+    distinct = sorted(set(rows))
+    width = ((len(distinct) - 1).bit_length() + 7) // 8 or 1
+    return {row: (row, i.to_bytes(width, "big")) for i, row in enumerate(distinct)}
+
+
 def _orbit_walk(
-    gens: list[tuple], points: int, size: int, side: int = 1
+    gens: list[tuple], points: int, size: int, side: int = 1, stabilise: Container = ()
 ) -> dict[int, tuple[list[tuple], list[tuple]]]:
     """Orbits of the group that ``gens`` generate, with transporters and stabilisers.
 
@@ -400,7 +412,7 @@ def _orbit_walk(
     generators, with u_s(r) == s, for each other member s.  When a generator
     g takes a walked s to a walked t, u_t^-1 o g o u_s fixes r; these
     Schreier generators generate the stabiliser of r, and stab keeps one
-    per f other than the identity.
+    per f other than the identity, for each r in ``stabilise`` (none by default).
     """
     identity = (tuple(range(points)), tuple(range(size)))
     at: dict[int, tuple] = {}
@@ -417,13 +429,13 @@ def _orbit_walk(
                 if t not in at:
                     at[t] = (f, tuple(map(g[1].__getitem__, u[1])))
                     walk.append(at[t])
-                    continue
-                # the Schreier generator u_t^-1 o g o u, one per point map
-                back = _inverse(at[t][0])
-                z = tuple(map(back.__getitem__, f))
-                if z != identity[0] and z not in stab:
-                    back = _inverse(at[t][1])
-                    stab[z] = (z, tuple(back[g[1][e]] for e in u[1]))
+                elif r in stabilise:
+                    # the Schreier generator u_t^-1 o g o u, one per point map
+                    back = _inverse(at[t][0])
+                    z = tuple(map(back.__getitem__, f))
+                    if z != identity[0] and z not in stab:
+                        back = _inverse(at[t][1])
+                        stab[z] = (z, tuple(back[g[1][e]] for e in u[1]))
         out[r] = (walk, list(stab.values()))
     return out
 
@@ -433,9 +445,9 @@ def _point_one_walk(stab: list[tuple], points: int, size: int) -> dict:
 
     ``stab`` generates the stabiliser of an element r, as :func:`_orbit_walk`
     gives it, and K_r is its stabiliser of point 1: the Schreier generators
-    of point 1's orbit walk on the points.
+    of point 1's orbit walk on the points, the one stabiliser either walk builds.
     """
-    return _orbit_walk(_orbit_walk(stab, points, size, 0)[1][1], points, size)
+    return _orbit_walk(_orbit_walk(stab, points, size, 0, (1,))[1][1], points, size)
 
 
 def _group_search(
@@ -445,8 +457,10 @@ def _group_search(
     carry: dict[int, tuple[list[tuple], list[tuple]]],
     trans: list[tuple],
     budget: _Budget,
-) -> list[CycleSet]:
-    """All tables whose rows lie in a group of permutations given by tables.
+    rows: dict,
+    found: dict[bytes, CycleSet],
+) -> None:
+    """Fill ``found`` with the tables whose rows lie in a permutation group.
 
     ``act[e]`` is element e as a row on the points, ``mul[e][f]`` the element
     e o f (f first), ``inv[e]`` that of e^-1, and 0 is the identity.  There
@@ -516,19 +530,24 @@ def _group_search(
     expansions of the reduced search.  A pair (f, c) moves a to the map
     y -> c[a[f^-1(y)]], so every walk keeps f^-1 as an ``itemgetter``,
     ``back``, and r's walk, composed with the transversal, keeps each
-    t_c o w's rows pre-composed, rows_c[e] == act[c[e]]: a carried table is
-    back(at_a(rows_c)), where at_a gathers at a, two C-level gathers that
-    return act's own row tuples.  Let Y be the points of a leaf whose pairs
-    have r's rank.  A table carried by K_r's f1, then by f, goes on by each
-    t_c with c the least point of t_c(f(ys)), ys == f1(Y): the c set in
-    mask[y] (the c with t_c(y) >= c) at every y of f(ys).  Each key lists
-    per set ys the pairs (back, rows_c) it accepts over r's walk, so every
-    table comes out once, from the least c among its least-rank points.
-    Each table is wrapped with the :class:`cyclesets.cycleset._Leaf` of the
-    leaf it was carried from.  A relabelling keeps the row group transitive
-    or not, so each leaf's rows are walked once, by
-    :func:`cyclesets.perm._orbit`, for the verdict that its tables share.
+    t_c o w's rows and codes pre-composed by one gather, rows_c[e] ==
+    act[c[e]]: a carried table is back(at_a(rows_c)), where at_a gathers at
+    a, and its key is back(at_a(code_c)), joined.  ``rows`` maps each row to
+    its output tuple and its code, as :func:`_row_code` gives them, and
+    ``found`` keys to tables: a table is gathered and wrapped only if its
+    key is new, so the first copy is kept, with its leaf.  Let Y be the
+    points of a leaf whose pairs have r's rank.  A table carried by K_r's
+    f1, then by f, goes on by each t_c with c the least point of t_c(f(ys)),
+    ys == f1(Y): the c set in mask[y] (the c with t_c(y) >= c) at every y
+    of f(ys).  Each key lists per set ys the triples (back, rows_c, code_c)
+    it accepts over r's walk, so every table comes out once, from the least
+    c among its least-rank points.  Each table is wrapped with the
+    :class:`cyclesets.cycleset._Leaf` of the leaf it was carried from.  A
+    relabelling keeps the row group transitive or not, so each leaf's rows
+    are walked once, by :func:`cyclesets.perm._orbit`, for the verdict that
+    its tables share.
     """
+    act, code = zip(*map(rows.__getitem__, act))
     n, order = len(act[0]), len(act)  # points, elements
     root = list(range(n))
     off = [0] * n  # a[i] == a[root[i]] o off[i]
@@ -635,10 +654,9 @@ def _group_search(
 
     # mask[y]: the bits c with t_c(y) >= c, every bit at y == 0
     mask = [sum(1 << c for c, t in enumerate(trans) if t[0][y] >= c) for y in range(n)]
-    # each t_c as its point map g and its rows pre-composed, act[c[e]]
-    lift = [(g, tuple(map(act.__getitem__, c))) for g, c in trans]
-    out: list[CycleSet] = []
-    wrap = CycleSet._trusted
+    # each t_c as its point map g, its rows pre-composed, act[c[e]], and their codes
+    lift = [(g, itemgetter(*c)(act), itemgetter(*c)(code)) for g, c in trans]
+    wrap, join = CycleSet._trusted, b"".join
     for r, (walk, stab) in carry.items():
         leaves: list[tuple[int, ...]] = []  # the assignments of r's leaves
         keys[0], keys[1] = (r,), _point_one_walk(stab if r else [], n, order)
@@ -653,10 +671,10 @@ def _group_search(
         outer = [
             (f, [
                 (itemgetter(*_inverse(tuple(map(g.__getitem__, f)))),
-                 tuple(map(rows.__getitem__, c)))
-                for g, rows in lift
+                 at_c(rows_g), at_c(code_g))
+                for g, rows_g, code_g in lift
             ])
-            for f, c in walk
+            for f, at_c in ((f, itemgetter(*c)) for f, c in walk)
         ]
         accept: dict[int, list[tuple]] = {}  # set ys, as bits -> the pairs it accepts
         for a in leaves:
@@ -666,25 +684,27 @@ def _group_search(
             for f1, back1, c1 in inner[a[1]]:
                 at_a = itemgetter(*back1(at(c1)))
                 ys = [f1[y] for y in least]
-                key = sum(1 << y for y in ys)
-                emit = accept.get(key)
+                held = sum(1 << y for y in ys)
+                emit = accept.get(held)
                 if emit is None:
-                    emit = accept[key] = []
+                    emit = accept[held] = []
                     for f, pairs in outer:
                         bits = reduce(and_, [mask[f[y]] for y in ys])
                         emit += [p for c, p in enumerate(pairs) if bits >> c & 1]
-                out += [wrap(back(at_a(rows_c)), leaf) for back, rows_c in emit]
-    return out
+                for back, rows_c, code_c in emit:
+                    key = join(back(at_a(code_c)))
+                    if key not in found:
+                        found[key] = wrap(back(at_a(rows_c)), leaf)
 
 
 def _template_search(
-    parts: tuple[int, ...], budget: _Budget, rows: dict
-) -> list[CycleSet]:
+    parts: tuple[int, ...], budget: _Budget, rows: dict, found: dict[bytes, CycleSet]
+) -> None:
     """All row assignments from one regular template satisfying the axiom,
-    each wrapped with its search leaf by :func:`_group_search`.
+    filed in ``found`` with their search leaves by :func:`_group_search`.
 
-    ``rows`` maps each translation row to the one tuple that stands for it,
-    so templates that share it share their equal rows, and so do their tables.
+    ``rows`` maps each translation row to the one tuple and the code that
+    stand for it in every template of a call, as :func:`_row_code` gives.
 
     Points are labeled by the elements of G = Z/d_1 x ... x Z/d_k, so the
     translation rows are also G's composition table.  An automorphism alpha
@@ -705,7 +725,7 @@ def _template_search(
     transversal: the search keeps the tables whose least pair rank is at
     point 0, and carries each by the t_c it accepts.
     """
-    act = [rows.setdefault(row, row) for row in _translation_rows(parts)]
+    act = _translation_rows(parts)
     elems, index = _labelled(parts)
     gens = []
     for i, di in enumerate(parts):
@@ -719,9 +739,10 @@ def _template_search(
                     index[y[:j] + ((y[j] + m * y[i]) % dj,) + y[j + 1:]] for y in elems
                 )
                 gens.append((alpha, alpha))
-    carry = _orbit_walk(gens, len(act), len(act))
+    carry = _orbit_walk(gens, len(act), len(act), 1, range(len(act)))
     trans = [(row, act[0]) for row in act]  # t_c, the identity on elements
-    return _group_search(act, act, [row.index(0) for row in act], carry, trans, budget)
+    inv = [row.index(0) for row in act]
+    _group_search(act, act, inv, carry, trans, budget, rows, found)
 
 
 def _sym_table(n: int) -> tuple[list, dict, list[tuple[int, ...]], list[int]]:
@@ -743,9 +764,9 @@ def _sym_table(n: int) -> tuple[list, dict, list[tuple[int, ...]], list[int]]:
     return perms, index, mul, [row.index(0) for row in mul]
 
 
-def _full_search(n: int, budget: _Budget) -> list[CycleSet]:
-    """Every cycle-set table on n points, wrapped with its search leaf:
-    :func:`_group_search` over Sym(n).
+def _full_search(n: int, budget: _Budget, found: dict[bytes, CycleSet]) -> None:
+    """Every cycle-set table on n points, filed in ``found`` with its search
+    leaf: :func:`_group_search` over Sym(n).
 
     A relabeling f with f(0) = 0 carries a solution T to the solution
     T'[f(x)][f(y)] = f(T[x][y]), whose row 0 is f o sigma_0 o f^-1.  So row 0
@@ -759,7 +780,7 @@ def _full_search(n: int, budget: _Budget) -> list[CycleSet]:
     to Sym(n): the search keeps the tables whose least pair rank is at point
     0, and :func:`_group_search` carries each by the t_c it accepts (140
     leaves for the 2,640 tables at n = 5).  Output rows are the shared
-    tuples of ``perms``.
+    tuples of ``perms``, and the code of perms[e] ranks e.
     """
     perms, index, mul, inv = _sym_table(n)
 
@@ -769,10 +790,10 @@ def _full_search(n: int, budget: _Budget) -> list[CycleSet]:
 
     one = perms[0]
     stab = ((0, 2, 1) + one[3:], (0,) + one[2:] + (1,)) if n > 2 else ()
-    carry = _orbit_walk(list(map(pair, stab)), n, len(perms))
+    carry = _orbit_walk(list(map(pair, stab)), n, len(perms), 1, range(len(perms)))
     swaps = [one] + [(c,) + one[1:c] + (0,) + one[c + 1:] for c in range(1, n)]
     trans = list(map(pair, swaps))
-    return _group_search(perms, mul, inv, carry, trans, budget)
+    _group_search(perms, mul, inv, carry, trans, budget, _row_code(perms), found)
 
 
 def brute_force_enumerate(
@@ -798,8 +819,10 @@ def brute_force_enumerate(
     template's affine group; a size above the mode's limit raises
     ``ValueError`` before any table.
 
-    Results are sorted by table, so output is reproducible.  Full and
-    restricted tables carry the leaf of the search they were carried from,
+    Results are sorted by table, so output is reproducible: the full and
+    restricted modes sort one key per table, made of the codes of
+    :func:`_row_code`, and a table that several templates find is the first
+    one's copy.  Each carries the leaf of the search it was carried from,
     whose verdict :func:`is_indecomposable` returns without a walk and whose
     one certificate :func:`dedupe_by_isomorphism` computes once.  Running
     out of budget raises :class:`BudgetExceeded` naming the mode, n and, in
@@ -823,25 +846,21 @@ def brute_force_enumerate(
     if not full and n > RESTRICTED_MODE_MAX:
         raise ValueError(f"restricted mode supports n <= {RESTRICTED_MODE_MAX}")
     budget = _Budget(cfg.max_candidates, f"{cfg.mode} search at n = {n}")
+    found: dict[bytes, CycleSet] = {}  # each table's key -> its first copy
     if full:
-        tables = _full_search(n, budget)  # free of repeats
+        _full_search(n, budget, found)
     else:
-        # the identity table lies in every template, so tables can repeat:
-        # the templates share one tuple per distinct row, so equal rows
-        # compare by identity in the one sort, and repeats, adjacent after
-        # it, are dropped
-        tables, rows = [], {}
-        for template, parts in abelian_templates(n):
+        # the identity table lies in every template, so tables can repeat;
+        # the templates share one tuple and one code per distinct row
+        templates = abelian_templates(n)
+        rows = _row_code(r for _, parts in templates for r in _translation_rows(parts))
+        for template, parts in templates:
             budget.where = (
                 f" in template {template}, after {budget.used} expansions in "
                 "earlier templates"
             )
-            tables += _template_search(parts, budget, rows)
-    table_of = attrgetter("_table")
-    tables.sort(key=table_of)
-    # equal tables are isomorphic, so the leaf of whichever copy the groupby
-    # keeps holds for the table
-    return [next(copies) for _, copies in itertools.groupby(tables, table_of)]
+            _template_search(parts, budget, rows, found)
+    return [found[key] for key in sorted(found)]
 
 
 def _require_matching(expected: ClassificationReport, oracle: ClassificationReport):

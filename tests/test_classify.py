@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from math import factorial, gcd, prod
 
 import pytest
@@ -40,7 +41,7 @@ from cyclesets import (
 from cyclesets import classify as classify_module
 from cyclesets import cycleset as cycleset_module
 from cyclesets.arith import factorize
-from cyclesets.cycleset import _certificate
+from cyclesets.cycleset import _Leaf, _certificate
 from cyclesets.classify import (
     _Budget,
     _full_search,
@@ -49,6 +50,7 @@ from cyclesets.classify import (
     _orbit_walk,
     _point_one_walk,
     _require_matching,
+    _row_code,
     _spec_family,
     _sym_table,
     _template_search,
@@ -61,6 +63,27 @@ from cyclesets.perm import _commute, _cycles, _inverse, _orbit, generate_group, 
 def tables_of(found) -> list[tuple]:
     """The tables of a search's output, without the leaves they carry."""
     return [X.table for X in found]
+
+
+def template_search(parts, budget) -> list[CycleSet]:
+    """One template's search alone, its tables in the order it files them."""
+    found: dict = {}
+    _template_search(parts, budget, _row_code(_translation_rows(parts)), found)
+    return list(found.values())
+
+
+def full_search(n, budget) -> list[CycleSet]:
+    """The full search at n, its tables in the order it files them."""
+    found: dict = {}
+    _full_search(n, budget, found)
+    return list(found.values())
+
+
+def group_search(act, mul, inv, carry, trans, budget) -> list[CycleSet]:
+    """One search over the group of ``act``, its tables in the order it files them."""
+    found: dict = {}
+    _group_search(act, mul, inv, carry, trans, budget, _row_code(act), found)
+    return list(found.values())
 
 
 def table_digest(tables) -> str:
@@ -255,7 +278,7 @@ class TestClassifyCyclicPrimePower:
     @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 4)])
     def test_matches_cyclic_template_oracle(self, p, k):
         n = p ** k
-        found = tables_of(_template_search((n,), _Budget(10 ** 8), {}))
+        found = tables_of(template_search((n,), _Budget(10 ** 8)))
         indecomposable = [CycleSet(t) for t in found if is_indecomposable(CycleSet(t))]
         oracle = dedupe_by_isomorphism(indecomposable)
         # a transitive subgroup of the regular Z/n is all of Z/n
@@ -545,13 +568,13 @@ class TestFullBruteForce:
         for n, row_nodes, nodes in ((3, 82, 20), (4, 2578, 224), (5, 279431, 7870)):
             budget, reference_budget = _Budget(10 ** 8), _Budget(10 ** 8)
             tuple_full_search(n, reference_budget)
-            _full_search(n, budget)
+            full_search(n, budget)
             assert (reference_budget.used, budget.used) == (row_nodes, nodes), n
 
     def test_pinned_digest(self):
         # pinned at n = 5 when only row 0 was keyed on orbits: a tree that is
         # cut further may drop or repeat no table
-        found = tables_of(_full_search(5, _Budget(10 ** 8)))
+        found = tables_of(full_search(5, _Budget(10 ** 8)))
         assert len(set(found)) == len(found)
         assert table_digest(found) == (
             "799bbf54be15f651d0996103ad87099300078e9e21732c5121ab30a9970b3c67"
@@ -560,7 +583,7 @@ class TestFullBruteForce:
     def test_search_equals_tuple_reference(self):
         # the same tables, each found once; n = 1 never reaches the search
         for n in range(2, 6):
-            found = tables_of(_full_search(n, _Budget(10 ** 8)))
+            found = tables_of(full_search(n, _Budget(10 ** 8)))
             assert len(set(found)) == len(found), n
             assert sorted(found) == sorted(tuple_full_search(n, _Budget(10 ** 8))), n
 
@@ -574,11 +597,34 @@ class TestFullBruteForce:
             perms, _, mul, inv = _sym_table(n)
             budget, carry = _Budget(10 ** 8), _orbit_walk([], n, len(perms))
             trans = [(perms[0], tuple(range(len(perms))))]
-            found = tables_of(_group_search(perms, mul, inv, carry, trans, budget))
+            found = tables_of(group_search(perms, mul, inv, carry, trans, budget))
             assert len(set(found)) == len(found), n
-            expected = tables_of(_full_search(n, _Budget(10 ** 8)))
+            expected = tables_of(full_search(n, _Budget(10 ** 8)))
             assert sorted(found) == sorted(expected), n
             assert budget.used == nodes, n
+
+    def test_keys_wider_than_one_byte(self, monkeypatch):
+        # the codes that the full search at n = 6 is handed, for its 720
+        # rows, without running it: joined, they must sort and equate
+        # random tables as the tables themselves do, tables a row apart by
+        # 256 ranks included, which a one-byte code would confuse
+        seen = []
+        monkeypatch.setattr(classify_module, "_group_search", lambda *args: seen.append(args))
+        _full_search(6, _Budget(1), {})
+        perms, rows = seen[0][0], seen[0][6]
+        assert len(perms) == len(rows) == 720
+        assert all(rows[p][0] is p for p in perms)
+        rng = random.Random(720)
+        tables = [tuple(rng.choices(perms, k=6)) for _ in range(400)]
+        for t in tables[:200]:
+            e = perms.index(t[5])
+            tables.append(t[:5] + (perms[(e + 256) % 720],))
+            tables.append(t[:5] + (perms[e - 256],))
+        tables += tables[:100]  # equal tables
+        key = {t: b"".join(rows[row][1] for row in t) for t in tables}
+        assert sorted(tables, key=key.__getitem__) == sorted(tables)
+        assert len(set(key.values())) == len(set(tables)) == 800
+        assert {len(k) for k in key.values()} == {12}
 
     def test_cayley_table(self):
         for n in range(1, 6):
@@ -931,7 +977,7 @@ class TestRestrictedBruteForce:
             if len(templates) < 2:
                 continue
             found = [
-                tables_of(_template_search(parts, _Budget(10 ** 8), {}))
+                tables_of(template_search(parts, _Budget(10 ** 8)))
                 for _, parts in templates
             ]
             merged = sorted(set(chain(found)))
@@ -939,6 +985,47 @@ class TestRestrictedBruteForce:
             assert [X.table for X in out] == merged, n
             if n == 16:
                 assert (sum(map(len, found)), len(merged)) == (81344, 64384)
+
+    def test_merge_keeps_the_earliest_copy(self, monkeypatch):
+        # a table that several templates find is the copy of the first
+        # template whose search finds it, with the leaf it was carried from
+        # there.  Each leaf record is named by its template and its place
+        # among the records of that template's search, alone and in the merge
+        made = []
+
+        def recording(transitive):
+            made.append(_Leaf(transitive))
+            return made[-1]
+
+        def naming(*args):
+            del made[:]
+            merge(*args)
+            named.update((id(leaf), (len(calls), k)) for k, leaf in enumerate(made))
+            calls.append(made[:])  # keeps every record alive, so no id is reused
+
+        monkeypatch.setattr(classify_module, "_Leaf", recording)
+        merge = classify_module._template_search
+        for n in range(2, 21):
+            templates = abelian_templates(n)
+            if len(templates) < 2:
+                continue
+            first: dict = {}  # table -> the name of its first finder's leaf
+            carried = 0
+            for i, (_, parts) in enumerate(templates):
+                del made[:]
+                out = template_search(parts, _Budget(10 ** 8))
+                carried += len(out)
+                place = {id(leaf): k for k, leaf in enumerate(made)}
+                for X in out:
+                    first.setdefault(X.table, (i, place[id(X._leaf)]))
+            named: dict = {}
+            calls: list = []
+            monkeypatch.setattr(classify_module, "_template_search", naming)
+            out = brute_force_enumerate(n)
+            monkeypatch.setattr(classify_module, "_template_search", merge)
+            assert len(calls) == len(templates) and len(out) == len(first), n
+            assert [named[id(X._leaf)] for X in out] == [first[X.table] for X in out], n
+            assert carried > len(first), n  # repeats, so a later copy would show
 
     def test_output_rows_are_shared(self, census16):
         # the templates share one tuple per distinct row; templates that each
@@ -982,7 +1069,7 @@ class TestRestrictedBruteForce:
             budget, reference_budget = _Budget(10 ** 8), _Budget(10 ** 8)
             for _, parts in abelian_templates(n):
                 abelian_template_search(parts, reference_budget)
-                _template_search(parts, budget, {})
+                template_search(parts, budget)
             assert (reference_budget.used, budget.used) == (first_free_nodes, nodes), n
 
     # sha256 of the sorted tables' entries as bytes, for each template's
@@ -1010,7 +1097,7 @@ class TestRestrictedBruteForce:
     def test_pinned_template_digests(self):
         for name, parts in abelian_templates(16) + abelian_templates(25):
             budget = _Budget(10 ** 8)
-            out = _template_search(parts, budget, {})
+            out = template_search(parts, budget)
             found = tables_of(out)
             assert len(set(found)) == len(found), name
             assert table_digest(found) == self.DIGESTS[name], name
@@ -1020,7 +1107,7 @@ class TestRestrictedBruteForce:
         # (Z/3)^3 at n = 27, above the cap: few expansions, many tables to
         # carry from each leaf, pinned before the carry read one acceptance
         # list per set of least-rank points
-        out = _template_search((3, 3, 3), _Budget(47526), {})
+        out = template_search((3, 3, 3), _Budget(47526))
         found = sorted(tables_of(out))
         assert (len(found), len({X._leaf for X in out})) == (348219, 7525)
         assert all(map(tuple.__ne__, found, found[1:]))  # no repeats
@@ -1033,7 +1120,7 @@ class TestRestrictedBruteForce:
         # n = 1 never reaches the search
         for n in range(2, 13):
             for name, parts in abelian_templates(n):
-                found = tables_of(_template_search(parts, _Budget(10 ** 8), {}))
+                found = tables_of(template_search(parts, _Budget(10 ** 8)))
                 assert len(set(found)) == len(found), name
                 reference = abelian_template_search(parts, _Budget(10 ** 8))
                 assert sorted(found) == sorted(reference), name
@@ -1053,11 +1140,11 @@ class TestRestrictedBruteForce:
                 for r in range(n):
                     carry = {r: ([(identity, identity)], [])}
                     trans = [(identity, identity)]
-                    part = _group_search(act, act, inv, carry, trans, _Budget(10 ** 8))
+                    part = group_search(act, act, inv, carry, trans, _Budget(10 ** 8))
                     part = tables_of(part)
                     assert all(table[0] == act[r] for table in part), (name, r)
                     found += part
-                whole = tables_of(_template_search(parts, _Budget(10 ** 8), {}))
+                whole = tables_of(template_search(parts, _Budget(10 ** 8)))
                 assert sorted(found) == sorted(whole)
 
     def test_aut_orbits(self):
@@ -1086,7 +1173,7 @@ class TestRestrictedBruteForce:
         for n in range(2, 13):
             for _, parts in abelian_templates(n):
                 act = _translation_rows(parts)
-                found = tables_of(_template_search(parts, _Budget(10 ** 8), {}))
+                found = tables_of(template_search(parts, _Budget(10 ** 8)))
                 assert len(set(found)) == len(found)
                 found = set(found)
                 maps = [
@@ -1137,9 +1224,9 @@ class TestLeafVerdict:
     def test_searches_list_their_transitive_tables(self):
         for n in range(2, 17):
             for name, parts in abelian_templates(n):
-                self.check(_template_search(parts, _Budget(10 ** 8), {}), name)
+                self.check(template_search(parts, _Budget(10 ** 8)), name)
         for n in range(2, 6):
-            self.check(_full_search(n, _Budget(10 ** 8)), n)
+            self.check(full_search(n, _Budget(10 ** 8)), n)
 
 
 class TestLeafRecord:
@@ -1152,10 +1239,10 @@ class TestLeafRecord:
     @staticmethod
     def searches():
         for n in range(2, 6):
-            yield n, _full_search(n, _Budget(10 ** 8))
+            yield n, full_search(n, _Budget(10 ** 8))
         for n in range(2, 13):
             for name, parts in abelian_templates(n):
-                yield name, _template_search(parts, _Budget(10 ** 8), {})
+                yield name, template_search(parts, _Budget(10 ** 8))
 
     def test_tables_of_one_leaf_are_isomorphic(self):
         for where, found in self.searches():
@@ -1210,16 +1297,15 @@ class TestOrbitWalk:
     of the whole group."""
 
     @staticmethod
-    def carry_of(monkeypatch, search, *args, **kwargs):
+    def carry_of(monkeypatch, search, *args):
         # the carry that search hands to _group_search, which is not run
         seen = []
 
-        def capture(act, mul, inv, carry, trans, budget):
+        def capture(act, mul, inv, carry, trans, budget, rows, found):
             seen.append(carry)
-            return []
 
         monkeypatch.setattr(classify_module, "_group_search", capture)
-        search(*args, _Budget(1), **kwargs)
+        search(*args, _Budget(1))
         monkeypatch.undo()
         return seen[0]
 
@@ -1227,7 +1313,7 @@ class TestOrbitWalk:
         for n in range(1, 26):
             for name, parts in abelian_templates(n):
                 act = _translation_rows(parts)
-                carry = self.carry_of(monkeypatch, _template_search, parts, rows={})
+                carry = self.carry_of(monkeypatch, template_search, parts)
                 reference = _automorphism_transporters(parts, act)
                 assert list(carry) == sorted(reference), name
                 for r, (pairs, _) in carry.items():
@@ -1244,7 +1330,7 @@ class TestOrbitWalk:
     def test_sym_orbits_equal_the_stabilizer_orbits(self, monkeypatch):
         for n in range(1, 7):
             perms, index, _, _ = _sym_table(n)
-            carry = self.carry_of(monkeypatch, _full_search, n)
+            carry = self.carry_of(monkeypatch, full_search, n)
             reference = _stabilizer_transporters(perms)
             assert list(carry) == [index[r] for r in reference], n
             for r, (pairs, _) in carry.items():
@@ -1278,7 +1364,7 @@ class TestOrbitWalk:
             for name, parts in abelian_templates(n):
                 act = _translation_rows(parts)
                 auts = list(_automorphisms(parts, act))
-                carry = self.carry_of(monkeypatch, _template_search, parts, rows={})
+                carry = self.carry_of(monkeypatch, template_search, parts)
                 for r in carry:
                     k_r = {alpha for alpha in auts if alpha[r] == r and alpha[1] == 1}
                     inner = _point_one_walk(carry[r][1], n, n)
@@ -1291,7 +1377,7 @@ class TestOrbitWalk:
     def test_sym_point_one_orbits_equal_the_stabilizer_orbits(self, monkeypatch):
         for n in range(2, 6):
             perms, index, mul, inv = _sym_table(n)
-            carry = self.carry_of(monkeypatch, _full_search, n)
+            carry = self.carry_of(monkeypatch, full_search, n)
             for r in carry:
                 # K_r: the permutations fixing 0 and 1 that commute with perms[r]
                 conj = {
@@ -1316,12 +1402,12 @@ class TestOrbitWalk:
                 act = _translation_rows(parts)
                 inv = [row.index(0) for row in act]
                 identity = act[0]
-                found = tables_of(_template_search(parts, _Budget(10 ** 8), {}))
-                carry = self.carry_of(monkeypatch, _template_search, parts, rows={})
+                found = tables_of(template_search(parts, _Budget(10 ** 8)))
+                carry = self.carry_of(monkeypatch, template_search, parts)
                 for r, (_, stab) in carry.items():
                     keyed = {r: ([(identity, identity)], stab)}
                     trans = [(identity, identity)]
-                    part = _group_search(act, act, inv, keyed, trans, _Budget(10 ** 8))
+                    part = group_search(act, act, inv, keyed, trans, _Budget(10 ** 8))
                     part = tables_of(part)
                     assert len(set(part)) == len(part), (name, r)
                     assert sorted(part) == sorted(t for t in found if t[0] == act[r])
@@ -1382,7 +1468,7 @@ class TestTransversal:
                 t = trans[x]
                 return rank[tuple(t[table[x][t[y]]] for y in range(n))]
 
-            found = tables_of(_full_search(n, _Budget(10 ** 8)))
+            found = tables_of(full_search(n, _Budget(10 ** 8)))
             self.check(found, trans, pair_rank, n)
 
     def test_templates(self):
@@ -1394,7 +1480,7 @@ class TestTransversal:
                     for r, by in _automorphism_transporters(parts, act).items()
                     for s in by
                 })
-                found = tables_of(_template_search(parts, _Budget(10 ** 8), {}))
+                found = tables_of(template_search(parts, _Budget(10 ** 8)))
                 # row x is the translation by row[0], and t_x maps rows to
                 # themselves
                 self.check(found, act, lambda table, x: rank[table[x][0]], name)
