@@ -386,8 +386,8 @@ def _translation_rows(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     ]
 
 
-def _row_code(rows: Iterable[tuple[int, ...]]) -> dict:
-    """Each distinct row -> (the one tuple that stands for it, its code).
+def _row_code(rows: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], bytes]:
+    """Each distinct row -> its code.
 
     The code is the row's rank in sorted order, as big-endian bytes of one
     width that holds every rank, so a table's key, the codes of its rows
@@ -395,7 +395,7 @@ def _row_code(rows: Iterable[tuple[int, ...]]) -> dict:
     """
     distinct = sorted(set(rows))
     width = ((len(distinct) - 1).bit_length() + 7) // 8 or 1
-    return {row: (row, i.to_bytes(width, "big")) for i, row in enumerate(distinct)}
+    return {row: i.to_bytes(width, "big") for i, row in enumerate(distinct)}
 
 
 def _orbit_walk(
@@ -452,17 +452,18 @@ def _point_one_walk(stab: list[tuple], points: int, size: int) -> dict:
 
 def _group_search(
     act: list[tuple[int, ...]],
+    code: list[bytes],
     mul: Sequence[Sequence[int]],
     inv: list[int],
     carry: dict[int, tuple[list[tuple], list[tuple]]],
     trans: list[tuple],
     budget: _Budget,
-    rows: dict,
     found: dict[bytes, CycleSet],
 ) -> None:
     """Fill ``found`` with the tables whose rows lie in a permutation group.
 
-    ``act[e]`` is element e as a row on the points, ``mul[e][f]`` the element
+    ``act[e]`` is element e as a row on the points, ``code[e]`` that row's
+    code, as :func:`_row_code` gives it, ``mul[e][f]`` the element
     e o f (f first), ``inv[e]`` that of e^-1, and 0 is the identity.  There
     are n >= 2 points: :func:`brute_force_enumerate` answers n = 1 itself.
     A table is a map x -> a[x] with row x equal to ``act[a[x]]``, and the pair
@@ -532,22 +533,20 @@ def _group_search(
     ``back``, and r's walk, composed with the transversal, keeps each
     t_c o w's rows and codes pre-composed by one gather, rows_c[e] ==
     act[c[e]]: a carried table is back(at_a(rows_c)), where at_a gathers at
-    a, and its key is back(at_a(code_c)), joined.  ``rows`` maps each row to
-    its output tuple and its code, as :func:`_row_code` gives them, and
-    ``found`` keys to tables: a table is gathered and wrapped only if its
-    key is new, so the first copy is kept, with its leaf.  Let Y be the
-    points of a leaf whose pairs have r's rank.  A table carried by K_r's
-    f1, then by f, goes on by each t_c with c the least point of t_c(f(ys)),
-    ys == f1(Y): the c set in mask[y] (the c with t_c(y) >= c) at every y
-    of f(ys).  Each key lists per set ys the triples (back, rows_c, code_c)
-    it accepts over r's walk, so every table comes out once, from the least
-    c among its least-rank points.  Each table is wrapped with the
+    a, and its key is back(at_a(code_c)), joined.  ``found`` maps keys to
+    tables: a table is gathered and wrapped only if its key is new, so the
+    first copy is kept, with its leaf.  Let Y be the points of a leaf whose
+    pairs have r's rank.  A table carried by K_r's f1, then by f, goes on by
+    each t_c with c the least point of t_c(f(ys)), ys == f1(Y): the c set
+    in mask[y] (the c with t_c(y) >= c) at every y of f(ys).  Each key
+    lists per set ys the triples (back, rows_c, code_c) it accepts over r's
+    walk, so every table comes out once, from the least c among its
+    least-rank points.  Each table is wrapped with the
     :class:`cyclesets.cycleset._Leaf` of the leaf it was carried from.  A
     relabelling keeps the row group transitive or not, so each leaf's rows
     are walked once, by :func:`cyclesets.perm._orbit`, for the verdict that
     its tables share.
     """
-    act, code = zip(*map(rows.__getitem__, act))
     n, order = len(act[0]), len(act)  # points, elements
     root = list(range(n))
     off = [0] * n  # a[i] == a[root[i]] o off[i]
@@ -698,13 +697,15 @@ def _group_search(
 
 
 def _template_search(
-    parts: tuple[int, ...], budget: _Budget, rows: dict, found: dict[bytes, CycleSet]
+    parts: tuple[int, ...], act: list, code: list[bytes], budget: _Budget, found: dict
 ) -> None:
     """All row assignments from one regular template satisfying the axiom,
     filed in ``found`` with their search leaves by :func:`_group_search`.
 
-    ``rows`` maps each translation row to the one tuple and the code that
-    stand for it in every template of a call, as :func:`_row_code` gives.
+    ``act`` is the template's translation rows, as :func:`_translation_rows`
+    lists them, and ``code`` their codes, as :func:`_row_code` gives them;
+    the templates of a call share one tuple per distinct row, so their
+    tables share their equal rows.
 
     Points are labeled by the elements of G = Z/d_1 x ... x Z/d_k, so the
     translation rows are also G's composition table.  An automorphism alpha
@@ -725,7 +726,6 @@ def _template_search(
     transversal: the search keeps the tables whose least pair rank is at
     point 0, and carries each by the t_c it accepts.
     """
-    act = _translation_rows(parts)
     elems, index = _labelled(parts)
     gens = []
     for i, di in enumerate(parts):
@@ -742,7 +742,7 @@ def _template_search(
     carry = _orbit_walk(gens, len(act), len(act), 1, range(len(act)))
     trans = [(row, act[0]) for row in act]  # t_c, the identity on elements
     inv = [row.index(0) for row in act]
-    _group_search(act, act, inv, carry, trans, budget, rows, found)
+    _group_search(act, code, act, inv, carry, trans, budget, found)
 
 
 def _sym_table(n: int) -> tuple[list, dict, list[tuple[int, ...]], list[int]]:
@@ -793,7 +793,8 @@ def _full_search(n: int, budget: _Budget, found: dict[bytes, CycleSet]) -> None:
     carry = _orbit_walk(list(map(pair, stab)), n, len(perms), 1, range(len(perms)))
     swaps = [one] + [(c,) + one[1:c] + (0,) + one[c + 1:] for c in range(1, n)]
     trans = list(map(pair, swaps))
-    _group_search(perms, mul, inv, carry, trans, budget, _row_code(perms), found)
+    code = list(map(_row_code(perms).__getitem__, perms))
+    _group_search(perms, code, mul, inv, carry, trans, budget, found)
 
 
 def brute_force_enumerate(
@@ -852,14 +853,18 @@ def brute_force_enumerate(
     else:
         # the identity table lies in every template, so tables can repeat;
         # the templates share one tuple and one code per distinct row
-        templates = abelian_templates(n)
-        rows = _row_code(r for _, parts in templates for r in _translation_rows(parts))
-        for template, parts in templates:
+        templates, shared = abelian_templates(n), {}
+        acts = [
+            [shared.setdefault(row, row) for row in _translation_rows(parts)]
+            for _, parts in templates
+        ]
+        code = _row_code(shared)
+        for (template, parts), act in zip(templates, acts):
             budget.where = (
                 f" in template {template}, after {budget.used} expansions in "
                 "earlier templates"
             )
-            _template_search(parts, budget, rows, found)
+            _template_search(parts, act, [code[row] for row in act], budget, found)
     return [found[key] for key in sorted(found)]
 
 

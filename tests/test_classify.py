@@ -65,25 +65,52 @@ def tables_of(found) -> list[tuple]:
     return [X.table for X in found]
 
 
+class Filing(dict):
+    """The dict that one search files its tables in, keyed as the search
+    keys them, which also lists every key the search asks for again.  A
+    search files a table only if its key is new, so repeats never enter the
+    dict; :meth:`tables` shows them, so a search that finds a table twice
+    fails the checks that each table comes out once."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked, self.again = 0, []
+
+    def __contains__(self, key):
+        self.asked += 1
+        held = super().__contains__(key)
+        if held:
+            self.again.append(key)
+        return held
+
+    def tables(self) -> list[CycleSet]:
+        """Every table the search carried, in the order it filed them, then
+        the filed copy once more for each time it carried it again."""
+        # every table filed or dropped was asked for first
+        assert self.asked == len(self) + len(self.again)
+        return list(self.values()) + [self[key] for key in self.again]
+
+
 def template_search(parts, budget) -> list[CycleSet]:
-    """One template's search alone, its tables in the order it files them."""
-    found: dict = {}
-    _template_search(parts, budget, _row_code(_translation_rows(parts)), found)
-    return list(found.values())
+    """One template's search alone: every table it carries, repeats included."""
+    found, act = Filing(), _translation_rows(parts)
+    code = list(map(_row_code(act).__getitem__, act))
+    _template_search(parts, act, code, budget, found)
+    return found.tables()
 
 
 def full_search(n, budget) -> list[CycleSet]:
-    """The full search at n, its tables in the order it files them."""
-    found: dict = {}
+    """The full search at n: every table it carries, repeats included."""
+    found = Filing()
     _full_search(n, budget, found)
-    return list(found.values())
+    return found.tables()
 
 
 def group_search(act, mul, inv, carry, trans, budget) -> list[CycleSet]:
-    """One search over the group of ``act``, its tables in the order it files them."""
-    found: dict = {}
-    _group_search(act, mul, inv, carry, trans, budget, _row_code(act), found)
-    return list(found.values())
+    """A search over the group of ``act``: every table it carries, repeats included."""
+    found, code = Filing(), list(map(_row_code(act).__getitem__, act))
+    _group_search(act, code, mul, inv, carry, trans, budget, found)
+    return found.tables()
 
 
 def table_digest(tables) -> str:
@@ -611,9 +638,9 @@ class TestFullBruteForce:
         seen = []
         monkeypatch.setattr(classify_module, "_group_search", lambda *args: seen.append(args))
         _full_search(6, _Budget(1), {})
-        perms, rows = seen[0][0], seen[0][6]
-        assert len(perms) == len(rows) == 720
-        assert all(rows[p][0] is p for p in perms)
+        perms, codes = seen[0][0], seen[0][1]
+        assert len(perms) == len(codes) == 720
+        code = dict(zip(perms, codes))
         rng = random.Random(720)
         tables = [tuple(rng.choices(perms, k=6)) for _ in range(400)]
         for t in tables[:200]:
@@ -621,7 +648,7 @@ class TestFullBruteForce:
             tables.append(t[:5] + (perms[(e + 256) % 720],))
             tables.append(t[:5] + (perms[e - 256],))
         tables += tables[:100]  # equal tables
-        key = {t: b"".join(rows[row][1] for row in t) for t in tables}
+        key = {t: b"".join(map(code.__getitem__, t)) for t in tables}
         assert sorted(tables, key=key.__getitem__) == sorted(tables)
         assert len(set(key.values())) == len(set(tables)) == 800
         assert {len(k) for k in key.values()} == {12}
@@ -1301,7 +1328,7 @@ class TestOrbitWalk:
         # the carry that search hands to _group_search, which is not run
         seen = []
 
-        def capture(act, mul, inv, carry, trans, budget, rows, found):
+        def capture(act, code, mul, inv, carry, trans, budget, found):
             seen.append(carry)
 
         monkeypatch.setattr(classify_module, "_group_search", capture)
