@@ -25,7 +25,7 @@ from functools import reduce
 from operator import and_, itemgetter
 from typing import Container, Iterable, Optional, Sequence
 
-from .arith import factorize, is_prime, prime_power
+from .arith import factorize, is_prime
 from .construct import (
     CyclicBuildSpec,
     _offsets,
@@ -43,10 +43,10 @@ from .cycleset import (
     mpl,
     permutation_group,
 )
-from .errors import BudgetExceeded, HypothesesError, OracleDisagreement
+from .errors import BudgetExceeded, OracleDisagreement
 from .perm import PermGroup, _commute, _cycles, _inverse, _orbit, is_abelian, is_cyclic
 
-MODES = ("full-bruteforce", "regular-abelian-restricted", "spec-parameterized")
+MODES = ("full-bruteforce", "regular-abelian-restricted")
 
 FULL_MODE_MAX = 6
 RESTRICTED_MODE_MAX = 25
@@ -63,14 +63,16 @@ class SearchConfig:
     ``max_candidates`` bounds node expansions; exceeding it raises
     :class:`BudgetExceeded` rather than returning partial results.  The
     other drivers take the bound alone, as their ``max_candidates``.
+    ``mode`` is one of :data:`MODES`, the oracle's two searches; the spec
+    listing is built from :func:`enumerate_specs` and
+    :func:`build_prime_power`, not by the oracle.
     """
 
     max_candidates: int = 10 ** 8
     mode: str = "regular-abelian-restricted"
 
     def __post_init__(self):
-        if self.max_candidates <= 0:
-            raise ValueError("budget must be positive")
+        _Budget(self.max_candidates)  # the drivers' range check, at construction
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
@@ -810,23 +812,20 @@ def brute_force_enumerate(
     indecomposable cycle sets with abelian permutation group, up to
     relabeling.
 
-    spec-parameterized (prime powers only): the trivial shift plus the
-    structures built from every admissible spec.
+    Both modes answer n = 1 with the one-point table, without a search.
+    Above it, they run :func:`_group_search`, over the Cayley table of
+    Sym(n) or over each template group's translations, and cut the search
+    by the mode's whole relabelling group, Sym(n) or the template's affine
+    group; a size above the mode's limit raises ``ValueError`` before any
+    table.
 
-    Every mode answers n = 1 with the one-point table, without a search.
-    Above it, the full and restricted modes run :func:`_group_search`, over
-    the Cayley table of Sym(n) or over each template group's translations,
-    and cut the search by the mode's whole relabelling group, Sym(n) or the
-    template's affine group; a size above the mode's limit raises
-    ``ValueError`` before any table.
-
-    Results are sorted by table, so output is reproducible: the full and
-    restricted modes sort one key per table, made of the codes of
-    :func:`_row_code`, and a table that several templates find is the first
-    one's copy.  Each carries the leaf of the search it was carried from,
-    whose verdict :func:`is_indecomposable` returns without a walk and whose
-    one certificate :func:`dedupe_by_isomorphism` computes once.  Running
-    out of budget raises :class:`BudgetExceeded` naming the mode, n and, in
+    Results are sorted by table, so output is reproducible: both modes sort
+    one key per table, made of the codes of :func:`_row_code`, and a table
+    that several templates find is the first one's copy.  Each carries the
+    leaf of the search it was carried from, whose verdict
+    :func:`is_indecomposable` returns without a walk and whose one
+    certificate :func:`dedupe_by_isomorphism` computes once.  Running out of
+    budget raises :class:`BudgetExceeded` naming the mode, n and, in
     restricted mode, the template and the expansions of earlier templates.
     """
     if n < 1:
@@ -834,18 +833,10 @@ def brute_force_enumerate(
     cfg = config or SearchConfig()
     if n == 1:
         return [trivial_cycle_set(1)]
-    if cfg.mode == "spec-parameterized":
-        pk = prime_power(n)
-        if pk is None:
-            raise HypothesesError(
-                "spec-parameterized mode requires a prime-power size"
-            )
-        return sorted(_spec_family(*pk, cfg.max_candidates), key=lambda X: X.table)
     full = cfg.mode == "full-bruteforce"
-    if full and n > FULL_MODE_MAX:
-        raise ValueError(f"full mode supports n <= {FULL_MODE_MAX}")
-    if not full and n > RESTRICTED_MODE_MAX:
-        raise ValueError(f"restricted mode supports n <= {RESTRICTED_MODE_MAX}")
+    name, cap = ("full", FULL_MODE_MAX) if full else ("restricted", RESTRICTED_MODE_MAX)
+    if n > cap:
+        raise ValueError(f"{name} mode supports n <= {cap}")
     budget = _Budget(cfg.max_candidates, f"{cfg.mode} search at n = {n}")
     found: dict[bytes, CycleSet] = {}  # each table's key -> its first copy
     if full:

@@ -12,6 +12,7 @@ import os
 import sys
 
 from . import jsonio
+from .arith import prime_power
 from .classify import (
     FULL_MODE_MAX,
     RESTRICTED_MODE_MAX,
@@ -20,6 +21,7 @@ from .classify import (
     classify_cyclic_prime_power,
     classify_pq,
     _group_order_type,
+    _spec_family,
 )
 from .construct import (
     build_elementary_abelian,
@@ -40,7 +42,7 @@ from .cycleset import (
     is_square_free,
     to_solution,
 )
-from .errors import CycleSetError, FormatError, InvalidCycleSet
+from .errors import CycleSetError, FormatError, HypothesesError, InvalidCycleSet
 from .perm import Permutation, _inverse, format_cycles
 
 #: lemma2 prints p - 1 tables of length p (about 59 MB of RSS at 1009)
@@ -55,9 +57,9 @@ BUILD_MAX_N = 1024
 #: budget stops it
 CLASSIFY_MAX_N = 169
 
-#: each enumerate mode with its size cap; spec mode does the work of
-#: classify --k, and full mode at n = 6 takes about 5 s and 525,398
-#: expansions, while n = 7 would need a Cayley table of (7!)^2 entries
+#: each enumerate mode with its size cap; spec mode lists what classify --k
+#: dedupes, and full mode at n = 6 takes about 5 s and 525,398 expansions,
+#: while n = 7 would need a Cayley table of (7!)^2 entries
 _MODES = {
     "full": ("full-bruteforce", FULL_MODE_MAX),
     "regular-abelian": ("regular-abelian-restricted", RESTRICTED_MODE_MAX),
@@ -247,8 +249,14 @@ def _cmd_classify(args):
 def _cmd_enumerate(args):
     mode, cap = _MODES[args.mode]
     _check_size(f"enumerate --mode {args.mode}", cap, args.n)
-    config = SearchConfig(max_candidates=args.budget, mode=mode)
-    structures = brute_force_enumerate(args.n, config)
+    if args.mode != "spec":
+        structures = brute_force_enumerate(args.n, SearchConfig(args.budget, mode))
+    elif args.n == 1:
+        structures = [trivial_cycle_set(1)]
+    elif pk := prime_power(args.n):
+        structures = sorted(_spec_family(*pk, args.budget), key=lambda X: X.table)
+    else:
+        raise HypothesesError(f"{mode} mode requires a prime-power size")
     payload = {"n": args.n, "mode": mode, "count": len(structures)}
     if not args.count:
         payload["structures"] = [jsonio.cycleset_to_dict(X) for X in structures]

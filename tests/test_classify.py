@@ -13,7 +13,6 @@ from cyclesets import (
     ClassificationReport,
     CycleSet,
     CyclicBuildSpec,
-    HypothesesError,
     OracleDisagreement,
     SearchConfig,
     SpecError,
@@ -21,11 +20,13 @@ from cyclesets import (
     are_isomorphic,
     brute_force_enumerate,
     build_p2_level2,
+    build_prime_power,
     classify_cyclic_prime_power,
     classify_pq,
     dedupe_by_isomorphism,
     enumerate_specs,
     exponent_symmetry_check,
+    extract_spec,
     f_invariant,
     find_violations,
     group_type_of,
@@ -923,12 +924,32 @@ class TestPublishedTheorems:
 
     def test_prime_sizes_have_only_the_shift(self, full_census):
         # Etingof, Schedler and Soloviev (Duke Math. J. 100, 1999): an
-        # indecomposable cycle set of prime size p is the shift
-        for p in (2, 3, 5):
-            indecomposable = [X for X in full_census[p] if is_indecomposable(X)]
-            shift = trivial_cycle_set(p)
-            assert indecomposable, p
-            assert all(are_isomorphic(X, shift) is not None for X in indecomposable), p
+        # indecomposable cycle set of prime size p is the shift; on the full
+        # census up to 5 and the restricted census up to 23
+        censuses = [full_census[p] for p in (2, 3, 5)]
+        censuses += [brute_force_enumerate(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)]
+        for tables in censuses:
+            report = dedupe_by_isomorphism(X for X in tables if is_indecomposable(X))
+            (entry,) = report.classes
+            assert are_isomorphic(entry.witness, trivial_cycle_set(report.size)) is not None
+
+    def test_cyclic_classes_are_the_papers_family(self, census16):
+        # the paper's own claim: every indecomposable class with cyclic
+        # group and mpl >= 2 that the restricted oracle finds is a member of
+        # the prime-power family, all but the shift of the spec route's
+        expected = {4: 1, 8: 1, 9: 2, 16: 3, 25: 4}
+        for n, count in expected.items():
+            tables = census16 if n == 16 else brute_force_enumerate(n)
+            report = dedupe_by_isomorphism(X for X in tables if is_indecomposable(X))
+            witnesses = [
+                e.witness for e in report.classes
+                if e.group_type == "cyclic" and e.mpl >= 2
+            ]
+            for X in witnesses:
+                assert _certificate(build_prime_power(extract_spec(X))) == _certificate(X)
+            (p, k), = factorize(n).items()
+            assert len(witnesses) == count
+            assert len(classify_cyclic_prime_power(p, k).classes) == count + 1
 
     def test_abelian_row_groups_are_multipermutation(self, full_census, census16):
         # Cedo, Jespers and Okninski (Adv. Math. 224, 2010): a cycle set
@@ -975,7 +996,7 @@ class TestRestrictedBruteForce:
 
     @pytest.mark.parametrize("mode", classify_module.MODES)
     def test_one_point_needs_no_search(self, monkeypatch, mode):
-        # every mode answers n = 1 before any search, within a budget of 1
+        # both modes answer n = 1 before any search, within a budget of 1
         def no_search(*args):
             raise AssertionError("n = 1 reached the search")
 
@@ -1216,13 +1237,6 @@ class TestRestrictedBruteForce:
                         )
                         assert moved in found
                 assert relabel(CycleSet(table), f).table == moved
-
-    def test_spec_parameterized_mode(self):
-        found = brute_force_enumerate(4, SearchConfig(mode="spec-parameterized"))
-        assert len(found) == 2  # the shift plus the single admissible spec
-        with pytest.raises(HypothesesError):
-            brute_force_enumerate(6, SearchConfig(mode="spec-parameterized"))
-        assert len(brute_force_enumerate(1, SearchConfig(mode="spec-parameterized"))) == 1
 
 
 def transitive_by_walk(table) -> bool:
@@ -1790,17 +1804,13 @@ class TestBudgetMessages:
         (lambda: classify_pq(3, 3, max_candidates=20, cross_check=True),
          "regular-abelian-restricted search at n = 9 used up its budget of 20 "
          "expansions in template Z/9, after 0 expansions in earlier templates"),
-        (lambda: brute_force_enumerate(
-            8, SearchConfig(max_candidates=3, mode="spec-parameterized")),
-         "spec enumeration at (p, k) = (2, 3) used up its budget of 3 expansions "
-         "while lifting exponent chain (3, 2, 0) at size 2^3"),
         (lambda: brute_force_enumerate(8, SearchConfig(max_candidates=1)),
          "regular-abelian-restricted search at n = 8 used up its budget of 1 "
          "expansions in template Z/8, after 0 expansions in earlier templates"),
         (lambda: brute_force_enumerate(
             4, SearchConfig(max_candidates=5, mode="full-bruteforce")),
          "full-bruteforce search at n = 4 used up its budget of 5 expansions"),
-    ], ids=["cyclic-prime-power", "pq", "spec-mode", "restricted-mode", "full-mode"])
+    ], ids=["cyclic-prime-power", "pq", "restricted-mode", "full-mode"])
     def test_message_is_raised_once(self, call, message):
         with pytest.raises(BudgetExceeded) as err:
             call()
@@ -1814,6 +1824,14 @@ class TestSearchConfig:
             SearchConfig(max_candidates=0)
         with pytest.raises(ValueError):
             SearchConfig(mode="nonsense")
+
+    def test_the_oracle_has_two_modes(self):
+        # the spec listing is the spec route's, built by the CLI's
+        # enumerate --mode spec, not a mode of the oracle
+        assert classify_module.MODES == ("full-bruteforce", "regular-abelian-restricted")
+        with pytest.raises(ValueError) as err:
+            SearchConfig(mode="spec-parameterized")
+        assert str(err.value) == f"mode must be one of {classify_module.MODES}"
 
     @pytest.mark.parametrize("call", [
         lambda budget: enumerate_specs(3, 2, max_candidates=budget),

@@ -627,9 +627,23 @@ class TestClassifyAndEnumerate:
         assert payload["count"] == 20
         assert "structures" not in payload
 
+    def test_enumerate_spec_mode(self, capsys):
+        # the shift plus the single admissible spec
+        code, payload, _ = run_json(capsys, "enumerate", "4", "--mode", "spec")
+        assert code == 0 and payload["count"] == len(payload["structures"]) == 2
+
     def test_enumerate_spec_mode_rejects_non_prime_power(self, capsys):
-        code, payload, _ = run_json(capsys, "enumerate", "6", "--mode", "spec")
-        assert code == 1 and "error" in payload
+        code, out, err = run(capsys, "enumerate", "6", "--mode", "spec")
+        assert (code, err) == (1, "")
+        assert out == '{"error":"spec-parameterized mode requires a prime-power size"}\n'
+
+    def test_enumerate_spec_mode_budget_message(self, capsys):
+        code, out, err = run(capsys, "enumerate", "8", "--mode", "spec", "--budget", "3")
+        assert (code, err) == (1, "")
+        assert out == (
+            '{"error":"spec enumeration at (p, k) = (2, 3) used up its budget of 3 '
+            'expansions while lifting exponent chain (3, 2, 0) at size 2^3"}\n'
+        )
 
     @pytest.mark.parametrize("n,mode,cap", [
         ("170", "spec", 169),
@@ -643,9 +657,10 @@ class TestClassifyAndEnumerate:
         def no_work(*args, **kwargs):
             raise AssertionError("enumerate ran past its size cap")
 
-        for name in ("_spec_family", "_group_search", "_sym_table", "_full_search",
-                     "_template_search", "prime_power"):
+        for name in ("_group_search", "_sym_table", "_full_search", "_template_search"):
             monkeypatch.setattr(classify_module, name, no_work)
+        for name in ("_spec_family", "prime_power", "brute_force_enumerate"):
+            monkeypatch.setattr(cli_module, name, no_work)
         code, out, err = run(capsys, "enumerate", n, "--mode", mode, "--count")
         assert code == 2 and out == ""
         assert f"at most {cap} points" in err
