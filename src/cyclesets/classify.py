@@ -401,7 +401,12 @@ def _row_code(rows: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], bytes]:
 
 
 def _orbit_walk(
-    gens: list[tuple], points: int, size: int, side: int = 1, stabilise: Container = ()
+    gens: list[tuple],
+    points: int,
+    size: int,
+    side: int = 1,
+    stabilise: Container = (),
+    roots: Optional[Iterable[int]] = None,
 ) -> dict[int, tuple[list[tuple], list[tuple]]]:
     """Orbits of the group that ``gens`` generate, with transporters and stabilisers.
 
@@ -415,11 +420,14 @@ def _orbit_walk(
     g takes a walked s to a walked t, u_t^-1 o g o u_s fixes r; these
     Schreier generators generate the stabiliser of r, and stab keeps one
     per f other than the identity, for each r in ``stabilise`` (none by default).
+    Given ``roots``, least members as :func:`_orbit_roots` gives them, only
+    their orbits are walked, each exactly as a walk of every orbit, the
+    default, walks it.
     """
     identity = (tuple(range(points)), tuple(range(size)))
     at: dict[int, tuple] = {}
     out = {}
-    for r in range((points, size)[side]):
+    for r in range((points, size)[side]) if roots is None else roots:
         if r in at:
             continue
         at[r] = identity
@@ -442,14 +450,33 @@ def _orbit_walk(
     return out
 
 
-def _point_one_walk(stab: list[tuple], points: int, size: int) -> dict:
-    """The orbit walk on the elements of K_r, from generators of Stab(r).
+def _point_one_walk(stab: list[tuple], points: int, size: int) -> list[tuple]:
+    """Generators of K_r, from generators of Stab(r).
 
     ``stab`` generates the stabiliser of an element r, as :func:`_orbit_walk`
     gives it, and K_r is its stabiliser of point 1: the Schreier generators
-    of point 1's orbit walk on the points, the one stabiliser either walk builds.
+    of point 1's orbit walk on the points, the one stabiliser that walk builds.
     """
-    return _orbit_walk(_orbit_walk(stab, points, size, 0, (1,))[1][1], points, size)
+    return _orbit_walk(stab, points, size, 0, (1,))[1][1]
+
+
+def _orbit_roots(gens: list[tuple], size: int) -> list[int]:
+    """The least member of each orbit on the elements, in increasing order.
+
+    The orbits are those of :func:`_orbit_walk` on side 1, labelled through
+    the generators' element maps alone, with no transporter built.
+    """
+    maps, seen, roots = [c for _, c in gens], bytearray(size), []
+    for r in range(size):
+        if not seen[r]:
+            roots.append(r)
+            seen[r], orbit = 1, [r]
+            for s in orbit:  # the loop also visits the members appended
+                for c in maps:
+                    if not seen[c[s]]:
+                        seen[c[s]] = 1
+                        orbit.append(c[s])
+    return roots
 
 
 def _group_search(
@@ -505,11 +532,12 @@ def _group_search(
     with act[c[e]] == f o act[e] o f^-1, so a solution a goes to the one
     with c[a[x]] at f(x).  A loop runs one search per key r, with a[0] == r.
     No pair constraint has run once a[0] is set, so the next branch is at
-    point 1, and a[1] ranges only over the keys of K_r's walk, which the
-    loop builds first, by :func:`_point_one_walk`: one per orbit of K_r, the
-    pairs that fix r and point 1.  A stabiliser chain at every branch point
-    cut the expansions further, but its work at each node made it no faster,
-    so the reduction stops at point 1.
+    point 1, and a[1] ranges only over the least member of each orbit of
+    K_r, the pairs that fix r and point 1: the loop takes K_r's generators
+    from :func:`_point_one_walk` and labels its orbits by
+    :func:`_orbit_roots`, with no transporter built.  A stabiliser chain at
+    every branch point cut the expansions further, but its work at each node
+    made it no faster, so the reduction stops at point 1.
 
     ``trans`` is a transversal: pairs t_c == (g, c) like those of the
     carry, with g(0) == c (t_0 the identity), which with the carry's pairs,
@@ -522,13 +550,15 @@ def _group_search(
     a[0] == r, a candidate whose pair ranks below r's is dropped, and the
     search finds the tables whose least pair rank is at point 0.  Under the
     identity's key every pair must be the identity's own, which leaves the
-    identity table alone, so its point 1 is keyed on every element, with no
-    orbit walk of its K_r.
+    identity table alone, so its K_r gets no generators, and every element
+    is its own key at point 1.
 
-    The search records only each leaf's assignment a, which the loop then
-    carries by every pair of K_r's walk for its a[1], then by every pair of
-    r's walk.  When each walk lists its orbit once and the orbits cover the
-    group, at both levels, that is a bijection onto all the solutions: the
+    The search records only each leaf's assignment a.  The loop then walks
+    K_r only from the roots that some leaf's a[1] is, as the walk of every
+    orbit would, and carries each leaf by every pair of the walk for its
+    a[1], then by every pair of r's walk.  When each walk lists its orbit
+    once and the orbits cover the group, at both levels, that is a
+    bijection onto all the solutions: the
     output is complete and free of repeats, and the budget counts the
     expansions of the reduced search.  A pair (f, c) moves a to the map
     y -> c[a[f^-1(y)]], so every walk keeps f^-1 as an ``itemgetter``,
@@ -660,14 +690,16 @@ def _group_search(
     wrap, join = CycleSet._trusted, b"".join
     for r, (walk, stab) in carry.items():
         leaves: list[tuple[int, ...]] = []  # the assignments of r's leaves
-        keys[0], keys[1] = (r,), _point_one_walk(stab if r else [], n, order)
+        gens = _point_one_walk(stab, n, order) if r else []
+        keys[0], keys[1] = (r,), _orbit_roots(gens, order)
         low = rank[r]
         dfs(low)
-        # carry by K_r's pairs for a[1], then by r's, then by the t_c that
-        # the least points of the least rank accept
+        # carry by K_r's pairs for a[1], walked only where a leaf lands, then
+        # by r's, then by the t_c that the least points of the least rank accept
+        reached = _orbit_walk(gens, n, order, roots=(a[1] for a in leaves))
         inner = {
             s: [(f, itemgetter(*_inverse(f)), c) for f, c in w]
-            for s, (w, _) in keys[1].items()
+            for s, (w, _) in reached.items()
         }
         outer = [
             (f, [

@@ -58,8 +58,9 @@ BUILD_MAX_N = 1024
 CLASSIFY_MAX_N = 169
 
 #: each enumerate mode with its size cap; spec mode lists what classify --k
-#: dedupes, and full mode at n = 6 takes about 5 s and 525,398 expansions,
-#: while n = 7 would need a Cayley table of (7!)^2 entries
+#: dedupes, and full mode at n = 6 takes about 1 s and 525,398 expansions
+#: to count (about 2.2 s and 134 MB of RSS to print its tables), while n = 7
+#: would need a Cayley table of (7!)^2 entries
 _MODES = {
     "full": ("full-bruteforce", FULL_MODE_MAX),
     "regular-abelian": ("regular-abelian-restricted", RESTRICTED_MODE_MAX),

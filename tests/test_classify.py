@@ -19,6 +19,7 @@ from cyclesets import (
     abelian_templates,
     are_isomorphic,
     brute_force_enumerate,
+    build_elementary_abelian,
     build_p2_level2,
     build_prime_power,
     classify_cyclic_prime_power,
@@ -31,6 +32,7 @@ from cyclesets import (
     find_violations,
     group_type_of,
     is_indecomposable,
+    is_nondegenerate,
     is_square_free,
     mpl,
     permutation_group,
@@ -48,6 +50,7 @@ from cyclesets.classify import (
     _full_search,
     _group_order_type,
     _group_search,
+    _orbit_roots,
     _orbit_walk,
     _point_one_walk,
     _require_matching,
@@ -541,20 +544,66 @@ def census16():
     return brute_force_enumerate(16)
 
 
+class SearchWork:
+    """The work of the oracle searches run while it is installed: the
+    budgets they make, the leaf records they make, and the K_r transporter
+    pairs that the loop of ``_group_search`` builds (its side-1 walks with
+    no stabiliser; the carry's own walks keep stabilisers)."""
+
+    def __init__(self, monkeypatch):
+        self.budgets, self.leaves, self.built = [], 0, 0
+        walk, budget, leaf = classify_module._orbit_walk, _Budget, _Leaf
+
+        def walking(gens, points, size, side=1, stabilise=(), roots=None):
+            out = walk(gens, points, size, side, stabilise, roots)
+            if side == 1 and not stabilise:
+                self.built += sum(len(pairs) for pairs, _ in out.values())
+            return out
+
+        def budgeting(*args):
+            self.budgets.append(budget(*args))
+            return self.budgets[-1]
+
+        def recording(transitive):
+            self.leaves += 1
+            return leaf(transitive)
+
+        monkeypatch.setattr(classify_module, "_orbit_walk", walking)
+        monkeypatch.setattr(classify_module, "_Budget", budgeting)
+        monkeypatch.setattr(classify_module, "_Leaf", recording)
+
+    @property
+    def expansions(self) -> int:
+        return self.budgets[-1].used  # the search's; its config's comes first
+
+
+@pytest.fixture(scope="module")
+def census6():
+    """Full-mode output at n = 6, searched once per module, with the
+    :class:`SearchWork` of its search."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        work = SearchWork(monkeypatch)
+        out = brute_force_enumerate(6, SearchConfig(mode="full-bruteforce"))
+    return out, work
+
+
 class TestFullBruteForce:
     def test_counts(self, full_census):
         counts = {n: len(found) for n, found in full_census.items()}
         assert counts == {1: 1, 2: 2, 3: 12, 4: 168, 5: 2640}
 
     # (labeled tables, isomorphism classes, indecomposable classes) for
-    # n = 1..5: Etingof-Schedler-Soloviev (1999); Akgun-Mereb-Vendramin
+    # n = 1..6: Etingof-Schedler-Soloviev (1999); Akgun-Mereb-Vendramin
     # (arXiv:2008.04483)
-    PUBLISHED = ((1, 1, 1), (2, 2, 1), (12, 5, 1), (168, 23, 5), (2640, 88, 1))
+    PUBLISHED = (
+        (1, 1, 1), (2, 2, 1), (12, 5, 1), (168, 23, 5), (2640, 88, 1), (82080, 595, 10),
+    )
 
-    def test_published_census(self, full_census):
+    def test_published_census(self, full_census, census6):
+        censuses = {**full_census, 6: census6[0]}
         for n, (labeled, classes, indecomposable) in enumerate(self.PUBLISHED, 1):
-            report = dedupe_by_isomorphism(full_census[n])
-            assert len(full_census[n]) == labeled, n
+            report = dedupe_by_isomorphism(censuses[n])
+            assert len(censuses[n]) == labeled, n
             assert len(report.classes) == classes, n
             assert sum(is_indecomposable(e.witness) for e in report.classes) == (
                 indecomposable
@@ -562,6 +611,14 @@ class TestFullBruteForce:
             assert sum(e.raw_count for e in report.classes) == labeled, n
             # orbit-stabiliser: a class has n! / |Aut(X)| labeled members
             assert all(factorial(n) % e.raw_count == 0 for e in report.classes), n
+
+    def test_search_work_at_six(self, census6):
+        # pinned: the expansions, leaf records and K_r transporter pairs of
+        # the search (13,680 pairs when every orbit of every K_r was walked)
+        out, work = census6
+        assert (len(out), work.expansions, work.leaves, work.built) == (
+            82080, 525398, 2053, 186,
+        )
 
     def test_output_closed_under_relabeling(self, full_census):
         for n in range(1, 5):
@@ -960,6 +1017,32 @@ class TestPublishedTheorems:
         abelian = [X for X in tables if _commute(list(dict.fromkeys(X.table)))]
         assert len(tables) - len(abelian) == 684  # the converse fails at n = 4
         assert all(mpl(X) is not None for X in abelian)
+
+    def test_square_free_tables_decompose_at_six(self, census6):
+        # Rump's theorem, as above, on the full census at n = 6
+        square_free = [X for X in census6[0] if is_square_free(X)]
+        assert len(square_free) == 7680
+        assert not any(map(is_indecomposable, square_free))
+
+    def test_abelian_row_groups_are_multipermutation_at_six(self, census6):
+        # Cedo, Jespers and Okninski's theorem, as above, on the full census
+        # at n = 6, one table per search leaf
+        tables = {X._leaf: X for X in census6[0]}.values()
+        abelian = [X for X in tables if _commute(list(dict.fromkeys(X.table)))]
+        assert (len(tables), len(tables) - len(abelian)) == (2053, 606)
+        assert all(mpl(X) is not None for X in abelian)
+
+    def test_constructions_are_nondegenerate(self):
+        # Rump (Adv. Math. 193, 2005): a finite cycle set is non-degenerate.
+        # The search assumes it, so it is checked on the constructions: the
+        # spec family at every prime power up to 2^7, 3^4, 5^3 and 13^2, and
+        # the p^2 builders for p <= 13
+        sizes = {2: range(2, 8), 3: range(2, 5), 5: (2, 3), 7: (2,), 11: (2,), 13: (2,)}
+        tables = [X for p, ks in sizes.items() for k in ks for X in _spec_family(p, k)]
+        tables += [build_p2_level2(p, t) for p in sizes for t in range(1, p)]
+        tables += map(build_elementary_abelian, sizes)
+        assert len(tables) == 205
+        assert all(map(is_nondegenerate, tables))
 
 
 class TestRestrictedBruteForce:
@@ -1408,7 +1491,7 @@ class TestOrbitWalk:
                 carry = self.carry_of(monkeypatch, template_search, parts)
                 for r in carry:
                     k_r = {alpha for alpha in auts if alpha[r] == r and alpha[1] == 1}
-                    inner = _point_one_walk(carry[r][1], n, n)
+                    inner = _orbit_walk(_point_one_walk(carry[r][1], n, n), n, n)
                     self.check_inner(
                         inner, lambda s: {alpha[s] for alpha in k_r}, r, n, (name, r)
                     )
@@ -1426,12 +1509,62 @@ class TestOrbitWalk:
                     for i, f in enumerate(perms)
                     if f[:2] == (0, 1) and mul[i][r] == mul[r][i]
                 }
-                inner = _point_one_walk(carry[r][1], n, len(perms))
+                gens = _point_one_walk(carry[r][1], n, len(perms))
+                inner = _orbit_walk(gens, n, len(perms))
                 self.check_inner(
                     inner, lambda s: {c[s] for c in conj.values()}, r, len(perms), (n, r)
                 )
                 for pairs, _ in inner.values():
                     assert all(conj.get(index[f]) == c for f, c in pairs), (n, r)
+
+    @classmethod
+    def point_one_generators(cls, monkeypatch):
+        # (where, n, elements, generators of K_r) for every key r of every
+        # template up to 25 and of full mode up to 5, and no generators, as
+        # under the identity's key, where every element is its own key
+        for n in range(2, 26):
+            for name, parts in abelian_templates(n):
+                carry = cls.carry_of(monkeypatch, template_search, parts)
+                for r, (_, stab) in carry.items():
+                    yield (name, r), n, n, _point_one_walk(stab, n, n)
+        for n in range(2, 6):
+            size = factorial(n)
+            carry = cls.carry_of(monkeypatch, full_search, n)
+            for r, (_, stab) in carry.items():
+                yield (n, r), n, size, _point_one_walk(stab, n, size)
+            yield (n, None), n, size, []
+
+    def test_roots_are_the_walks_keys(self, monkeypatch):
+        # the labelling that keys point 1 finds the least member of each
+        # orbit, in order, as the walk over the same generators does
+        for where, n, size, gens in self.point_one_generators(monkeypatch):
+            assert _orbit_roots(gens, size) == list(_orbit_walk(gens, n, size)), where
+
+    def test_walk_from_some_roots(self, monkeypatch):
+        # a walk from some of the roots, in any order and with repeats, holds
+        # the whole walk's entries for those roots: the same pairs, in the
+        # same order, so a carry that walks only where a leaf lands is the same
+        rng = random.Random(40)
+        for where, n, size, gens in self.point_one_generators(monkeypatch):
+            whole = _orbit_walk(gens, n, size)
+            some = rng.sample(list(whole), (len(whole) + 1) // 2)
+            part = _orbit_walk(gens, n, size, roots=some + some[:1])
+            assert list(part) == list(dict.fromkeys(some)), where
+            assert all(part[r] == whole[r] for r in some), where
+
+    def test_walks_only_where_a_leaf_lands(self, monkeypatch):
+        # pinned: the K_r transporter pairs that a search builds, 1,440 at
+        # full n = 5 and 320 at n = 16 when every orbit of every K_r was
+        # walked, next to its expansions and leaf records, which that cut
+        # leaves as they were
+        for n, mode, pinned in (
+            (5, "full-bruteforce", (59, 7870, 140)),
+            (16, "regular-abelian-restricted", (116, 31916, 4520)),
+        ):
+            with monkeypatch.context() as patch:
+                work = SearchWork(patch)
+                brute_force_enumerate(n, SearchConfig(mode=mode))
+            assert (work.built, work.expansions, work.leaves) == pinned, n
 
     def test_point_one_is_the_second_branch(self, monkeypatch):
         # a[1] is keyed on the orbits of K_r, so the second branch must be at
