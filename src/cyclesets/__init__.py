@@ -10,9 +10,6 @@ from .classify import (
     AUTO_CROSS_CHECK_MAX,
     ClassEntry,
     ClassificationReport,
-    SearchConfig,
-    abelian_templates,
-    brute_force_enumerate,
     classify_cyclic_prime_power,
     classify_pq,
     dedupe_by_isomorphism,
@@ -66,6 +63,7 @@ from .errors import (
     SpecError,
     TableError,
 )
+from .oracle import SearchConfig, abelian_templates, brute_force_enumerate
 from .perm import (
     PermGroup,
     Permutation,
@@ -78,4 +76,5 @@ from .perm import (
     parse_permutation,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# ``oracle`` stays out, so that ``import *`` binds the same names as before it split off
+__all__ = [name for name in dir() if not name.startswith("_") and name != "oracle"]

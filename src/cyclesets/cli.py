@@ -14,10 +14,6 @@ import sys
 from . import jsonio
 from .arith import prime_power
 from .classify import (
-    FULL_MODE_MAX,
-    RESTRICTED_MODE_MAX,
-    SearchConfig,
-    brute_force_enumerate,
     classify_cyclic_prime_power,
     classify_pq,
     _group_order_type,
@@ -43,6 +39,9 @@ from .cycleset import (
     to_solution,
 )
 from .errors import CycleSetError, FormatError, HypothesesError, InvalidCycleSet
+from .oracle import (
+    FULL_MODE_MAX, RESTRICTED_MODE_MAX, SearchConfig, brute_force_enumerate,
+)
 from .perm import Permutation, _inverse, format_cycles
 
 #: lemma2 prints p - 1 tables of length p (about 59 MB of RSS at 1009)

@@ -1,12 +1,15 @@
+import ast
 import hashlib
 import itertools
 import json
 import random
 from math import factorial, gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import cyclesets
 from cyclesets import (
     BudgetExceeded,
     ClassEntry,
@@ -43,21 +46,20 @@ from cyclesets import (
 )
 from cyclesets import classify as classify_module
 from cyclesets import cycleset as cycleset_module
+from cyclesets import oracle as oracle_module
 from cyclesets.arith import factorize
 from cyclesets.cycleset import _Leaf, _certificate
-from cyclesets.classify import (
+from cyclesets.classify import _group_order_type, _require_matching, _spec_family
+from cyclesets.oracle import (
     _Budget,
-    _full_search,
-    _group_order_type,
+    _Group,
+    _abelian,
     _group_search,
     _orbit_roots,
     _orbit_walk,
-    _point_one_walk,
-    _require_matching,
     _row_code,
-    _spec_family,
     _sym_table,
-    _template_search,
+    _symmetric,
     _translation_rows,
 )
 from cyclesets.jsonio import report_to_dict
@@ -95,25 +97,30 @@ class Filing(dict):
         return list(self.values()) + [self[key] for key in self.again]
 
 
+def abelian(parts) -> _Group:
+    """The group record of one template, searched alone."""
+    act = _translation_rows(parts)
+    return _abelian(parts, act, _row_code(act))
+
+
 def template_search(parts, budget) -> list[CycleSet]:
     """One template's search alone: every table it carries, repeats included."""
-    found, act = Filing(), _translation_rows(parts)
-    code = list(map(_row_code(act).__getitem__, act))
-    _template_search(parts, act, code, budget, found)
+    found = Filing()
+    _group_search(abelian(parts), budget, found)
     return found.tables()
 
 
 def full_search(n, budget) -> list[CycleSet]:
     """The full search at n: every table it carries, repeats included."""
     found = Filing()
-    _full_search(n, budget, found)
+    _group_search(_symmetric(n), budget, found)
     return found.tables()
 
 
 def group_search(act, mul, inv, carry, trans, budget) -> list[CycleSet]:
     """A search over the group of ``act``: every table it carries, repeats included."""
     found, code = Filing(), list(map(_row_code(act).__getitem__, act))
-    _group_search(act, code, mul, inv, carry, trans, budget, found)
+    _group_search(_Group(act, code, mul, inv, carry, trans), budget, found)
     return found.tables()
 
 
@@ -432,8 +439,8 @@ def tuple_full_search(n, budget):
     pointwise, a pair with one unset point forces that point's row, and a
     pair with two unset points waits on the lesser one.  Its Stab(0) orbits
     come from ``_stabilizer_transporters``, not from the library's orbit walk,
-    and ``_full_search`` searches a different tree, so the two are compared
-    as sets of tables.
+    and the search over ``_symmetric(n)`` has a different tree, so the two
+    are compared as sets of tables.
     """
     perms = list(itertools.permutations(range(n)))
     shared = {p: p for p in perms}
@@ -552,9 +559,9 @@ class SearchWork:
 
     def __init__(self, monkeypatch):
         self.budgets, self.leaves, self.built = [], 0, 0
-        walk, budget, leaf = classify_module._orbit_walk, _Budget, _Leaf
+        walk, budget, leaf = oracle_module._orbit_walk, _Budget, _Leaf
 
-        def walking(gens, points, size, side=1, stabilise=(), roots=None):
+        def walking(gens, points, size, side=1, stabilise=False, roots=None):
             out = walk(gens, points, size, side, stabilise, roots)
             if side == 1 and not stabilise:
                 self.built += sum(len(pairs) for pairs, _ in out.values())
@@ -568,9 +575,9 @@ class SearchWork:
             self.leaves += 1
             return leaf(transitive)
 
-        monkeypatch.setattr(classify_module, "_orbit_walk", walking)
-        monkeypatch.setattr(classify_module, "_Budget", budgeting)
-        monkeypatch.setattr(classify_module, "_Leaf", recording)
+        monkeypatch.setattr(oracle_module, "_orbit_walk", walking)
+        monkeypatch.setattr(oracle_module, "_Budget", budgeting)
+        monkeypatch.setattr(oracle_module, "_Leaf", recording)
 
     @property
     def expansions(self) -> int:
@@ -643,7 +650,7 @@ class TestFullBruteForce:
     def test_reduced_node_counts(self):
         # row 0 ranges over one value per Stab(0)-orbit; unreduced, the
         # row-by-row reference expanded 106 / 9,546 / 4,228,212 nodes.
-        # Pinned: the reduced reference's expansions, then _full_search's,
+        # Pinned: the reduced reference's expansions, then the full search's,
         # where row 1 also ranges over one value per orbit of the
         # stabiliser of row 0 and point 1 (1,398 / 83,501 at n = 4 / 5
         # with the reduction at row 0 alone), and a candidate whose square
@@ -688,15 +695,13 @@ class TestFullBruteForce:
             assert sorted(found) == sorted(expected), n
             assert budget.used == nodes, n
 
-    def test_keys_wider_than_one_byte(self, monkeypatch):
-        # the codes that the full search at n = 6 is handed, for its 720
-        # rows, without running it: joined, they must sort and equate
-        # random tables as the tables themselves do, tables a row apart by
-        # 256 ranks included, which a one-byte code would confuse
-        seen = []
-        monkeypatch.setattr(classify_module, "_group_search", lambda *args: seen.append(args))
-        _full_search(6, _Budget(1), {})
-        perms, codes = seen[0][0], seen[0][1]
+    def test_keys_wider_than_one_byte(self):
+        # the codes of the full search's group at n = 6, for its 720 rows:
+        # joined, they must sort and equate random tables as the tables
+        # themselves do, tables a row apart by 256 ranks included, which a
+        # one-byte code would confuse
+        group = _symmetric(6)
+        perms, codes = group.act, group.code
         assert len(perms) == len(codes) == 720
         code = dict(zip(perms, codes))
         rng = random.Random(720)
@@ -828,7 +833,7 @@ def abelian_template_search(parts, budget):
 
     It adds offsets with the translation rows, in whichever order comes
     first, which only an abelian group allows, and branches on the first
-    free point in index order; ``_template_search`` branches on the largest
+    free point in index order; the library's search branches on the largest
     class without a value, so the two trees differ but the tables do not.
 
     All row assignments from one regular template satisfying the axiom.
@@ -1032,6 +1037,49 @@ class TestPublishedTheorems:
         assert (len(tables), len(tables) - len(abelian)) == (2053, 606)
         assert all(mpl(X) is not None for X in abelian)
 
+    def test_square_free_sizes_are_multipermutation(self, full_census, census6):
+        # Cedo and Okninski (Adv. Math. 430, 2023, as recalled here, and
+        # checked here by the oracle): an indecomposable cycle set of
+        # square-free size has a multipermutation level.  On the full census
+        # at 2, 3, 5 and 6, one table per search leaf at 6, and on the
+        # restricted census at every composite square-free size up to 22
+        tables = [X for n in (2, 3, 5) for X in full_census[n] if is_indecomposable(X)]
+        six = {X._leaf: X for X in census6[0] if is_indecomposable(X)}.values()
+        assert sorted(map(mpl, six)) == [1] + [2] * 9
+        for n in (6, 10, 14, 15, 21, 22):
+            restricted = [X for X in brute_force_enumerate(n) if is_indecomposable(X)]
+            tables += {X._leaf: X for X in restricted}.values()
+        assert len(tables) == 1 + 2 + 24 + 6
+        assert all(mpl(X) is not None for X in tables)
+
+    # (class count by mpl, raw spec count) of the spec route at each (p, k)
+    # that the test below builds, as measured; where a rule is noted below,
+    # the entry is checked against it too
+    SPEC_ROUTE = {
+        (2, 2): ((1, 1), 1), (2, 3): ((1, 1), 1), (2, 4): ((1, 3), 3),
+        (2, 5): ((1, 3, 2), 7), (2, 6): ((1, 7, 2), 15), (2, 7): ((1, 7, 4, 2), 31),
+        (3, 2): ((1, 2), 2), (3, 3): ((1, 2, 2), 8), (3, 4): ((1, 8, 0, 2), 26),
+        (5, 2): ((1, 4), 4), (5, 3): ((1, 4, 4), 24), (7, 2): ((1, 6), 6),
+        (11, 2): ((1, 10), 10), (13, 2): ((1, 12), 12),
+    }
+
+    def test_spec_route_counts(self):
+        # Observations, not theorems: the class count of the spec route is
+        # C(p, k) = p^(k // 2) + p^(ceil(k / 2) - 1) - 1, one less for p = 2
+        # from k = 3; the raw spec count is p^(k - 1) - 1, but 2^(k - 2) - 1
+        # for p = 2 from k = 3 ((2, 2) has 1 spec); the split by mpl is
+        # 1, p - 1 at k = 2 and 1, p - 1, p - 1 at odd p^3
+        for (p, k), (split, specs) in self.SPEC_ROUTE.items():
+            classes = p ** (k // 2) + p ** ((k + 1) // 2 - 1) - 1 - (p == 2 and k >= 3)
+            raw = 2 ** (k - 2) - 1 if p == 2 and k >= 3 else p ** (k - 1) - 1
+            report = classify_cyclic_prime_power(p, k)
+            levels = [e.mpl for e in report.classes]
+            got = tuple(levels.count(m) for m in range(1, max(levels) + 1))
+            assert (len(report.classes), got) == (classes, split), (p, k)
+            assert len(enumerate_specs(p, k)) == specs == raw, (p, k)
+            if k == 2 or (k == 3 and p > 2):
+                assert split == (1,) + (p - 1,) * (k - 1), (p, k)
+
     def test_constructions_are_nondegenerate(self):
         # Rump (Adv. Math. 193, 2005): a finite cycle set is non-degenerate.
         # The search assumes it, so it is checked on the constructions: the
@@ -1077,13 +1125,13 @@ class TestRestrictedBruteForce:
         assert abelian_templates(1) == [("Z/1", (1,))]
         assert brute_force_enumerate(1) == [CycleSet([[0]])]
 
-    @pytest.mark.parametrize("mode", classify_module.MODES)
+    @pytest.mark.parametrize("mode", oracle_module.MODES)
     def test_one_point_needs_no_search(self, monkeypatch, mode):
         # both modes answer n = 1 before any search, within a budget of 1
         def no_search(*args):
             raise AssertionError("n = 1 reached the search")
 
-        monkeypatch.setattr(classify_module, "_group_search", no_search)
+        monkeypatch.setattr(oracle_module, "_group_search", no_search)
         config = SearchConfig(max_candidates=1, mode=mode)
         assert brute_force_enumerate(1, config) == [CycleSet([[0]])]
 
@@ -1134,8 +1182,8 @@ class TestRestrictedBruteForce:
             named.update((id(leaf), (len(calls), k)) for k, leaf in enumerate(made))
             calls.append(made[:])  # keeps every record alive, so no id is reused
 
-        monkeypatch.setattr(classify_module, "_Leaf", recording)
-        merge = classify_module._template_search
+        monkeypatch.setattr(oracle_module, "_Leaf", recording)
+        merge = oracle_module._group_search
         for n in range(2, 21):
             templates = abelian_templates(n)
             if len(templates) < 2:
@@ -1151,9 +1199,9 @@ class TestRestrictedBruteForce:
                     first.setdefault(X.table, (i, place[id(X._leaf)]))
             named: dict = {}
             calls: list = []
-            monkeypatch.setattr(classify_module, "_template_search", naming)
+            monkeypatch.setattr(oracle_module, "_group_search", naming)
             out = brute_force_enumerate(n)
-            monkeypatch.setattr(classify_module, "_template_search", merge)
+            monkeypatch.setattr(oracle_module, "_group_search", merge)
             assert len(calls) == len(templates) and len(out) == len(first), n
             assert [named[id(X._leaf)] for X in out] == [first[X.table] for X in out], n
             assert carried > len(first), n  # repeats, so a later copy would show
@@ -1184,7 +1232,7 @@ class TestRestrictedBruteForce:
     def test_reduced_node_counts(self):
         # expansions summed over the templates of each size: any change to
         # the search tree (scheduling, pruning, the Aut(G) reduction) shows.
-        # Pinned: the first-free reference's expansions, then _template_search's,
+        # Pinned: the first-free reference's expansions, then the template search's,
         # which branches on the largest class without a value and lets
         # a[1] take one value per orbit of the automorphisms that fix a[0]
         # and point 1 (2,894 / 1,362 / 11,442 at n = 8 / 9 / 12 before; n = 14
@@ -1416,28 +1464,28 @@ class TestLeafRecord:
 class TestOrbitWalk:
     """The carry that each oracle mode builds with ``_orbit_walk`` from its
     own generators, against the reference transporters: the same keys, and
-    each key's c[r] list its orbit once each.  Then, for each key r, the
-    walk of K_r, the stabiliser of r and point 1, against K_r filtered out
-    of the whole group."""
+    each key's c[r] list its orbit once each.  Then, for each key r but the
+    identity's, the walk of K_r, the stabiliser of r and point 1, against
+    K_r filtered out of the whole group."""
 
     @staticmethod
-    def carry_of(monkeypatch, search, *args):
-        # the carry that search hands to _group_search, which is not run
+    def point_one_of(monkeypatch, group):
+        # each key's generators of K_r, as the search takes them, with no
+        # candidate for point 1, so no search reaches past point 0
         seen = []
-
-        def capture(act, code, mul, inv, carry, trans, budget, found):
-            seen.append(carry)
-
-        monkeypatch.setattr(classify_module, "_group_search", capture)
-        search(*args, _Budget(1))
+        monkeypatch.setattr(
+            oracle_module, "_orbit_roots", lambda gens, size: seen.append(gens) or []
+        )
+        _group_search(group, _Budget(10 ** 8), {})
         monkeypatch.undo()
-        return seen[0]
+        assert len(seen) == len(group.carry)
+        return dict(zip(group.carry, seen))
 
-    def test_template_orbits_equal_the_automorphism_orbits(self, monkeypatch):
+    def test_template_orbits_equal_the_automorphism_orbits(self):
         for n in range(1, 26):
             for name, parts in abelian_templates(n):
                 act = _translation_rows(parts)
-                carry = self.carry_of(monkeypatch, template_search, parts)
+                carry = abelian(parts).carry
                 reference = _automorphism_transporters(parts, act)
                 assert list(carry) == sorted(reference), name
                 for r, (pairs, _) in carry.items():
@@ -1451,10 +1499,10 @@ class TestOrbitWalk:
                             for u in range(n) for v in range(n)
                         ), (name, r)
 
-    def test_sym_orbits_equal_the_stabilizer_orbits(self, monkeypatch):
+    def test_sym_orbits_equal_the_stabilizer_orbits(self):
         for n in range(1, 7):
             perms, index, _, _ = _sym_table(n)
-            carry = self.carry_of(monkeypatch, full_search, n)
+            carry = _symmetric(n).carry
             reference = _stabilizer_transporters(perms)
             assert list(carry) == [index[r] for r in reference], n
             for r, (pairs, _) in carry.items():
@@ -1488,10 +1536,12 @@ class TestOrbitWalk:
             for name, parts in abelian_templates(n):
                 act = _translation_rows(parts)
                 auts = list(_automorphisms(parts, act))
-                carry = self.carry_of(monkeypatch, template_search, parts)
-                for r in carry:
+                for r, gens in self.point_one_of(monkeypatch, abelian(parts)).items():
+                    if r == 0:  # the identity's key, whose K_r the search never walks
+                        assert gens == []
+                        continue
                     k_r = {alpha for alpha in auts if alpha[r] == r and alpha[1] == 1}
-                    inner = _orbit_walk(_point_one_walk(carry[r][1], n, n), n, n)
+                    inner = _orbit_walk(gens, n, n)
                     self.check_inner(
                         inner, lambda s: {alpha[s] for alpha in k_r}, r, n, (name, r)
                     )
@@ -1501,15 +1551,16 @@ class TestOrbitWalk:
     def test_sym_point_one_orbits_equal_the_stabilizer_orbits(self, monkeypatch):
         for n in range(2, 6):
             perms, index, mul, inv = _sym_table(n)
-            carry = self.carry_of(monkeypatch, full_search, n)
-            for r in carry:
+            for r, gens in self.point_one_of(monkeypatch, _symmetric(n)).items():
+                if r == 0:  # the identity's key, as above
+                    assert gens == []
+                    continue
                 # K_r: the permutations fixing 0 and 1 that commute with perms[r]
                 conj = {
                     i: tuple(mul[m][inv[i]] for m in mul[i])
                     for i, f in enumerate(perms)
                     if f[:2] == (0, 1) and mul[i][r] == mul[r][i]
                 }
-                gens = _point_one_walk(carry[r][1], n, len(perms))
                 inner = _orbit_walk(gens, n, len(perms))
                 self.check_inner(
                     inner, lambda s: {c[s] for c in conj.values()}, r, len(perms), (n, r)
@@ -1520,19 +1571,16 @@ class TestOrbitWalk:
     @classmethod
     def point_one_generators(cls, monkeypatch):
         # (where, n, elements, generators of K_r) for every key r of every
-        # template up to 25 and of full mode up to 5, and no generators, as
-        # under the identity's key, where every element is its own key
+        # template up to 25 and of full mode up to 5, as the search takes
+        # them: none under the identity's key, where every element is its own
         for n in range(2, 26):
             for name, parts in abelian_templates(n):
-                carry = cls.carry_of(monkeypatch, template_search, parts)
-                for r, (_, stab) in carry.items():
-                    yield (name, r), n, n, _point_one_walk(stab, n, n)
+                for r, gens in cls.point_one_of(monkeypatch, abelian(parts)).items():
+                    yield (name, r), n, n, gens
         for n in range(2, 6):
             size = factorial(n)
-            carry = cls.carry_of(monkeypatch, full_search, n)
-            for r, (_, stab) in carry.items():
-                yield (n, r), n, size, _point_one_walk(stab, n, size)
-            yield (n, None), n, size, []
+            for r, gens in cls.point_one_of(monkeypatch, _symmetric(n)).items():
+                yield (n, r), n, size, gens
 
     def test_roots_are_the_walks_keys(self, monkeypatch):
         # the labelling that keys point 1 finds the least member of each
@@ -1566,7 +1614,7 @@ class TestOrbitWalk:
                 brute_force_enumerate(n, SearchConfig(mode=mode))
             assert (work.built, work.expansions, work.leaves) == pinned, n
 
-    def test_point_one_is_the_second_branch(self, monkeypatch):
+    def test_point_one_is_the_second_branch(self):
         # a[1] is keyed on the orbits of K_r, so the second branch must be at
         # point 1: with one key r, only the identity to carry it by, r's
         # stabiliser generators and a transversal of the identity alone, the
@@ -1577,8 +1625,7 @@ class TestOrbitWalk:
                 inv = [row.index(0) for row in act]
                 identity = act[0]
                 found = tables_of(template_search(parts, _Budget(10 ** 8)))
-                carry = self.carry_of(monkeypatch, template_search, parts)
-                for r, (_, stab) in carry.items():
+                for r, (_, stab) in abelian(parts).carry.items():
                     keyed = {r: ([(identity, identity)], stab)}
                     trans = [(identity, identity)]
                     part = group_search(act, act, inv, keyed, trans, _Budget(10 ** 8))
@@ -1868,7 +1915,8 @@ class TestClassifyPq:
         def no_search(*args):
             raise AssertionError("the oracle ran past its size limit")
 
-        monkeypatch.setattr(classify_module, "_template_search", no_search)
+        monkeypatch.setattr(oracle_module, "_abelian", no_search)
+        monkeypatch.setattr(oracle_module, "_group_search", no_search)
         with pytest.raises(ValueError, match="^restricted mode supports n <= 25$"):
             classify_pq(2, 13, cross_check=True)
 
@@ -1978,3 +2026,41 @@ class TestSearchConfig:
             call(0)
         with pytest.raises(TypeError):
             call(SearchConfig())
+
+
+class TestOracleModule:
+    """The oracle stands alone in ``cyclesets.oracle``, and ``classify`` and
+    the package still give every name they gave."""
+
+    FORBIDDEN = {"construct", "classify", "cli", "jsonio"}
+
+    def test_imports_nothing_from_the_construction_route(self):
+        # the oracle is the second route to every classification, so it
+        # imports nothing from the first or from the front ends, at module
+        # level or inside a function, relatively or by absolute name
+        tree = ast.parse(Path(oracle_module.__file__).read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
+        assert {"cycleset", "perm", "errors", "arith"} <= set(imported)
+        assert not [name for name in imported if self.FORBIDDEN & set(name.split("."))]
+
+    def test_classify_reexports_the_oracle(self):
+        for name in ("MODES", "FULL_MODE_MAX", "RESTRICTED_MODE_MAX", "SearchConfig",
+                     "abelian_templates", "brute_force_enumerate"):
+            assert getattr(classify_module, name) is getattr(oracle_module, name), name
+        assert cyclesets.brute_force_enumerate is oracle_module.brute_force_enumerate
+        for name in ("AUTO_CROSS_CHECK_MAX", "ClassEntry", "ClassificationReport",
+                     "classify_cyclic_prime_power", "classify_pq", "dedupe_by_isomorphism",
+                     "enumerate_specs", "group_type_of"):
+            assert getattr(classify_module, name) is getattr(cyclesets, name), name
+
+    def test_package_names_unchanged(self):
+        # 61 names and the 6 submodules they come from; ``oracle`` is not one
+        names = cyclesets.__all__
+        assert len(names) == 67 and "oracle" not in names
+        assert all(hasattr(cyclesets, name) for name in names)

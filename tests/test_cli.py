@@ -17,6 +17,7 @@ from cyclesets import (
     construct as construct_module,
     cycleset as cycleset_module,
     jsonio as jsonio_module,
+    oracle as oracle_module,
 )
 from cyclesets.cli import main
 from cyclesets.jsonio import cycleset_to_dict, solution_to_dict, spec_to_dict
@@ -657,8 +658,8 @@ class TestClassifyAndEnumerate:
         def no_work(*args, **kwargs):
             raise AssertionError("enumerate ran past its size cap")
 
-        for name in ("_group_search", "_sym_table", "_full_search", "_template_search"):
-            monkeypatch.setattr(classify_module, name, no_work)
+        for name in ("_group_search", "_sym_table", "_symmetric", "_abelian"):
+            monkeypatch.setattr(oracle_module, name, no_work)
         for name in ("_spec_family", "prime_power", "brute_force_enumerate"):
             monkeypatch.setattr(cli_module, name, no_work)
         code, out, err = run(capsys, "enumerate", n, "--mode", mode, "--count")
