@@ -6,6 +6,8 @@ cycle sets, with an independent brute-force oracle cross-checking the
 parameterized classification routes.
 """
 
+from types import ModuleType as _ModuleType
+
 from .classify import (
     AUTO_CROSS_CHECK_MAX,
     ClassEntry,
@@ -76,5 +78,8 @@ from .perm import (
     parse_permutation,
 )
 
-# ``oracle`` stays out, so that ``import *`` binds the same names as before it split off
-__all__ = [name for name in dir() if not name.startswith("_") and name != "oracle"]
+# the imported names, not the submodules that importing them bound
+__all__ = [
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

@@ -30,9 +30,10 @@ from .construct import (
 from .cycleset import (
     CycleSet,
     _certificate,
-    f_invariant,
+    _f_invariant,
+    _mpl_of_steps,
+    _retraction_steps,
     is_indecomposable,
-    mpl,
     permutation_group,
 )
 from .errors import OracleDisagreement
@@ -122,7 +123,9 @@ def dedupe_by_isomorphism(
         entry[1] += 1
     entries = []
     for w, count in classes.values():
-        level = mpl(w)
+        steps = _retraction_steps(w)  # one tower walk for mpl and f_invariant
+        level = _mpl_of_steps(w, steps)
+        sizes = [w.n] + [step.quotient.n for step in steps]
         order, kind = _group_order_type(w)
         entries.append(
             ClassEntry(
@@ -131,7 +134,7 @@ def dedupe_by_isomorphism(
                 group_order=order,
                 group_type=kind,
                 # None at every level but 2
-                f_invariant=f_invariant(w) if level == 2 else None,
+                f_invariant=_f_invariant(w, sizes) if level == 2 else None,
                 raw_count=count,
             )
         )

@@ -228,6 +228,17 @@ def extract_spec(X: CycleSet) -> CyclicBuildSpec:
     ``build_prime_power(extract_spec(X))`` isomorphic to X, with equality
     after the same relabeling.
     """
+    return _extract_spec(X, None)
+
+
+def _extract_spec(X: CycleSet, sizes: Optional[list[int]]) -> CyclicBuildSpec:
+    """:func:`extract_spec`, given the retraction tower sizes of X when the
+    caller has walked its tower already, or None to walk it here.
+
+    Points that share a row share its cycle count, its check and its shift,
+    so a table with d distinct rows costs d cycle counts and d row checks,
+    each row at its first point.
+    """
     n = X.n
     pk = prime_power(n)
     if pk is None:
@@ -237,8 +248,11 @@ def extract_spec(X: CycleSet) -> CyclicBuildSpec:
     not_cyclic = f"permutation group is not cyclic of order {n}"
 
     t = X.table
+    reps: dict[tuple[int, ...], int] = {}  # distinct row -> least point with it
+    for x, row in enumerate(t):
+        reps.setdefault(row, x)
     # a row of order n = p^k is an n-cycle
-    base = next((x for x in range(n) if len(_cycles(t[x])) == 1), None)
+    base = next((x for row, x in reps.items() if len(_cycles(row)) == 1), None)
     if base is None:
         raise HypothesesError(not_cyclic)
     phi = t[base]
@@ -246,18 +260,23 @@ def extract_spec(X: CycleSet) -> CyclicBuildSpec:
     for _ in range(n - 1):
         labels.append(phi[labels[-1]])
     pos = {x: i for i, x in enumerate(labels)}
+    shift_of: dict[tuple[int, ...], int] = {}  # distinct row -> its shift
     shifts = []
-    for i in range(n):
-        row = t[labels[i]]
-        shift = pos[row[base]]
-        # row i must be the power phi^shift: labels[j] -> labels[j + shift]
-        if list(map(row.__getitem__, labels)) != labels[shift:] + labels[:shift]:
-            raise HypothesesError(not_cyclic)
-        if shift == 0:
-            raise HypothesesError(f"row {i} does not generate the group")
+    for i, x in enumerate(labels):
+        row = t[x]
+        shift = shift_of.get(row)
+        if shift is None:
+            shift = pos[row[base]]
+            # row i must be the power phi^shift: labels[j] -> labels[j + shift]
+            if list(map(row.__getitem__, labels)) != labels[shift:] + labels[:shift]:
+                raise HypothesesError(not_cyclic)
+            if shift == 0:
+                raise HypothesesError(f"row {i} does not generate the group")
+            shift_of[row] = shift
         shifts.append(shift)
 
-    sizes = retraction_tower_sizes(X)
+    if sizes is None:
+        sizes = retraction_tower_sizes(X)
     level = len(sizes) - 1
     if sizes[-1] != 1 or level < 2:
         raise HypothesesError("multipermutation level must be at least 2")

@@ -668,13 +668,19 @@ def f_invariant(X: CycleSet) -> Optional[tuple[int, ...]]:
     (prime-square size, multipermutation level 2, cyclic regular group) are
     not met.
     """
-    from .construct import extract_spec  # construct imports this module
+    return _f_invariant(X, None)
+
+
+def _f_invariant(X: CycleSet, sizes: Optional[list[int]]) -> Optional[tuple[int, ...]]:
+    """:func:`f_invariant`, given the retraction tower sizes of X when the
+    caller has walked its tower already, or None to walk it only if needed."""
+    from .construct import _extract_spec  # construct imports this module
 
     pk = prime_power(X.n)
     if pk is None or pk[1] != 2:
         return None
     try:
-        return extract_spec(X).digit_functions[0]
+        return _extract_spec(X, sizes).digit_functions[0]
     except (HypothesesError, SpecError):
         return None
 

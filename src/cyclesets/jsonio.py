@@ -20,6 +20,8 @@ raises the domain errors of the owning modules.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .classify import ClassEntry, ClassificationReport
 from .construct import CyclicBuildSpec
@@ -154,7 +156,81 @@ def load(text: str):
         raise FormatError("invalid JSON: nested too deeply") from None
 
 
+_COMPACT = (",", ":")
+_MAX_DEPTH = 32  # deeper payloads, circular ones among them, go to json.dumps
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,  # raises ValueError past the digit limit, as json.dumps does
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def dumps(payload, pretty: bool = False) -> str:
+    """The JSON text of ``payload``: indented, or else compact.
+
+    Compact text is that of ``json.dumps(payload, separators=(",", ":"))``,
+    bytes and exceptions alike, but a table's rows repeat: each distinct
+    list of plain ints is encoded once per call, and the text is one join of
+    cached pieces.  Only exact dicts with ``str`` keys and exact lists, to a
+    bounded depth, holding such containers, ``str``, plain ints, ``bool``
+    and None, are encoded here; any other payload, or an error on the way,
+    goes to ``json.dumps`` whole.
+    """
     if pretty:
         return json.dumps(payload, indent=2)
-    return json.dumps(payload, separators=(",", ":"))
+    parts: list[str] = []
+    try:
+        _compact(payload, parts, _RowTexts(), 0)
+    except (TypeError, ValueError):
+        return json.dumps(payload, separators=_COMPACT)
+    return "".join(parts)
+
+
+class _RowTexts(dict):
+    """Row of plain ints -> its compact text, encoded when first looked up."""
+
+    def __missing__(self, row: tuple[int, ...]) -> str:
+        text = self[row] = "[" + ",".join(map(int.__repr__, row)) + "]"
+        return text
+
+
+def _compact(obj, parts: list[str], rows: _RowTexts, depth: int) -> None:
+    """Append the compact pieces of the container ``obj``, with the text of
+    each row of plain ints from ``rows``; raise TypeError or ValueError on
+    anything :func:`dumps` leaves to json.dumps."""
+    if depth > _MAX_DEPTH:
+        raise ValueError("nested too deeply")
+    kind = type(obj)
+    if kind is list:
+        kinds = set(map(type, obj))
+        if kinds <= _INT:  # one row
+            parts.append(rows[tuple(obj)])
+            return
+        if kinds == {list} and _INT.issuperset(map(type, chain.from_iterable(obj))):
+            pieces = [","] * (2 * len(obj) + 1)  # rows only: interleave them with commas
+            pieces[0], pieces[-1] = "[", "]"
+            pieces[1::2] = map(rows.__getitem__, map(tuple, obj))
+            parts += pieces
+            return
+        items = obj
+    elif kind is dict:
+        items = obj.items()
+    else:
+        raise TypeError("not a container")
+    parts.append("[" if kind is list else "{")
+    for i, item in enumerate(items):
+        if i:
+            parts.append(",")
+        if kind is dict:
+            key, item = item
+            if type(key) is not str:
+                raise TypeError("a key that is not a str")
+            parts += (encode_basestring_ascii(key), ":")
+        scalar = _SCALARS.get(type(item))
+        if scalar is None:
+            _compact(item, parts, rows, depth + 1)
+        else:
+            parts.append(scalar(item))
+    parts.append("]" if kind is list else "}")
+

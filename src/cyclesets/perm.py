@@ -17,6 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded
@@ -65,11 +66,16 @@ def _orbit(rows: Iterable[tuple[int, ...]], start: int = 0) -> set[int]:
 
 
 def _commute(rows: Sequence[tuple[int, ...]]) -> bool:
-    """True iff the image tuples commute pairwise."""
+    """True iff the image tuples commute pairwise.
+
+    ``itemgetter(*s)(r)`` gathers the whole row r o s at once; at degree 1
+    it returns the one image rather than a tuple, which compares the same.
+    """
+    gathers = [itemgetter(*r) for r in rows]
     return all(
-        tuple(map(r.__getitem__, s)) == tuple(map(s.__getitem__, r))
+        gathers[j](r) == gathers[i](rows[j])
         for i, r in enumerate(rows)
-        for s in rows[i + 1:]
+        for j in range(i + 1, len(rows))
     )
 
 

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import types
 from math import factorial, gcd, prod
 from pathlib import Path
 
@@ -1717,6 +1718,16 @@ class TestDedupe:
         report = dedupe_by_isomorphism([trivial_cycle_set(4), golden4])
         assert len(report.classes) == 2
 
+    def test_a_level_two_entry_walks_its_tower_once(self, monkeypatch):
+        # mpl and f_invariant read one walk: 121 -> 11 -> 1, two retractions
+        sizes = []
+        retract = cycleset_module.retract
+        monkeypatch.setattr(cycleset_module, "retract",
+                            lambda X: sizes.append(X.n) or retract(X))
+        (entry,) = dedupe_by_isomorphism([build_p2_level2(11, 3)]).classes
+        assert sizes == [121, 11]
+        assert (entry.mpl, entry.f_invariant) == (2, tuple(3 * k % 11 for k in range(11)))
+
     def test_empty(self):
         report = dedupe_by_isomorphism([])
         assert report.size == 0 and report.classes == ()
@@ -2014,6 +2025,22 @@ class TestSearchConfig:
             SearchConfig(mode="spec-parameterized")
         assert str(err.value) == f"mode must be one of {classify_module.MODES}"
 
+    @pytest.mark.parametrize("n,config,message", [
+        (26, None, "^restricted mode supports n <= 25$"),
+        (7, SearchConfig(mode="full-bruteforce"), "^full mode supports n <= 6$"),
+    ])
+    def test_size_cap_comes_before_any_group(self, monkeypatch, n, config, message):
+        # the oracle's cap is checked before a template's group, Sym(n) or
+        # its table is built, so none of the builders runs
+        def no_work(*args, **kwargs):
+            raise AssertionError("the oracle ran past its size cap")
+
+        for name in ("_group_search", "_sym_table", "_symmetric", "_abelian",
+                     "_translation_rows"):
+            monkeypatch.setattr(oracle_module, name, no_work)
+        with pytest.raises(ValueError, match=message):
+            brute_force_enumerate(n, config)
+
     @pytest.mark.parametrize("call", [
         lambda budget: enumerate_specs(3, 2, max_candidates=budget),
         lambda budget: classify_cyclic_prime_power(3, 2, max_candidates=budget),
@@ -2060,7 +2087,11 @@ class TestOracleModule:
             assert getattr(classify_module, name) is getattr(cyclesets, name), name
 
     def test_package_names_unchanged(self):
-        # 61 names and the 6 submodules they come from; ``oracle`` is not one
+        # the 61 imported names; none of the 7 submodules they come from
         names = cyclesets.__all__
-        assert len(names) == 67 and "oracle" not in names
-        assert all(hasattr(cyclesets, name) for name in names)
+        assert len(names) == 61 and len(set(names)) == 61
+        assert not [name for name in names
+                    if isinstance(getattr(cyclesets, name), types.ModuleType)]
+        bound: dict = {}
+        exec("from cyclesets import *", bound)
+        assert sorted(set(bound) - {"__builtins__"}) == sorted(names)

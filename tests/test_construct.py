@@ -488,6 +488,12 @@ class TestExtractSpec:
         assert permutation_group(dihedral).order == 8
         with pytest.raises(HypothesesError, match="not cyclic of order 4"):
             extract_spec(dihedral)
+        # the identity row at points 2 and 1, the first and second after the
+        # base along its row's cycle 0 -> 2 -> 1 -> 3: named at the first
+        repeated = CycleSet(((2, 3, 1, 0), (0, 1, 2, 3), (0, 1, 2, 3), (2, 3, 1, 0)))
+        for extract in (extract_spec, reference_extract_spec):
+            with pytest.raises(HypothesesError, match="^row 1 does not generate the group$"):
+                extract(repeated)
 
     def test_equals_the_reference_on_tables(self):
         # the full census n <= 5, the restricted censuses at 8, 9 and 12, and

@@ -2,6 +2,7 @@ import enum
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cyclesets import (
     FormatError,
@@ -133,6 +134,64 @@ def test_dumps_modes():
     assert "\n" not in compact and json.loads(compact) == payload
     pretty = dumps(payload, pretty=True)
     assert "\n" in pretty and json.loads(pretty) == payload
+
+
+def _outcome(encode, payload):
+    try:
+        return encode(payload)
+    except Exception as exc:  # the type and message must match too
+        return type(exc), str(exc)
+
+
+def _reference(payload):
+    return json.dumps(payload, separators=(",", ":"))
+
+
+# rows of small ints repeat, and some compare equal to a row of plain ints
+# but encode differently: [1] against [True] and [1.0]
+_ROWS = st.one_of(
+    st.lists(st.integers(0, 2), max_size=3),
+    st.sampled_from([[1], [True], [1.0], [1, True], [Small.ONE], []]),
+)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+    st.sampled_from([Small.ONE, object()]),
+)
+_KEYS = st.one_of(st.text(max_size=3), st.integers(-2, 2), st.booleans(), st.none(),
+                  st.floats(allow_nan=False), st.just(Small.ONE))
+_PAYLOADS = st.recursive(
+    st.one_of(_SCALARS, _ROWS, st.lists(_ROWS, max_size=5)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_PAYLOADS)
+@example([[1], [True], [1.0], [1]])
+@example({"a": [[0, 1], [1, 0]], "b": [[True, 1], [1, 0]], "c": [[1.0, 1]]})
+@example({"table": [[1, 0]] * 3, 2: [[]], None: [{"n": 1}, {"n": 2}]})
+def test_compact_dumps_is_json_dumps(payload):
+    assert _outcome(dumps, payload) == _outcome(_reference, payload)
+
+
+def test_compact_dumps_of_an_int_past_the_digit_limit():
+    for payload in ({"n": 10 ** 5000}, [[0, 10 ** 5000]]):
+        outcome = _outcome(dumps, payload)
+        assert outcome == _outcome(_reference, payload) and outcome[0] is ValueError
+
+
+def test_compact_dumps_of_a_circular_payload():
+    looped_list, looped_dict = [[0, 1]], {"table": [[0]]}
+    looped_list.append(looped_list)
+    looped_dict["classes"] = [looped_dict]
+    for payload in (looped_list, looped_dict):
+        with pytest.raises(ValueError) as ours:
+            dumps(payload)
+        with pytest.raises(ValueError) as theirs:
+            _reference(payload)
+        assert str(ours.value) == str(theirs.value) == "Circular reference detected"
 
 
 def test_load_rejects_bad_json():
