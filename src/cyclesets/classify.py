@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .arith import is_prime
@@ -29,7 +30,7 @@ from .construct import (
 )
 from .cycleset import (
     CycleSet,
-    _certificate,
+    _class_key,
     _f_invariant,
     _mpl_of_steps,
     _retraction_steps,
@@ -97,19 +98,20 @@ def dedupe_by_isomorphism(
 ) -> ClassificationReport:
     """Partition into isomorphism classes.
 
-    Each class is a ``[witness, count]`` record filed under the certificate
-    of its tables (see :func:`cyclesets.cycleset._certificate`): isomorphic
-    tables have equal certificates, and equal certificates spell the same
-    relabelled table.  The inputs are scanned in increasing row-major
-    encoding, which is the order of their tables, row by row, at one size,
-    so the witness of each class is its least member and classes are
-    created, and listed, in increasing witness encoding: identical inputs
-    produce byte-identical reports.  Tables that share a search leaf are
-    relabellings of one another, so only the leaf's first table is
-    certified, and the others are filed in its class.
+    Each class is a ``[witness, count]`` record filed under the class key
+    of its tables (see :func:`cyclesets.cycleset._class_key`): the affine
+    form of a table whose rows lie in the cyclic group of an n-cycle row,
+    read off its row exponents, else its certificate; either is equal for
+    isomorphic tables and only for them.  The inputs are scanned in
+    increasing row-major encoding, which is the order of their tables, row
+    by row, at one size, so the witness of each class is its least member
+    and classes are created, and listed, in increasing witness encoding:
+    identical inputs produce byte-identical reports.  Tables that share a
+    search leaf are relabellings of one another, so only the leaf's first
+    table is keyed, and the others are filed in its class.
     """
-    xs = sorted(structures, key=lambda X: X.table)
-    if xs and any(X.n != xs[0].n for X in xs):
+    xs = sorted(structures, key=attrgetter("_table"))
+    if len({len(X._table) for X in xs}) > 1:
         raise ValueError("all structures must have the same size")
     classes: dict[tuple[int, ...], list] = {}
     types: dict = {}
@@ -117,7 +119,7 @@ def dedupe_by_isomorphism(
     for X in xs:
         entry = filed.get(X._leaf)  # None for a table without a leaf
         if entry is None:
-            entry = classes.setdefault(_certificate(X, types), [X, 0])
+            entry = classes.setdefault(_class_key(X, types), [X, 0])
             if X._leaf is not None:
                 filed[X._leaf] = entry
         entry[1] += 1
@@ -295,17 +297,18 @@ def _require_matching(expected: ClassificationReport, oracle: ClassificationRepo
     """Insist on a class-by-class isomorphism matching, else hard-fail.
 
     Both reports are free of repeats, so they match one to one exactly when
-    every certificate of their witnesses occurs twice.  Scanned by witness
-    table, parameterized first on a tie, the first entry whose certificate
-    does not is the least member of the first bad merged class; it is named
-    in the :class:`OracleDisagreement` with its side, invariants and witness.
+    every class key of their witnesses (the dedupe's, see
+    :func:`cyclesets.cycleset._class_key`) occurs twice.  Scanned by witness
+    table, parameterized first on a tie, the first entry whose key does not
+    is the least member of the first bad merged class; it is named in the
+    :class:`OracleDisagreement` with its side, invariants and witness.
     """
     entries = [("parameterized", e) for e in expected.classes]
     entries += [("oracle", e) for e in oracle.classes]
     entries.sort(key=lambda side_entry: side_entry[1].witness.table)
-    certs = [_certificate(entry.witness) for _, entry in entries]
-    for (side, entry), cert in zip(entries, certs):
-        if (count := certs.count(cert)) != 2:
+    keys = [_class_key(entry.witness) for _, entry in entries]
+    for (side, entry), key in zip(entries, keys):
+        if (count := keys.count(key)) != 2:
             raise OracleDisagreement(
                 f"{side} class at size {expected.size} has no one-to-one match "
                 f"(merged class of {count}, expected 2): mpl={entry.mpl}, "

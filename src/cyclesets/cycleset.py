@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import gcd
 from operator import add, itemgetter
 from typing import Optional
 
@@ -542,6 +543,14 @@ def are_isomorphic(X: CycleSet, Y: CycleSet) -> Optional[tuple[int, ...]]:
     return tuple(fwd)
 
 
+def _root(orbit: list[int], x: int) -> int:
+    """The root of x in a union-find, halving its path on the way."""
+    while orbit[x] != x:
+        orbit[x] = orbit[orbit[x]]
+        x = orbit[x]
+    return x
+
+
 def _certificate(X: CycleSet, types: Optional[dict] = None) -> tuple[int, ...]:
     """A canonical form of X: equal for two tables iff they are isomorphic.
 
@@ -578,12 +587,6 @@ def _certificate(X: CycleSet, types: Optional[dict] = None) -> tuple[int, ...]:
     seq: list[int] = []
     best: list[int] = []
     best_order: list[int] = []
-
-    def root(orbit: list[int], x: int) -> int:
-        while orbit[x] != x:
-            orbit[x] = orbit[orbit[x]]
-            x = orbit[x]
-        return x
 
     def descend(m: int, below: bool) -> int:
         """Emit the blocks of order[m:], branching over seeds when the
@@ -626,7 +629,7 @@ def _certificate(X: CycleSet, types: Optional[dict] = None) -> tuple[int, ...]:
                 return n
             for orbit in orbits:
                 for a, b in zip(best_order, order):
-                    a, b = root(orbit, a), root(orbit, b)
+                    a, b = _root(orbit, a), _root(orbit, b)
                     if a != b:
                         orbit[max(a, b)] = min(a, b)
             return next(i for i in range(n) if best_order[i] != order[i])
@@ -636,7 +639,7 @@ def _certificate(X: CycleSet, types: Optional[dict] = None) -> tuple[int, ...]:
         orbit = list(range(n))
         orbits.append(orbit)
         for s in free:
-            if types[s] != top or root(orbit, s) != s:
+            if types[s] != top or _root(orbit, s) != s:
                 continue
             label[s] = m
             order.append(s)
@@ -654,6 +657,91 @@ def _certificate(X: CycleSet, types: Optional[dict] = None) -> tuple[int, ...]:
 
     descend(0, True)
     del descend  # it refers to itself: free its lists now, not at the next gc
+    return tuple(best)
+
+
+def _class_key(X: CycleSet, types: Optional[dict] = None) -> tuple[int, ...]:
+    """The dedupe's class key: equal for two tables iff they are isomorphic.
+
+    It is the affine form below for a table with an n-cycle row phi whose
+    cyclic group holds every row, and :func:`_certificate` for any other.
+    A form has n entries and a certificate n^2, so the two never collide
+    for n >= 2, and n = 1 has a single table.
+
+    Which tables qualify: phi is the row of the least point whose row is
+    an n-cycle, found by walking the cycle of 0 under each distinct row in
+    turn, and the table qualifies iff every distinct row is a power of
+    phi.  The centraliser of an n-cycle is the group it generates, so if
+    every row commutes with some n-cycle row psi, then <psi> = <phi>, and
+    testing phi decides.  Relabelling keeps both properties, so isomorphic
+    tables take the same route.  For n = p^k these are exactly the
+    indecomposable tables with a cyclic row group, the paper's class: that
+    group is regular, so Z/p^k, and any generating set of Z/p^k holds a
+    generator.
+
+    Exponents: label pts[i] = phi^i(0), the walk of phi; row pts[i] is
+    phi^e[i], with e[i] = pos[sigma_{pts[i]}(0)], checked once per distinct
+    row as one gather against the rotation ring[k:k + n].  In these
+    coordinates i . j = j + e[i] on Z/n.
+
+    The form: an isomorphism conjugates one row group, all translations,
+    onto the other, so in these coordinates it is affine, z -> c + u*z with
+    u a unit, and it maps e to z -> u^-1 * e[c + u*z].  The form is the
+    least such tuple with first entry 1, over the c with e[c] a unit and
+    u = e[c]; it is read off e, with no table walk.  Candidates are
+    compared lazily.  A tie of (c, u) with the least candidate so far
+    (c0, u0) gives the automorphism i -> c + (u/u0)(i - c0), which maps c0
+    to c; its orbits are kept in a union-find rooted at their least point,
+    and a candidate that is not its orbit's root has the tuple of that
+    root, which was tried already, so it is skipped, as in
+    :func:`_certificate`.  ``types`` is the cycle-type cache that the
+    certificate reads (see :func:`_row_types`).
+    """
+    table = X._table
+    n = len(table)
+    rows = dict.fromkeys(table)  # the distinct rows, each hashed once
+    for phi in rows:
+        pts = [0]  # the cycle of 0 under phi
+        x = phi[0]
+        while x:
+            pts.append(x)
+            x = phi[x]
+        if len(pts) == n:
+            break
+    else:
+        return _certificate(X, types)
+    pos = _inverse(pts)
+    ring = tuple(pts + pts)
+    at_pts = itemgetter(*pts)  # at n = 1 a scalar: the one table is certified
+    for row in rows:
+        k = pos[row[0]]
+        if at_pts(row) != ring[k:k + n]:
+            return _certificate(X, types)
+    e = [pos[table[x][0]] for x in pts]
+
+    orbit = list(range(n))  # the automorphisms' orbits, as in _certificate
+    inv = {u: pow(u, -1, n) for u in set(e) if gcd(u, n) == 1}
+    best: list[int] = []
+    for c, u in enumerate(e):
+        v = inv.get(u)
+        if v is None or orbit[c] != c:  # not a unit, or not its orbit's root
+            continue
+        if not best:
+            best, c0, u0 = [v * e[(c + u * z) % n] % n for z in range(n)], c, u
+            continue
+        for z in range(1, n):  # every candidate starts with 1
+            a = v * e[(c + u * z) % n] % n
+            if a != best[z]:
+                if a < best[z]:
+                    best[z:] = [v * e[(c + u * y) % n] % n for y in range(z, n)]
+                    c0, u0 = c, u
+                break
+        else:
+            w = u * inv[u0]
+            for i in range(n):
+                a, b = _root(orbit, i), _root(orbit, (c + w * (i - c0)) % n)
+                if a != b:
+                    orbit[max(a, b)] = min(a, b)
     return tuple(best)
 
 

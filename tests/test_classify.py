@@ -44,12 +44,13 @@ from cyclesets import (
     relabel,
     retraction_tower_sizes,
     trivial_cycle_set,
+    validate,
 )
 from cyclesets import classify as classify_module
 from cyclesets import cycleset as cycleset_module
 from cyclesets import oracle as oracle_module
 from cyclesets.arith import factorize
-from cyclesets.cycleset import _Leaf, _certificate
+from cyclesets.cycleset import _Leaf, _certificate, _class_key
 from cyclesets.classify import _group_order_type, _require_matching, _spec_family
 from cyclesets.oracle import (
     _Budget,
@@ -1404,10 +1405,10 @@ class TestLeafVerdict:
 
 class TestLeafRecord:
     """The tables carried from one search leaf share one record, and the
-    dedupe certifies each record once.  That is sound only if the tables
-    that share a record are isomorphic: their leafless copies must have one
+    dedupe keys each record once.  That is sound only if the tables that
+    share a record are isomorphic: their leafless copies must have one
     certificate and one orbit verdict, and the dedupe must give the report
-    of their leafless copies, which it certifies one by one."""
+    of their leafless copies, which it keys one by one."""
 
     @staticmethod
     def searches():
@@ -1436,30 +1437,34 @@ class TestLeafRecord:
             assert report_to_dict(report) == report_to_dict(expected)
 
     @staticmethod
-    def certificates(monkeypatch, tables) -> int:
-        """The certificates one dedupe of ``tables`` computes."""
-        calls = []
+    def class_keys(monkeypatch, tables) -> tuple[int, int]:
+        """The class keys one dedupe of ``tables`` computes, as the count of
+        affine forms (n entries) and of certificates (n^2 entries)."""
+        keys = []
 
         def counting(X, types=None):
-            calls.append(X)
-            return _certificate(X, types)
+            keys.append(_class_key(X, types))
+            return keys[-1]
 
-        monkeypatch.setattr(classify_module, "_certificate", counting)
+        monkeypatch.setattr(classify_module, "_class_key", counting)
         dedupe_by_isomorphism(tables)
-        return len(calls)
+        n = tables[0].n
+        assert all(len(key) in (n, n * n) for key in keys)
+        forms = sum(len(key) == n for key in keys)
+        return forms, len(keys) - forms
 
     def test_one_certificate_per_leaf(self, monkeypatch, full_census, census16):
-        # pinned: the certificates of the dedupe, one per leaf, then those
-        # of the leafless copies, one per table
+        # pinned: the class keys of the dedupe, one per leaf, as forms plus
+        # certificates, then those of the leafless copies, one per table
         for tables, leaves, copies in (
-            (full_census[5], 140, 2640),
-            ([X for X in census16 if is_indecomposable(X)], 61, 960),
-            ([X for X in brute_force_enumerate(9) if is_indecomposable(X)], 4, 66),
+            (full_census[5], (1, 139), (24, 2616)),
+            ([X for X in census16 if is_indecomposable(X)], (4, 57), (32, 928)),
+            ([X for X in brute_force_enumerate(9) if is_indecomposable(X)], (3, 1), (18, 48)),
         ):
-            assert len(tables) == copies and len({X._leaf for X in tables}) == leaves
-            assert self.certificates(monkeypatch, tables) == leaves
+            assert len(tables) == sum(copies) and len({X._leaf for X in tables}) == sum(leaves)
+            assert self.class_keys(monkeypatch, tables) == leaves
             leafless = [CycleSet(X.table) for X in tables]
-            assert self.certificates(monkeypatch, leafless) == copies
+            assert self.class_keys(monkeypatch, leafless) == copies
 
 
 class TestOrbitWalk:
@@ -1845,6 +1850,110 @@ class TestDedupe:
         assert report.classes[0].witness == min(
             (golden4, shuffled), key=row_major
         )
+
+
+# a dihedral table of order 8: row 0 is a 4-cycle, rows 1 and 2 are
+# reflections that do not commute with it
+DIHEDRAL_4 = ((1, 2, 3, 0), (0, 3, 2, 1), (2, 1, 0, 3), (3, 0, 1, 2))
+
+SPEC_SIZES = {2: range(2, 8), 3: range(2, 5), 5: (2, 3), 7: (2,), 11: (2,), 13: (2,)}
+
+
+class TestClassKey:
+    """The dedupe's class key: the affine form of a table whose rows lie in
+    the cyclic group of an n-cycle row, else the certificate.  It must give
+    the certificate's partition, class by class, and the route must be the
+    same for every relabelling of a table."""
+
+    @staticmethod
+    def partition(tables, key) -> list[list[int]]:
+        classes: dict = {}
+        for i, X in enumerate(tables):
+            classes.setdefault(key(X), []).append(i)
+        return sorted(classes.values())
+
+    def check(self, tables, where) -> int:
+        """Check the partitions and return the number of forms, the keys of
+        n entries at n >= 2 (at n = 1 the one table's key is (0,))."""
+        types: dict = {}
+        keys = self.partition(tables, lambda X: _class_key(X, types))
+        assert keys == self.partition(tables, _certificate), where
+        return sum(len(_class_key(X)) == X.n > 1 for X in tables)
+
+    def test_spec_families(self):
+        # the spec family plus the shift at every prime power of
+        # test_constructions_are_nondegenerate: all of them take the form
+        for p, ks in SPEC_SIZES.items():
+            for k in ks:
+                tables = _spec_family(p, k)
+                assert self.check(tables, (p, k)) == len(tables)
+
+    def test_p2_builders(self):
+        for p in (2, 3, 5, 7, 11, 13):
+            tables = [build_p2_level2(p, t) for t in range(1, p)]
+            tables.append(build_elementary_abelian(p))
+            # the elementary-abelian table has no p^2-cycle row
+            assert self.check(tables, p) == p - 1
+
+    def test_restricted_census(self):
+        # pinned: the forms among the indecomposable tables, at each n where
+        # not every table takes one
+        forms = {1: 0, 4: 4, 8: 8, 9: 18, 12: 8, 16: 32, 18: 18, 20: 16, 24: 16, 25: 100}
+        for n in range(1, 26):
+            tables = [CycleSet(X.table) for X in brute_force_enumerate(n) if is_indecomposable(X)]
+            assert self.check(tables, n) == forms.get(n, len(tables)), n
+
+    def test_full_census(self, full_census):
+        # pinned: the forms are the indecomposable cyclic tables, (n - 1)!
+        # at a prime n
+        forms = {1: 0, 2: 1, 3: 2, 4: 12, 5: 24}
+        for n, tables in full_census.items():
+            assert self.check(tables, n) == forms[n], n
+
+    def test_relabelled_spec_tables(self):
+        # 1,000 random affine relabellings z -> u*z + c and 1,000 arbitrary
+        # ones keep the key, so the class
+        rng = random.Random(43)
+        pool = [X for p, ks in SPEC_SIZES.items() for k in ks if p ** k <= 64
+                for X in _spec_family(p, k)]
+        keys = [_class_key(X) for X in pool]
+        for _ in range(1000):
+            i = rng.randrange(len(pool))
+            X, n = pool[i], pool[i].n
+            u = rng.choice([u for u in range(1, n) if gcd(u, n) == 1])
+            c = rng.randrange(n)
+            assert _class_key(relabel(X, tuple((u * z + c) % n for z in range(n)))) == keys[i]
+            f = tuple(rng.sample(range(n), n))
+            assert _class_key(relabel(X, f)) == keys[i]
+
+    def test_route_is_kept_by_relabelling(self, full_census):
+        rng = random.Random(44)
+        tables = [X for n in (4, 5) for X in full_census[n]]
+        tables += [build_elementary_abelian(3), CycleSet(DIHEDRAL_4), build_p2_level2(3, 1)]
+        for X in tables:
+            route = len(_class_key(X))
+            for _ in range(3):
+                f = tuple(rng.sample(range(X.n), X.n))
+                assert len(_class_key(relabel(X, f))) == route, X
+
+    def test_negative_cases_take_the_certificate(self):
+        for p in (2, 3, 5):
+            X = build_elementary_abelian(p)
+            assert _class_key(X) == _certificate(X)
+        # an n-cycle row, at point 0, and rows that do not commute with it
+        X = validate(DIHEDRAL_4)
+        assert sorted(map(len, _cycles(X.table[0]))) == [4]
+        assert not _commute([X.table[0], X.table[1]])
+        assert _class_key(X) == _certificate(X)
+
+    def test_smallest_sizes(self):
+        assert _class_key(trivial_cycle_set(1)) == (0,)
+        # n = 2: the shift x . y = y + 1 takes the form, the identity table
+        # the certificate
+        shift, identity = trivial_cycle_set(2), CycleSet([[0, 1], [0, 1]])
+        assert _class_key(shift) == (1, 1)
+        assert _class_key(identity) == _certificate(identity)
+        assert len(dedupe_by_isomorphism([shift, identity]).classes) == 2
 
 
 class TestClassifyPq:
