@@ -44,22 +44,24 @@ from .oracle import (
 )
 from .perm import Permutation, _inverse, format_cycles
 
-#: lemma2 prints p - 1 tables of length p (about 59 MB of RSS at 1009)
+#: lemma2 prints p - 1 tables of length p (0.2 s and 62 MB of RSS at 1009)
 LEMMA2_MAX_P = 1009
 
-#: build prints an n x n table (about 65 MB of RSS at 1024, 230 MB at 2048);
-#: the loaders of verify, retract, solution and iso read no larger table
+#: build prints an n x n table (0.06 s and 31 MB of RSS at 1024, on a 2-core
+#: AMD EPYC with Python 3.11.7, as below); the loaders of verify, retract,
+#: solution and iso read no larger table
 BUILD_MAX_N = 1024
 
-#: classify at n = 169 (p = q = 13, or p^k = 13^2) takes about 1 s and 26 MB
-#: of RSS; p = q = 17 takes 5 s, and p^k = 3^5 runs 139 s before the default
-#: budget stops it
+#: classify at n = 169 (p = q = 13, or p^k = 13^2) takes under 0.1 s and
+#: 22 MB of RSS, and classify_pq(17, 17) 0.06 s in process; the cap stands
+#: for the --k route alone, where p^k = 3^5 ran 116.7 s before the default
+#: budget stopped it
 CLASSIFY_MAX_N = 169
 
 #: each enumerate mode with its size cap; spec mode lists what classify --k
-#: dedupes, and full mode at n = 6 takes about 1 s and 525,398 expansions
-#: to count (about 2.2 s and 134 MB of RSS to print its tables), while n = 7
-#: would need a Cayley table of (7!)^2 entries
+#: dedupes, and full mode at n = 6 takes 0.6 s, 525,398 expansions and
+#: 59 MB of RSS to count (1.4 to 1.8 s and 150 MB to print its tables),
+#: while n = 7 would need a Cayley table of (7!)^2 entries
 _MODES = {
     "full": ("full-bruteforce", FULL_MODE_MAX),
     "regular-abelian": ("regular-abelian-restricted", RESTRICTED_MODE_MAX),
@@ -408,7 +410,11 @@ def _io_error(exc: Exception) -> int:
     if isinstance(exc, BrokenPipeError):
         # the reader is gone: send what is still buffered for stdout, and
         # the interpreter's flush at exit, to the null device
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, sys.stdout.fileno())
+        finally:
+            os.close(null)
     print(f"error: {exc}", file=sys.stderr)
     return 2
 

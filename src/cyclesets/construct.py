@@ -42,9 +42,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import ilog, is_prime, prime_power
-from .cycleset import CycleSet, retraction_tower_sizes
+from .cycleset import CycleSet, _cyclic_walk, retraction_tower_sizes
 from .errors import HypothesesError, SpecError
-from .perm import _cycles
 
 
 def _shift(m: int, e: int) -> tuple[int, ...]:
@@ -216,13 +215,12 @@ def extract_spec(X: CycleSet) -> CyclicBuildSpec:
     """Recover build parameters from an indecomposable prime-power cycle set.
 
     Requires cyclic regular permutation group and multipermutation level at
-    least 2.  A generating set of a cyclic p-group contains a generator, so
-    the group is cyclic of order n exactly when some row is an n-cycle and
-    every row is a power of it; no group closure is built.  The points are
-    relabeled along the least such row so that the base point is 0 and its
-    row is the standard cycle.  The exponent chain comes from the retraction
-    tower, and f_m(r) is read off row r < p^{j_m} as the digit of its exponent
-    minus one at place p^{j_m}.  The spec is accepted only if
+    least 2.  The points are relabeled along the table's least n-cycle row,
+    as :func:`cyclesets.cycleset._cyclic_walk` walks it, which also tells
+    whether the group is cyclic of order n, with no group closure built, and
+    reads the row exponents.  The exponent chain comes from the retraction
+    tower, and f_m(r) is read off row r < p^{j_m} as the digit of its
+    exponent minus one at place p^{j_m}.  The spec is accepted only if
     :func:`sigma_exponents`, the builder's own map, gives back every row
     exponent, and then validated.  The result satisfies
     ``build_prime_power(extract_spec(X))`` isomorphic to X, with equality
@@ -233,47 +231,18 @@ def extract_spec(X: CycleSet) -> CyclicBuildSpec:
 
 def _extract_spec(X: CycleSet, sizes: Optional[list[int]]) -> CyclicBuildSpec:
     """:func:`extract_spec`, given the retraction tower sizes of X when the
-    caller has walked its tower already, or None to walk it here.
-
-    Points that share a row share its cycle count, its check and its shift,
-    so a table with d distinct rows costs d cycle counts and d row checks,
-    each row at its first point.
-    """
+    caller has walked its tower already, or None to walk it here."""
     n = X.n
     pk = prime_power(n)
     if pk is None:
         raise HypothesesError(f"size {n} is not a prime power")
     p, k = pk
-    # a message: a raised exception held in a local keeps this frame in a gc cycle
-    not_cyclic = f"permutation group is not cyclic of order {n}"
-
-    t = X.table
-    reps: dict[tuple[int, ...], int] = {}  # distinct row -> least point with it
-    for x, row in enumerate(t):
-        reps.setdefault(row, x)
-    # a row of order n = p^k is an n-cycle
-    base = next((x for row, x in reps.items() if len(_cycles(row)) == 1), None)
-    if base is None:
-        raise HypothesesError(not_cyclic)
-    phi = t[base]
-    labels = [base]
-    for _ in range(n - 1):
-        labels.append(phi[labels[-1]])
-    pos = {x: i for i, x in enumerate(labels)}
-    shift_of: dict[tuple[int, ...], int] = {}  # distinct row -> its shift
-    shifts = []
-    for i, x in enumerate(labels):
-        row = t[x]
-        shift = shift_of.get(row)
-        if shift is None:
-            shift = pos[row[base]]
-            # row i must be the power phi^shift: labels[j] -> labels[j + shift]
-            if list(map(row.__getitem__, labels)) != labels[shift:] + labels[:shift]:
-                raise HypothesesError(not_cyclic)
-            if shift == 0:
-                raise HypothesesError(f"row {i} does not generate the group")
-            shift_of[row] = shift
-        shifts.append(shift)
+    shifts = _cyclic_walk(X) or [-1]  # no n-cycle row: not cyclic
+    for i, e in enumerate(shifts):  # the first failing row, in walk order
+        if e < 0:
+            raise HypothesesError(f"permutation group is not cyclic of order {n}")
+        if e == 0:
+            raise HypothesesError(f"row {i} does not generate the group")
 
     if sizes is None:
         sizes = retraction_tower_sizes(X)

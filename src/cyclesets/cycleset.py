@@ -551,6 +551,15 @@ def _root(orbit: list[int], x: int) -> int:
     return x
 
 
+def _merge(orbit: list[int], xs, ys) -> None:
+    """Join the classes of xs[i] and ys[i] for each i in a union-find rooted
+    at its least points."""
+    for a, b in zip(xs, ys):
+        a, b = _root(orbit, a), _root(orbit, b)
+        if a != b:
+            orbit[max(a, b)] = min(a, b)
+
+
 def _certificate(X: CycleSet, types: Optional[dict] = None) -> tuple[int, ...]:
     """A canonical form of X: equal for two tables iff they are isomorphic.
 
@@ -628,10 +637,7 @@ def _certificate(X: CycleSet, types: Optional[dict] = None) -> tuple[int, ...]:
                 best[:], best_order[:] = seq, order
                 return n
             for orbit in orbits:
-                for a, b in zip(best_order, order):
-                    a, b = _root(orbit, a), _root(orbit, b)
-                    if a != b:
-                        orbit[max(a, b)] = min(a, b)
+                _merge(orbit, best_order, order)
             return next(i for i in range(n) if best_order[i] != order[i])
         free = [x for x in range(n) if label[x] < 0]
         top = max(types[x] for x in free)
@@ -660,42 +666,24 @@ def _certificate(X: CycleSet, types: Optional[dict] = None) -> tuple[int, ...]:
     return tuple(best)
 
 
-def _class_key(X: CycleSet, types: Optional[dict] = None) -> tuple[int, ...]:
-    """The dedupe's class key: equal for two tables iff they are isomorphic.
+def _cyclic_walk(X: CycleSet) -> Optional[list[int]]:
+    """The row exponents e of X along its least n-cycle row, or None.
 
-    It is the affine form below for a table with an n-cycle row phi whose
-    cyclic group holds every row, and :func:`_certificate` for any other.
-    A form has n entries and a certificate n^2, so the two never collide
-    for n >= 2, and n = 1 has a single table.
+    phi is the row of the least point b whose row is an n-cycle, and None
+    says no row is one.  Label pts[i] = phi^i(b): row pts[i] is phi^e[i],
+    with e[i] = -1 when that row is no power of phi.  Each distinct row is
+    checked once, as one gather against a rotation of pts.  When no e[i] is
+    -1, i . j = j + e[i] on Z/n in these coordinates.
 
-    Which tables qualify: phi is the row of the least point whose row is
-    an n-cycle, found by walking the cycle of 0 under each distinct row in
-    turn, and the table qualifies iff every distinct row is a power of
-    phi.  The centraliser of an n-cycle is the group it generates, so if
-    every row commutes with some n-cycle row psi, then <psi> = <phi>, and
-    testing phi decides.  Relabelling keeps both properties, so isomorphic
-    tables take the same route.  For n = p^k these are exactly the
-    indecomposable tables with a cyclic row group, the paper's class: that
-    group is regular, so Z/p^k, and any generating set of Z/p^k holds a
-    generator.
-
-    Exponents: label pts[i] = phi^i(0), the walk of phi; row pts[i] is
-    phi^e[i], with e[i] = pos[sigma_{pts[i]}(0)], checked once per distinct
-    row as one gather against the rotation ring[k:k + n].  In these
-    coordinates i . j = j + e[i] on Z/n.
-
-    The form: an isomorphism conjugates one row group, all translations,
-    onto the other, so in these coordinates it is affine, z -> c + u*z with
-    u a unit, and it maps e to z -> u^-1 * e[c + u*z].  The form is the
-    least such tuple with first entry 1, over the c with e[c] a unit and
-    u = e[c]; it is read off e, with no table walk.  Candidates are
-    compared lazily.  A tie of (c, u) with the least candidate so far
-    (c0, u0) gives the automorphism i -> c + (u/u0)(i - c0), which maps c0
-    to c; its orbits are kept in a union-find rooted at their least point,
-    and a candidate that is not its orbit's root has the tuple of that
-    root, which was tried already, so it is skipped, as in
-    :func:`_certificate`.  ``types`` is the cycle-type cache that the
-    certificate reads (see :func:`_row_types`).
+    This reads the paper's class, for :func:`_class_key` and
+    :func:`cyclesets.construct.extract_spec`: the rows lie in the cyclic
+    group of an n-cycle row iff no e[i] is -1.  The centraliser of an
+    n-cycle is the group it generates, so if every row commutes with some
+    n-cycle row psi, then <psi> = <phi>, and testing phi decides.
+    Relabelling keeps both properties, so isomorphic tables take the same
+    route.  For n = p^k these are exactly the indecomposable tables with a
+    cyclic row group: that group is regular, so Z/p^k, and any generating
+    set of Z/p^k holds a generator.
     """
     table = X._table
     n = len(table)
@@ -709,16 +697,43 @@ def _class_key(X: CycleSet, types: Optional[dict] = None) -> tuple[int, ...]:
         if len(pts) == n:
             break
     else:
-        return _certificate(X, types)
+        return None
+    b = table.index(phi)
+    i = pts.index(b)
+    pts = pts[i:] + pts[:i]  # the walk from b
     pos = _inverse(pts)
-    ring = tuple(pts + pts)
-    at_pts = itemgetter(*pts)  # at n = 1 a scalar: the one table is certified
-    for row in rows:
-        k = pos[row[0]]
-        if at_pts(row) != ring[k:k + n]:
-            return _certificate(X, types)
-    e = [pos[table[x][0]] for x in pts]
+    ring = tuple(pts + pts)  # phi^k maps pts onto ring[k:k + n]
+    at_pts = itemgetter(*pts)  # at n = 1 a scalar: the one row reads as -1
+    bad = {row for row in rows if at_pts(row) != ring[(k := pos[row[b]]):k + n]}
+    return [-1 if bad and table[x] in bad else pos[table[x][b]] for x in pts]
 
+
+def _class_key(X: CycleSet, types: Optional[dict] = None) -> tuple[int, ...]:
+    """The dedupe's class key: equal for two tables iff they are isomorphic.
+
+    It is the affine form below for a table whose rows all lie in the cyclic
+    group of an n-cycle row, and :func:`_certificate` for any other; both
+    the route and the exponents e come from :func:`_cyclic_walk`.  A form
+    has n entries and a certificate n^2, so the two never collide for
+    n >= 2, and n = 1 has a single table.
+
+    The form: an isomorphism conjugates one row group, all translations,
+    onto the other, so in the walk's coordinates it is affine, z -> c + u*z
+    with u a unit, and it maps e to z -> u^-1 * e[c + u*z].  The form is the
+    least such tuple with first entry 1, over the c with e[c] a unit and
+    u = e[c]; it is read off e, with no table walk, and a translation of
+    the coordinates leaves it as it is.  Candidates are compared lazily.  A
+    tie of (c, u) with the least candidate so far (c0, u0) gives the
+    automorphism i -> c + (u/u0)(i - c0), which maps c0 to c; its orbits are
+    kept in a union-find rooted at their least point, and a candidate that
+    is not its orbit's root has the tuple of that root, which was tried
+    already, so it is skipped, as in :func:`_certificate`.  ``types`` is the
+    cycle-type cache that the certificate reads (see :func:`_row_types`).
+    """
+    e = _cyclic_walk(X)
+    if e is None or -1 in e:
+        return _certificate(X, types)
+    n = len(e)
     orbit = list(range(n))  # the automorphisms' orbits, as in _certificate
     inv = {u: pow(u, -1, n) for u in set(e) if gcd(u, n) == 1}
     best: list[int] = []
@@ -738,10 +753,7 @@ def _class_key(X: CycleSet, types: Optional[dict] = None) -> tuple[int, ...]:
                 break
         else:
             w = u * inv[u0]
-            for i in range(n):
-                a, b = _root(orbit, i), _root(orbit, (c + w * (i - c0)) % n)
-                if a != b:
-                    orbit[max(a, b)] = min(a, b)
+            _merge(orbit, range(n), [(c + w * (i - c0)) % n for i in range(n)])
     return tuple(best)
 
 

@@ -1926,6 +1926,23 @@ class TestClassKey:
             f = tuple(rng.sample(range(n), n))
             assert _class_key(relabel(X, f)) == keys[i]
 
+    def test_form_is_the_least_affine_image(self):
+        # the form's value, not only its partition: the least tuple
+        # z -> u^-1 * e[c + u*z] over every c with u = e[c] a unit, where
+        # row i of a built member translates by e[i] = table[i][0]; each
+        # table is also randomly relabelled, which must keep the key
+        rng = random.Random(45)
+        tables = [X for p, ks in SPEC_SIZES.items() for k in ks for X in _spec_family(p, k)]
+        assert len(tables) == 164
+        for X in tables:
+            n, e = X.n, [row[0] for row in X.table]
+            form = min(
+                tuple(pow(e[c], -1, n) * e[(c + e[c] * z) % n] % n for z in range(n))
+                for c in range(n) if gcd(e[c], n) == 1
+            )
+            assert _class_key(X) == form, X
+            assert _class_key(relabel(X, tuple(rng.sample(range(n), n)))) == form, X
+
     def test_route_is_kept_by_relabelling(self, full_census):
         rng = random.Random(44)
         tables = [X for n in (4, 5) for X in full_census[n]]

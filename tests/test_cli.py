@@ -813,6 +813,33 @@ class TestOutputModes:
         assert proc.wait(timeout=120) == 2
         assert err.splitlines() == ["error: [Errno 32] Broken pipe"]
 
+    def test_broken_pipe_closes_its_null_descriptor(self, monkeypatch):
+        # in process, with dup2 patched so the test's own stdout is left
+        # alone: the descriptor opened on the null device must be closed
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return 1
+
+        opened, duplicated = [], []
+        real_open = os.open
+
+        def recording_open(*args):
+            opened.append(real_open(*args))
+            return opened[-1]
+
+        monkeypatch.setattr(os, "open", recording_open)
+        monkeypatch.setattr(os, "dup2", lambda fd, fd2: duplicated.append((fd, fd2)))
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        assert main(["build", "--family", "trivial", "--m", "3"]) == 2
+        assert sys.stderr.getvalue() == "error: [Errno 32] Broken pipe\n"
+        assert duplicated == [(opened[0], 1)] and len(opened) == 1
+        with pytest.raises(OSError):
+            os.fstat(opened[0])
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 

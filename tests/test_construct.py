@@ -494,6 +494,17 @@ class TestExtractSpec:
         for extract in (extract_spec, reference_extract_spec):
             with pytest.raises(HypothesesError, match="^row 1 does not generate the group$"):
                 extract(repeated)
+        # an identity row and a row that is no power of the base cycle, in
+        # both orders along that cycle: the first one met is named
+        for table, message in (
+            (((1, 2, 3, 0), (0, 1, 2, 3), (1, 0, 2, 3), (1, 2, 3, 0)),
+             "row 1 does not generate the group"),
+            (((1, 2, 3, 0), (1, 0, 2, 3), (0, 1, 2, 3), (1, 2, 3, 0)),
+             "permutation group is not cyclic of order 4"),
+        ):
+            X = CycleSet(table)
+            assert extraction_outcome(extract_spec, X) == (HypothesesError, message)
+            assert extraction_outcome(reference_extract_spec, X) == (HypothesesError, message)
 
     def test_equals_the_reference_on_tables(self):
         # the full census n <= 5, the restricted censuses at 8, 9 and 12, and
